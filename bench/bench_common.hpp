@@ -17,7 +17,6 @@
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
 #include "models/machines.hpp"
-#include "models/phase_model.hpp"
 #include "models/predictions.hpp"
 #include "support/env.hpp"
 #include "support/json_writer.hpp"
@@ -266,17 +265,16 @@ inline std::vector<int> virtual_ps(const BenchArgs& args) {
 
 /// Shared `--virtual` section: run every implementation over the given
 /// (n, p) points on the virtual-time fabric and print the predicted
-/// wall-clock trajectory next to the analytic LogGP phase model (COnfLUX /
-/// CALU only — the baselines have volume models but no phase-time replay).
-/// Host seconds show what the fiber scheduler actually cost.
+/// wall-clock trajectory. Host seconds show what the fiber scheduler
+/// actually cost.
 inline std::vector<BenchPoint> run_virtual_sweep(
     const BenchArgs& args, const std::vector<std::pair<int, int>>& nps,
     BenchTrace& trace) {
   const models::Machine m = models::machine_by_name(args.machine);
   std::cout << "-- virtual time: " << m.name << " (alpha " << m.alpha_s * 1e6
             << " us, beta " << 1.0 / m.beta_s_per_byte / 1e9 << " GB/s) --\n";
-  Table table({"P", "N", "impl", "predicted s", "model s", "MB/node",
-               "host s", "grid"});
+  Table table(
+      {"P", "N", "impl", "predicted s", "MB/node", "host s", "grid"});
   std::vector<BenchPoint> points;
   for (const auto& [n, p] : nps) {
     for (const std::string& algo : algo_names()) {
@@ -284,14 +282,8 @@ inline std::vector<BenchPoint> run_virtual_sweep(
       const lu::LuResult res = run_dry_virtual(algo, n, p, m, trace.board());
       const double host = sw.seconds();
       trace.add(algo + "/n" + std::to_string(n) + "/p" + std::to_string(p));
-      const std::string model =
-          models::has_phase_model(algo)
-              ? fmt(models::predict_lu_makespan(algo, n, p, m.alpha_s,
-                                                m.beta_s_per_byte),
-                    4)
-              : "-";
       table.add_row({std::to_string(p), std::to_string(n), algo,
-                     fmt(res.predicted_seconds, 4), model,
+                     fmt(res.predicted_seconds, 4),
                      fmt(res.bytes_per_rank() / 1e6, 4), fmt(host, 4),
                      res.grid});
       BenchPoint pt{p,

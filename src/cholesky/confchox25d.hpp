@@ -1,7 +1,7 @@
 /// \file confchox25d.hpp
 /// COnfCHOX — the near-communication-optimal 2.5D Cholesky factorization of
-/// the journal extension (arXiv:2108.09337), built from the same machinery
-/// as COnfLUX (lu/conflux25d.hpp) minus everything pivoting required:
+/// the journal extension (arXiv:2108.09337), built on the same 2.5D tile
+/// core as COnfLUX (factor/core25d.hpp) minus everything pivoting required:
 ///   - lazy panel reduction: trailing-matrix updates accumulate as
 ///     per-layer partial sums; only the next panel's column strip is summed
 ///     across layers each step (Cholesky has no row-panel reduce — the row

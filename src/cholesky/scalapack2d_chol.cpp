@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "grid/block_cyclic.hpp"
+#include "factor/layout2d.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/potrf.hpp"
@@ -17,39 +17,12 @@ namespace conflux::cholesky {
 
 namespace {
 
-using grid::BlockCyclic1D;
 using grid::Grid2D;
 using linalg::Matrix;
 using simnet::Comm;
 using simnet::Group;
 using simnet::make_tag;
 using simnet::Tag;
-
-/// Per-rank view of the 2D block-cyclic decomposition (the same local
-/// bookkeeping as the LU baseline in lu/scalapack2d.cpp).
-struct Local2D {
-  int pr = 0, pc = 0;
-  BlockCyclic1D rowmap{1, 1, 1};
-  BlockCyclic1D colmap{1, 1, 1};
-  std::vector<int> my_rows;  ///< owned global rows, ascending
-  std::vector<int> my_cols;  ///< owned global cols, ascending
-  Matrix loc;                ///< numeric local block (my_rows x my_cols)
-
-  [[nodiscard]] int lrow(int g) const { return rowmap.local_of(g); }
-  [[nodiscard]] int lcol(int g) const { return colmap.local_of(g); }
-
-  /// First local row/col index whose global index is >= g.
-  [[nodiscard]] int lrow_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_rows.begin(), my_rows.end(), g) -
-        my_rows.begin());
-  }
-  [[nodiscard]] int lcol_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_cols.begin(), my_cols.end(), g) -
-        my_cols.begin());
-  }
-};
 
 struct BodyParams {
   int n = 0;
@@ -70,13 +43,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
   CONFLUX_EXPECTS(n % nb == 0);
   const int me_rank = comm.rank();
 
-  Local2D me;
-  me.pr = g.row_of(comm.rank());
-  me.pc = g.col_of(comm.rank());
-  me.rowmap = BlockCyclic1D(n, nb, g.rows());
-  me.colmap = BlockCyclic1D(n, nb, g.cols());
-  me.my_rows = me.rowmap.indices_of_owner(me.pr);
-  me.my_cols = me.colmap.indices_of_owner(me.pc);
+  factor::Local2D me(n, nb, g, comm.rank());
   if (numeric) {
     me.loc = Matrix(static_cast<int>(me.my_rows.size()),
                     static_cast<int>(me.my_cols.size()));
@@ -86,19 +53,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
           me.loc(static_cast<int>(i), static_cast<int>(j)) =
               (*params.a)(me.my_rows[i], me.my_cols[j]);
   }
-
-  auto col_group = [&](int pc) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.rows()));
-    for (int pr = 0; pr < g.rows(); ++pr) ranks.push_back(g.rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
-  auto row_group = [&](int pr) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.cols()));
-    for (int pc = 0; pc < g.cols(); ++pc) ranks.push_back(g.rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
 
   const int steps = n / nb;
   for (int s = 0; s < steps; ++s) {
@@ -112,7 +66,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     if (me.pc == pck) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelFactor, s);
-      const Group cg = col_group(pck);
+      const Group cg = factor::col_group(g, pck, 0);
       if (numeric) {
         std::vector<double> buf(static_cast<std::size_t>(nb) * nb, 0.0);
         if (me.pr == prk) {
@@ -148,7 +102,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = row_group(me.pr);
+      const Group rg = factor::row_group(g, me.pr, 0);
       const Tag tag = make_tag(24, ts, 0);
       if (numeric) {
         std::vector<double> buf(static_cast<std::size_t>(mtrail) * nb);
@@ -178,7 +132,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group cg = col_group(me.pc);
+      const Group cg = factor::col_group(g, me.pc, 0);
       for (int pr = 0; pr < g.rows(); ++pr) {
         // Trailing columns of this process column whose L10 row lives on
         // process row pr — identical index arithmetic on every rank.

@@ -1,0 +1,111 @@
+/// \file core25d.hpp
+/// The 2.5D tile core shared by both factorization families: COnfLUX/CALU
+/// (lu/block25d.cpp) and COnfCHOX (cholesky/confchox25d.cpp).
+///
+/// It holds exactly the §7.2 machinery the two engines have in common:
+///   - the run plan: memory budget, [Px, Py, c] grid, block size v;
+///   - the per-rank tile store of the block-cyclic tile layout;
+///   - the lazy cross-layer reduction of panel column t onto layer l*;
+///   - the layer-sliced multicast of a solved row panel along process rows.
+/// Each shared step takes the rows this rank holds in the panel as an
+/// explicit list (or count), so neither branches on the family: LU passes
+/// its unpivoted rows, Cholesky the rows of its owned tiles at or below the
+/// diagonal. Pivoting, the diagonal-block factorization, the second panel
+/// direction and the Schur update shape stay in the engines.
+#pragma once
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "factor/factorization.hpp"
+#include "grid/block_cyclic.hpp"
+#include "grid/grid3d.hpp"
+#include "grid/grid_opt.hpp"
+#include "linalg/matrix.hpp"
+
+namespace conflux::simnet {
+class Comm;
+}  // namespace conflux::simnet
+
+namespace conflux::factor {
+
+/// Per-rank memory budget M in elements: cfg.mem_elements when positive,
+/// else the paper's max-replication rule M = N^2 / P^(2/3).
+[[nodiscard]] double memory_budget(const FactorConfig& cfg);
+
+/// Resolved run parameters shared by every rank of a 2.5D run.
+struct Plan25D {
+  int n = 0;
+  int v = 0;      ///< tile (block) size
+  int steps = 0;  ///< n / v outer steps
+  grid::Grid3D g{1, 1, 1};
+  int active = 0;  ///< ranks the grid uses
+  bool numeric = true;
+  telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope board (nullable)
+};
+
+/// Resolve grid and block size for `cfg`. A forced layer count (or grid
+/// optimization switched off) picks c from the memory budget and a
+/// near-square front face; otherwise grid::optimize_grid searches with the
+/// family's `cost`. v is cfg.block or the §7.2 default, and must divide N.
+[[nodiscard]] Plan25D resolve_plan25d(const FactorConfig& cfg,
+                                      grid::GridCostFn cost);
+
+/// One rank's tiles of the N x N matrix: tiles It % Px == me.px,
+/// Jt % Py == me.py, packed [(It/Px) * ltc + (Jt/Py)] * v^2, row-major
+/// within a tile, all zero on construction. Dry runs allocate nothing.
+class TileStore {
+ public:
+  TileStore(const Plan25D& plan, grid::Coord3 me);
+
+  /// Grid coordinate of the owning rank.
+  [[nodiscard]] const grid::Coord3& me() const { return me_; }
+
+  /// Pointer to the owned (It, Jt) tile.
+  [[nodiscard]] double* tile_at(int tile_row, int tile_col) {
+    return tiles_.data() +
+           (static_cast<std::size_t>(tile_row / px_) * ltc_ + tile_col / py_) *
+               (static_cast<std::size_t>(v_) * v_);
+  }
+
+  /// Element reference inside the owned tile covering (row, col).
+  [[nodiscard]] double& elem_at(int row, int col) {
+    double* t = tile_at(row / v_, col / v_);
+    return t[static_cast<std::size_t>(row % v_) * v_ + col % v_];
+  }
+
+ private:
+  grid::Coord3 me_;
+  int v_ = 0, px_ = 1, py_ = 1, ltc_ = 0;
+  std::vector<double> tiles_;
+};
+
+/// Lazy panel reduction (tag 1): the ranks (me.px, py_c, l != l_star)
+/// ship the v columns of panel column t in `rows` to (me.px, py_c, l_star)
+/// and zero their copies; the reducing layer sums them in place. `rows`
+/// lists the rows this rank holds in the panel, ascending.
+void reduce_panel_column(const Plan25D& plan, TileStore& store,
+                         const simnet::Comm& comm, int t, int l_star, int py_c,
+                         std::span<const int> rows);
+
+/// The layer's k-slice of a multicast row panel.
+struct RowSlice {
+  linalg::Matrix values;  ///< rows x slice.size() (numeric receivers)
+  grid::Range slice;      ///< k-range within the v panel columns
+};
+
+/// Layer-sliced row-panel multicast (tag 8): the leader
+/// (me.px, py_c, l_star) sends each layer l only its v/c k-slice of the
+/// solved `rows` x v `panel`, one shared buffer per layer to the whole
+/// process row; every rank of process row me.px receives its slice.
+/// `rows` is the panel height of this process row; `panel` is read on the
+/// numeric leader only.
+[[nodiscard]] RowSlice multicast_row_panel(const Plan25D& plan,
+                                           const grid::Coord3& me,
+                                           const simnet::Comm& comm, int t,
+                                           int l_star, int py_c,
+                                           std::size_t rows,
+                                           const linalg::Matrix& panel);
+
+}  // namespace conflux::factor

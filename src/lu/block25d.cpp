@@ -1,8 +1,8 @@
 #include "lu/block25d.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "factor/core25d.hpp"
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
@@ -27,51 +27,25 @@ using factor::StepRecord;
 using grid::chunk_of;
 using grid::chunk_range;
 using grid::Coord3;
-using grid::Grid3D;
 using linalg::Matrix;
 using simnet::Comm;
 using simnet::make_tag;
 using simnet::Tag;
 
-/// Resolved run parameters shared by every rank.
-struct Plan {
-  int n = 0;
-  int v = 0;
-  int steps = 0;
-  Grid3D g{1, 1, 1};
-  int active = 0;
-  bool numeric = true;
+/// The shared 2.5D plan plus LU's pivoting parameters.
+struct Plan : factor::Plan25D {
   std::uint64_t seed = 42;
   PanelTournament tournament = PanelTournament::Butterfly;
-  telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope board (nullable)
 };
 
 /// Per-rank mutable state.
 struct RankState {
   Coord3 me;
-  // Tile storage (numeric only): tiles It % Px == me.px, Jt % Py == me.py,
-  // packed [(It/Px) * ltc + (Jt/Py)] * v^2, row-major within a tile.
-  std::vector<double> tiles;
-  int ltr = 0, ltc = 0;
+  factor::TileStore store;
   // Globally consistent pivot bookkeeping.
   std::vector<std::uint8_t> pivoted;
   std::vector<int> pivot_order;
 };
-
-/// Pointer to the (It, Jt) tile owned by this rank.
-double* tile_at(const Plan& plan, RankState& st, int tile_row, int tile_col) {
-  const int lr = tile_row / plan.g.px_extent();
-  const int lc = tile_col / plan.g.py_extent();
-  return st.tiles.data() +
-         (static_cast<std::size_t>(lr) * st.ltc + lc) *
-             (static_cast<std::size_t>(plan.v) * plan.v);
-}
-
-/// Element reference inside the owned tile covering (row, col).
-double& elem_at(const Plan& plan, RankState& st, int row, int col) {
-  double* t = tile_at(plan, st, row / plan.v, col / plan.v);
-  return t[static_cast<std::size_t>(row % plan.v) * plan.v + col % plan.v];
-}
 
 /// Everything the ranks derive per outer step from the shared pivot state.
 struct StepView {
@@ -83,7 +57,8 @@ struct StepView {
   std::vector<std::vector<int>> rows_by_px;  ///< rem split by tile-row owner
 };
 
-StepView make_step_view(const Plan& plan, const RankState& st, int t) {
+StepView make_step_view(const Plan& plan,
+                        const std::vector<std::uint8_t>& pivoted, int t) {
   StepView sv;
   sv.t = t;
   sv.l_star = t % plan.g.layers();
@@ -92,61 +67,13 @@ StepView make_step_view(const Plan& plan, const RankState& st, int t) {
   sv.rem.reserve(static_cast<std::size_t>(plan.n - t * plan.v));
   sv.rows_by_px.resize(static_cast<std::size_t>(plan.g.px_extent()));
   for (int r = 0; r < plan.n; ++r) {
-    if (st.pivoted[static_cast<std::size_t>(r)]) continue;
+    if (pivoted[static_cast<std::size_t>(r)]) continue;
     sv.rem.push_back(r);
     sv.rows_by_px[static_cast<std::size_t>((r / plan.v) %
                                            plan.g.px_extent())]
         .push_back(r);
   }
   return sv;
-}
-
-/// ---- Step 1: reduce panel column t across layers onto l_star -------------
-void reduce_panel_column(const Plan& plan, RankState& st, const Comm& comm,
-                         const StepView& sv) {
-  if (plan.g.layers() == 1) return;
-  if (st.me.py != sv.py_c) return;
-  const auto& mine = sv.rows_by_px[static_cast<std::size_t>(st.me.px)];
-  if (mine.empty()) return;
-  const int v = plan.v;
-  const int col0 = sv.t * v;
-
-  if (st.me.l != sv.l_star) {
-    const Tag tag = make_tag(1, static_cast<std::uint32_t>(sv.t),
-                             static_cast<std::uint32_t>(st.me.l));
-    const int dst = plan.g.rank_of({st.me.px, sv.py_c, sv.l_star});
-    if (plan.numeric) {
-      std::vector<double> buf;
-      buf.reserve(mine.size() * static_cast<std::size_t>(v));
-      for (int r : mine) {
-        double* base = &elem_at(plan, st, r, col0);
-        buf.insert(buf.end(), base, base + v);
-        std::fill(base, base + v, 0.0);
-      }
-      comm.send(dst, tag, std::move(buf));
-    } else {
-      comm.send_ghost_doubles(dst, tag,
-                              mine.size() * static_cast<std::size_t>(v));
-    }
-  } else {
-    for (int l = 0; l < plan.g.layers(); ++l) {
-      if (l == sv.l_star) continue;
-      const Tag tag = make_tag(1, static_cast<std::uint32_t>(sv.t),
-                               static_cast<std::uint32_t>(l));
-      const int src = plan.g.rank_of({st.me.px, sv.py_c, l});
-      if (plan.numeric) {
-        // Accumulate straight out of the shared payload; no copy-out.
-        const simnet::BufferView buf = comm.recv_view(src, tag);
-        const double* in = buf.data();
-        for (int r : mine) {
-          double* base = &elem_at(plan, st, r, col0);
-          for (int k = 0; k < v; ++k) base[k] += *in++;
-        }
-      } else {
-        (void)comm.recv_ghost(src, tag);
-      }
-    }
-  }
 }
 
 /// ---- Step 2: tournament pivoting over the Px panel owners ---------------
@@ -263,7 +190,7 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
     local.rows = mine;
     local.values = Matrix(static_cast<int>(mine.size()), v);
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      const double* base = &elem_at(plan, st, mine[i], col0);
+      const double* base = &st.store.elem_at(mine[i], col0);
       auto dst = local.values.row(static_cast<int>(i));
       std::copy(base, base + v, dst.begin());
     }
@@ -415,38 +342,32 @@ struct DryStep {
 /// the column owners (px, py_c, l_star). We use that grouping as the 1D
 /// block-row layout of Algorithm 1 (a px-aligned assignment costs no
 /// redistribution), so step 7's triangular solve runs in place on the Px
-/// row leaders.
-struct A10Panel {
-  Matrix full;  ///< rows2_by_px[me.px] x v, solved (leaders, numeric mode)
-  bool leader = false;
-};
-
-A10Panel solve_a10_at_leaders(const Plan& plan, RankState& st,
-                              const Comm& comm, const StepView& sv,
-                              const Rem2& rem2, const Matrix& a00,
-                              std::vector<StepRecord>* records) {
-  (void)comm;
-  A10Panel panel;
+/// row leaders. Returns the solved rem2.by_px[me.px] x v panel on numeric
+/// leaders (me.py == py_c, me.l == l_star), an empty matrix elsewhere.
+Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
+                            const StepView& sv, const Rem2& rem2,
+                            const Matrix& a00,
+                            std::vector<StepRecord>* records) {
+  Matrix panel;
   const int v = plan.v;
   const int col0 = sv.t * v;
   if (st.me.py != sv.py_c || st.me.l != sv.l_star) return panel;
-  panel.leader = true;
   const auto& mine = rem2.by_px[static_cast<std::size_t>(st.me.px)];
   if (mine.empty() || !plan.numeric) return panel;
 
-  panel.full = Matrix(static_cast<int>(mine.size()), v);
+  panel = Matrix(static_cast<int>(mine.size()), v);
   for (std::size_t i = 0; i < mine.size(); ++i) {
-    const double* base = &elem_at(plan, st, mine[i], col0);
-    auto dst = panel.full.row(static_cast<int>(i));
+    const double* base = &st.store.elem_at(mine[i], col0);
+    auto dst = panel.row(static_cast<int>(i));
     std::copy(base, base + v, dst.begin());
   }
   // Step 7: A10 := A10 * U00^{-1} (right, upper, non-unit).
   linalg::trsm_right(linalg::Triangle::Upper, linalg::Diag::NonUnit,
-                     a00.view(), panel.full.view());
+                     a00.view(), panel.view());
   if (records != nullptr) {
     StepRecord& rec = (*records)[static_cast<std::size_t>(sv.t)];
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      auto srow = panel.full.row(static_cast<int>(i));
+      auto srow = panel.row(static_cast<int>(i));
       auto drow = rec.a10.row(mine[i]);
       std::copy(srow.begin(), srow.end(), drow.begin());
     }
@@ -529,8 +450,8 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
       buf.reserve(seg_count * static_cast<std::size_t>(v));
       for (int jt : my_tile_cols)
         for (int q : my_qs) {
-          const double* base = &elem_at(
-              plan, st, pivots[static_cast<std::size_t>(q)], jt * v);
+          const double* base = &st.store.elem_at(
+              pivots[static_cast<std::size_t>(q)], jt * v);
           buf.insert(buf.end(), base, base + v);
         }
       comm.send(dst, tag, std::move(buf));
@@ -585,72 +506,8 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
   return panel;
 }
 
-/// ---- Steps 8 / 10: layer-sliced panel multicast --------------------------
-/// A10: row leaders (px, py_c, l_star) -> every (px, *, *), sending each
-/// layer only its v/c k-slice. Returns my slice.
-struct A10Slice {
-  std::vector<int> rows;  ///< global rows (this rank's tile rows in rem2)
-  Matrix values;          ///< rows x slice_width
-  grid::Range slice;      ///< k-range within the v panel columns
-};
-
-A10Slice multicast_a10(const Plan& plan, RankState& st, const Comm& comm,
-                       const StepView& sv, const Rem2& rem2,
-                       const A10Panel& panel) {
-  A10Slice out;
-  const int v = plan.v;
-  const int c = plan.g.layers();
-  out.slice = chunk_range(v, c, st.me.l);
-  if (rem2.rows.empty()) return out;
-
-  const auto& group_rows = rem2.by_px[static_cast<std::size_t>(st.me.px)];
-  if (panel.leader && !group_rows.empty()) {
-    // One packed slice per layer, multicast to the whole process row: the
-    // py_count recipients share a single immutable buffer.
-    std::vector<int> dsts(static_cast<std::size_t>(plan.g.py_extent()));
-    for (int l = 0; l < c; ++l) {
-      const auto slice = chunk_range(v, c, l);
-      if (slice.size() == 0) continue;
-      for (int py = 0; py < plan.g.py_extent(); ++py)
-        dsts[static_cast<std::size_t>(py)] =
-            plan.g.rank_of({st.me.px, py, l});
-      const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
-      if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(group_rows.size() *
-                    static_cast<std::size_t>(slice.size()));
-        for (std::size_t i = 0; i < group_rows.size(); ++i) {
-          const double* base = panel.full.data() +
-                               i * static_cast<std::size_t>(v) + slice.begin;
-          buf.insert(buf.end(), base, base + slice.size());
-        }
-        comm.multicast(dsts, tag,
-                       simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(
-            dsts, tag,
-            group_rows.size() * static_cast<std::size_t>(slice.size()) *
-                sizeof(double));
-      }
-    }
-  }
-
-  if (!group_rows.empty() && out.slice.size() > 0) {
-    const int src = plan.g.rank_of({st.me.px, sv.py_c, sv.l_star});
-    const Tag tag = make_tag(8, static_cast<std::uint32_t>(sv.t), 0);
-    if (plan.numeric) {
-      out.rows = group_rows;
-      const simnet::BufferView buf = comm.recv_view(src, tag);
-      out.values =
-          Matrix(static_cast<int>(group_rows.size()), out.slice.size());
-      std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
-    }
-  }
-  return out;
-}
-
+/// ---- Step 10: layer-sliced A01 multicast ----------------------------------
+/// (Step 8, the A10 row-panel multicast, is factor::multicast_row_panel.)
 /// A01: aggregators (px_c, py, l_star) -> every (*, py, *) with the l-th
 /// k-slice. Returns my slice.
 struct A01Slice {
@@ -714,20 +571,22 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
 
 
 /// ---- Step 11: local Schur update with the layer's k-slice ---------------
-void schur_update_local(const Plan& plan, RankState& st, const A10Slice& a10,
-                        const A01Slice& a01) {
+/// `rows` are this rank's A10 rows (rem2.by_px[me.px]), the rows of `a10`.
+void schur_update_local(const Plan& plan, RankState& st,
+                        const std::vector<int>& rows,
+                        const factor::RowSlice& a10, const A01Slice& a01) {
   if (!plan.numeric) return;
-  if (a10.rows.empty() || a01.cols.empty() || a10.slice.size() == 0) return;
+  if (rows.empty() || a01.cols.empty() || a10.slice.size() == 0) return;
   CONFLUX_ASSERT(a10.slice.begin == a01.slice.begin &&
                  a10.slice.end == a01.slice.end);
 
-  Matrix prod(static_cast<int>(a10.rows.size()),
+  Matrix prod(static_cast<int>(rows.size()),
               static_cast<int>(a01.cols.size()));
   linalg::gemm(1.0, a10.values.view(), a01.values.view(), 0.0, prod.view());
-  for (std::size_t i = 0; i < a10.rows.size(); ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     auto pr = prod.row(static_cast<int>(i));
     for (std::size_t j = 0; j < a01.cols.size(); ++j)
-      elem_at(plan, st, a10.rows[i], a01.cols[j]) -= pr[j];
+      st.store.elem_at(rows[i], a01.cols[j]) -= pr[j];
   }
 }
 
@@ -735,42 +594,10 @@ void schur_update_local(const Plan& plan, RankState& st, const A10Slice& a10,
 
 LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
                       PanelTournament tournament) {
-  CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
   CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
-  const double mem = cfg.mem_elements > 0
-                         ? cfg.mem_elements
-                         : static_cast<double>(cfg.n) * cfg.n /
-                               std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
-
-  Plan plan;
-  plan.n = cfg.n;
-  plan.numeric = (cfg.mode == Mode::Numeric);
-  plan.seed = cfg.seed;
-  plan.tournament = tournament;
-  if (cfg.force_layers > 0 || !cfg.grid_optimization) {
-    int c = cfg.force_layers > 0
-                ? cfg.force_layers
-                : std::max(1, static_cast<int>(std::lround(
-                                  cfg.p * mem /
-                                  (static_cast<double>(cfg.n) * cfg.n))));
-    c = std::min(c, cfg.p);
-    const int front = std::max(1, cfg.p / c);
-    const int px = std::max(1, static_cast<int>(std::sqrt(
-                                   static_cast<double>(front))));
-    plan.g = Grid3D(px, std::max(1, front / px), c);
-  } else {
-    plan.g = grid::optimize_grid(cfg.p, cfg.n, mem).grid;
-  }
-  plan.active = plan.g.active();
-  plan.v = cfg.block > 0
-               ? cfg.block
-               : grid::choose_block_size(
-                     cfg.n, plan.g.layers(),
-                     grid::default_block_target(cfg.n, plan.g.layers()));
-  CONFLUX_EXPECTS_MSG(cfg.n % plan.v == 0,
-                      "block size " << plan.v << " must divide N=" << cfg.n);
-  plan.steps = cfg.n / plan.v;
+  Plan plan{factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank),
+            cfg.seed, tournament};
 
   std::vector<StepRecord> records;
   const bool want_records = plan.numeric && (cfg.verify || cfg.keep_factors);
@@ -779,17 +606,16 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   // Dry runs: precompute the pivot schedule and per-step index sets once.
   std::vector<DryStep> dry_sched;
   if (!plan.numeric) {
-    RankState ghost;
-    ghost.pivoted.assign(static_cast<std::size_t>(plan.n), 0);
+    std::vector<std::uint8_t> pivoted(static_cast<std::size_t>(plan.n), 0);
     dry_sched.reserve(static_cast<std::size_t>(plan.steps));
     const int px_count = plan.g.px_extent();
     const int py_count = plan.g.py_extent();
     const int tiles_total = plan.n / plan.v;
     for (int t = 0; t < plan.steps; ++t) {
       DryStep ds;
-      ds.sv = make_step_view(plan, ghost, t);
-      ds.pivots = synthetic_pivots(ghost.pivoted, plan.n, plan.v, t, plan.seed);
-      for (int r : ds.pivots) ghost.pivoted[static_cast<std::size_t>(r)] = 1;
+      ds.sv = make_step_view(plan, pivoted, t);
+      ds.pivots = synthetic_pivots(pivoted, plan.n, plan.v, t, plan.seed);
+      for (int r : ds.pivots) pivoted[static_cast<std::size_t>(r)] = 1;
       ds.rem2 = make_rem2(plan, ds.sv, ds.pivots);
       ds.qs_of_px.resize(static_cast<std::size_t>(px_count));
       for (int q = 0; q < plan.v; ++q)
@@ -812,48 +638,41 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
 
   simnet::Network net(plan.active, cfg.fabric);
   factor::attach_instruments(net, cfg);
-  plan.tel = cfg.telemetry;
   const simnet::Group world = simnet::Group::iota(plan.active);
 
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
-    RankState st;
-    st.me = plan.g.coord_of(comm.rank());
-    st.pivoted.assign(static_cast<std::size_t>(plan.n), 0);
+    const Coord3 coord = plan.g.coord_of(comm.rank());
+    RankState st{coord, factor::TileStore(plan, coord),
+                 std::vector<std::uint8_t>(static_cast<std::size_t>(plan.n), 0),
+                 {}};
 
-    if (plan.numeric) {
-      // Tile storage; layer 0 holds A, other layers hold zero partial sums.
+    if (plan.numeric && st.me.l == 0) {
+      // Layer 0 holds A; the other layers hold zero partial sums.
       const int tiles_total = plan.n / plan.v;
-      st.ltr = (tiles_total - st.me.px + plan.g.px_extent() - 1) /
-               plan.g.px_extent();
-      st.ltc = (tiles_total - st.me.py + plan.g.py_extent() - 1) /
-               plan.g.py_extent();
-      st.tiles.assign(static_cast<std::size_t>(st.ltr) * st.ltc * plan.v *
-                          plan.v,
-                      0.0);
-      if (st.me.l == 0) {
-        for (int it = st.me.px; it < tiles_total; it += plan.g.px_extent())
-          for (int jt = st.me.py; jt < tiles_total;
-               jt += plan.g.py_extent()) {
-            double* t = tile_at(plan, st, it, jt);
-            for (int i = 0; i < plan.v; ++i)
-              for (int j = 0; j < plan.v; ++j)
-                t[static_cast<std::size_t>(i) * plan.v + j] =
-                    (*a)(it * plan.v + i, jt * plan.v + j);
-          }
-      }
+      for (int it = st.me.px; it < tiles_total; it += plan.g.px_extent())
+        for (int jt = st.me.py; jt < tiles_total; jt += plan.g.py_extent()) {
+          double* t = st.store.tile_at(it, jt);
+          for (int i = 0; i < plan.v; ++i)
+            for (int j = 0; j < plan.v; ++j)
+              t[static_cast<std::size_t>(i) * plan.v + j] =
+                  (*a)(it * plan.v + i, jt * plan.v + j);
+        }
     }
 
     const int me = comm.rank();
     for (int t = 0; t < plan.steps; ++t) {
       StepView sv_storage;
-      if (plan.numeric) sv_storage = make_step_view(plan, st, t);
+      if (plan.numeric) sv_storage = make_step_view(plan, st.pivoted, t);
       const StepView& sv =
           plan.numeric ? sv_storage : dry_sched[static_cast<std::size_t>(t)].sv;
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kLayerReduction, t);
-        reduce_panel_column(plan, st, comm, sv);                    // step 1
+        factor::reduce_panel_column(plan, st.store, comm, t,        // step 1
+                                    sv.l_star, sv.py_c,
+                                    sv.rows_by_px[static_cast<std::size_t>(
+                                        st.me.px)]);
       }
       TournamentOutcome outcome;
       {
@@ -878,12 +697,14 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
       Rem2 rem2_storage;
       if (plan.numeric) rem2_storage = make_rem2(plan, sv, outcome.pivots);
       const Rem2& rem2 = plan.numeric ? rem2_storage : ds->rem2;
-      A10Panel a10_panel;
+      const std::vector<int>& my_rows =
+          rem2.by_px[static_cast<std::size_t>(st.me.px)];
+      Matrix a10_panel;
       A01Panel a01_panel;
       {
         const telemetry::ScopedSpan span(plan.tel, me, telemetry::kTrsm, t);
         a10_panel = solve_a10_at_leaders(                            // 4 + 7
-            plan, st, comm, sv, rem2, outcome.a00,
+            plan, st, sv, rem2, outcome.a00,
             want_records ? &records : nullptr);
         a01_panel = solve_a01_at_aggregators(                        // 5 + 9
             plan, st, comm, sv, outcome.pivots, outcome.a00,
@@ -892,11 +713,12 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kSchurUpdate, t);
-        const A10Slice a10 = multicast_a10(plan, st, comm, sv, rem2,  // 8
-                                           a10_panel);
+        const factor::RowSlice a10 = factor::multicast_row_panel(      // 8
+            plan, st.me, comm, t, sv.l_star, sv.py_c, my_rows.size(),
+            a10_panel);
         const A01Slice a01 = multicast_a01(plan, st, comm, sv,        // 10
                                            a01_panel);
-        schur_update_local(plan, st, a10, a01);                       // 11
+        schur_update_local(plan, st, my_rows, a10, a01);              // 11
       }
     }
   });

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "factor/core25d.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/getrf.hpp"
 #include "lu/scalapack2d.hpp"
@@ -14,10 +15,7 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
   CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
-  const double mem = cfg.mem_elements > 0
-                         ? cfg.mem_elements
-                         : static_cast<double>(cfg.n) * cfg.n /
-                               std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
+  const double mem = factor::memory_budget(cfg);
   // Replication depth: memory-limited, capped at the 2.5D optimum P^(1/3)
   // and at 4 — CANDMC's own tuning keeps replication modest at the node
   // counts the paper measures (its measured/modeled ratio in Table 2 is

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "grid/block_cyclic.hpp"
+#include "factor/layout2d.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/getrf.hpp"
@@ -18,7 +18,6 @@ namespace conflux::lu {
 
 namespace {
 
-using grid::BlockCyclic1D;
 using grid::Grid2D;
 using linalg::Matrix;
 using simnet::Comm;
@@ -31,31 +30,6 @@ std::uint64_t swap_hash(std::uint64_t seed, int col) {
                     static_cast<std::uint64_t>(col) * 0x9E3779B97F4A7C15ULL);
 }
 
-/// Per-rank view of the 2D decomposition.
-struct Local2D {
-  int pr = 0, pc = 0;
-  BlockCyclic1D rowmap{1, 1, 1};
-  BlockCyclic1D colmap{1, 1, 1};
-  std::vector<int> my_rows;  ///< owned global rows, ascending
-  std::vector<int> my_cols;  ///< owned global cols, ascending
-  Matrix loc;                ///< numeric local block (my_rows x my_cols)
-
-  [[nodiscard]] int lrow(int g) const { return rowmap.local_of(g); }
-  [[nodiscard]] int lcol(int g) const { return colmap.local_of(g); }
-
-  /// First local row index whose global row is >= g.
-  [[nodiscard]] int lrow_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_rows.begin(), my_rows.end(), g) -
-        my_rows.begin());
-  }
-  [[nodiscard]] int lcol_lower_bound(int g) const {
-    return static_cast<int>(
-        std::lower_bound(my_cols.begin(), my_cols.end(), g) -
-        my_cols.begin());
-  }
-};
-
 }  // namespace
 
 void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
@@ -66,42 +40,20 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   CONFLUX_EXPECTS(n % nb == 0);
   const int me_rank = comm.rank();
 
-  Local2D me;
-  {
-    const int local_id = comm.rank() - params.base_rank;
-    CONFLUX_EXPECTS(local_id >= 0 && local_id < g.active());
-    me.pr = g.row_of(local_id);
-    me.pc = g.col_of(local_id);
-    me.rowmap = BlockCyclic1D(n, nb, g.rows());
-    me.colmap = BlockCyclic1D(n, nb, g.cols());
-    me.my_rows = me.rowmap.indices_of_owner(me.pr);
-    me.my_cols = me.colmap.indices_of_owner(me.pc);
-    if (numeric) {
-      me.loc = Matrix(static_cast<int>(me.my_rows.size()),
-                      static_cast<int>(me.my_cols.size()));
-      for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-        for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-          me.loc(static_cast<int>(i), static_cast<int>(j)) =
-              (*params.a)(me.my_rows[i], me.my_cols[j]);
-    }
+  const int local_id = comm.rank() - params.base_rank;
+  CONFLUX_EXPECTS(local_id >= 0 && local_id < g.active());
+  factor::Local2D me(n, nb, g, local_id);
+  if (numeric) {
+    me.loc = Matrix(static_cast<int>(me.my_rows.size()),
+                    static_cast<int>(me.my_cols.size()));
+    for (std::size_t i = 0; i < me.my_rows.size(); ++i)
+      for (std::size_t j = 0; j < me.my_cols.size(); ++j)
+        me.loc(static_cast<int>(i), static_cast<int>(j)) =
+            (*params.a)(me.my_rows[i], me.my_cols[j]);
   }
 
   auto rank_of = [&](int pr, int pc) {
     return params.base_rank + g.rank_of(pr, pc);
-  };
-  // The column group containing process column pc (all pr), and the row
-  // group containing process row pr (all pc).
-  auto col_group = [&](int pc) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.rows()));
-    for (int pr = 0; pr < g.rows(); ++pr) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
-  };
-  auto row_group = [&](int pr) {
-    std::vector<int> ranks;
-    ranks.reserve(static_cast<std::size_t>(g.cols()));
-    for (int pc = 0; pc < g.cols(); ++pc) ranks.push_back(rank_of(pr, pc));
-    return Group(std::move(ranks));
   };
 
   std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
@@ -119,7 +71,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
-        const Group cg = col_group(pck);
+        const Group cg = factor::col_group(g, pck, params.base_rank);
         for (int j = k0; j < k0 + kb; ++j) {
           const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
           // Local pivot search in column j, rows >= j.
@@ -199,7 +151,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             j + static_cast<int>(swap_hash(params.seed, j) %
                                  static_cast<std::uint64_t>(n - j));
       if (me.pc == pck) {
-        const Group cg = col_group(pck);
+        const Group cg = factor::col_group(g, pck, params.base_rank);
         const std::size_t pair_bytes =
             static_cast<std::size_t>(kb) * (sizeof(double) + sizeof(int));
         simnet::reduce_ghost(comm, cg, 0, pair_bytes, make_tag(20, ts, 0));
@@ -233,7 +185,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
-      const Group rg = row_group(me.pr);
+      const Group rg = factor::row_group(g, me.pr, params.base_rank);
       if (numeric) {
         std::vector<int> piv_step(ipiv.begin() + k0, ipiv.begin() + k0 + kb);
         simnet::bcast_ints(comm, rg, pck, piv_step, make_tag(26, ts, 0));
@@ -387,7 +339,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = row_group(me.pr);
+      const Group rg = factor::row_group(g, me.pr, params.base_rank);
       const Tag tag = make_tag(24, ts, 0);
       if (numeric) {
         std::vector<double> buf;
@@ -415,7 +367,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kTrsm, s);
-      const Group cg = col_group(me.pc);
+      const Group cg = factor::col_group(g, me.pc, params.base_rank);
       const Tag tag = make_tag(25, ts, 0);
       if (numeric) {
         std::vector<double> buf;

@@ -31,13 +31,6 @@ struct PhaseVolume {
   double bytes = 0;
 };
 
-/// Predicted critical-path time (seconds) for one phase under the LogGP
-/// clock the virtual-time fabric charges (simnet/vtime.hpp).
-struct PhaseTime {
-  std::string phase;  ///< telemetry span name
-  double seconds = 0;
-};
-
 /// True for the algorithms predict_lu_phases covers ("COnfLUX", "CALU").
 [[nodiscard]] bool has_phase_model(const std::string& algo);
 
@@ -47,32 +40,5 @@ struct PhaseTime {
 /// included so the measured/model table stays aligned with the spans.
 [[nodiscard]] std::vector<PhaseVolume> predict_lu_phases(
     const std::string& algo, int n, int p);
-
-/// Per-phase times under the virtual-time fabric's LogGP charging rules:
-/// a send of k bytes costs the *sender* k*beta and lands alpha later;
-/// receives are free (clock = max); multicasts serialize at the sender,
-/// one injection per recipient; self-sends are free. Where
-/// predict_lu_phases replays the schedule's *size* arithmetic, this
-/// replays its *timing*: one clock per rank, advanced message-by-message
-/// in the engine's program order (panel reduction, tournament rounds, the
-/// binomial pivot broadcast, the lazy A01 reduction, the layer-sliced
-/// multicasts). The only approximation is the even pivot-row split, so
-/// the prediction tracks a virtual-time dry run's measured makespan
-/// (FactorResult::predicted_seconds) to within a few percent — the tests
-/// hold it to 10%.
-///
-/// Each entry reports how far the global clock frontier advances while
-/// that phase's messages land; entries sum to the predicted makespan, and
-/// a phase whose traffic hides entirely behind a concurrent chain
-/// contributes zero.
-[[nodiscard]] std::vector<PhaseTime> predict_lu_phase_times(
-    const std::string& algo, int n, int p, double alpha_s,
-    double beta_s_per_byte);
-
-/// Sum of predict_lu_phase_times — the predicted wall clock, comparable to
-/// FactorResult::predicted_seconds from a virtual-time run.
-[[nodiscard]] double predict_lu_makespan(const std::string& algo, int n,
-                                         int p, double alpha_s,
-                                         double beta_s_per_byte);
 
 }  // namespace conflux::models

@@ -6,6 +6,7 @@
 // schedule clean.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -415,10 +416,84 @@ TEST(CommCheck, NumericRunsVerifyCleanToo) {
 }
 
 TEST(CommCheck, SweepCoversEveryBackend) {
-  const auto results = sweep({4}, {128});
-  // 5 LU + 2 Cholesky backends; the 2.5D ones run layers {auto, 1, 2}.
-  EXPECT_EQ(results.size(), 4u * 3 + 3u * 1);
+  const auto results = sweep({4, 8, 9}, {128});
+  // 5 LU + 2 Cholesky backends over three P; the 2.5D ones run layers
+  // {auto, 1, 2}.
+  EXPECT_EQ(results.size(), 3 * (4u * 3 + 3u * 1));
   for (const CheckResult& r : results) EXPECT_TRUE(r.ok()) << r.describe();
+
+  // Every schedule's event, message and byte counts are pinned, so any
+  // change to what a backend sends fails here, not only a defect the
+  // passes classify. Regenerate with
+  // `commcheck --all --n=128 --p=4,8,9 --verbose` when a schedule change
+  // is intended.
+  struct Pinned {
+    const char* backend;  ///< family/name
+    int p;
+    int force_layers;
+    std::size_t events;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  };
+  const std::vector<Pinned> pinned = {
+      {"LU/LibSci", 4, 0, 220, 110, 249344},
+      {"LU/LibSci", 8, 0, 268, 134, 448000},
+      {"LU/LibSci", 9, 0, 284, 142, 418816},
+      {"LU/SLATE", 4, 0, 440, 220, 254208},
+      {"LU/SLATE", 8, 0, 656, 328, 403712},
+      {"LU/SLATE", 9, 0, 840, 420, 428032},
+      {"LU/CANDMC", 4, 0, 220, 110, 249344},
+      {"LU/CANDMC", 4, 1, 220, 110, 249344},
+      {"LU/CANDMC", 4, 2, 220, 110, 249344},
+      {"LU/CANDMC", 8, 0, 440, 220, 498688},
+      {"LU/CANDMC", 8, 1, 268, 134, 448000},
+      {"LU/CANDMC", 8, 2, 440, 220, 498688},
+      {"LU/CANDMC", 9, 0, 440, 220, 498688},
+      {"LU/CANDMC", 9, 1, 284, 142, 418816},
+      {"LU/CANDMC", 9, 2, 440, 220, 498688},
+      {"LU/COnfLUX", 4, 0, 240, 80, 223608},
+      {"LU/COnfLUX", 4, 1, 240, 80, 223608},
+      {"LU/COnfLUX", 4, 2, 224, 79, 296448},
+      {"LU/COnfLUX", 8, 0, 496, 208, 479608},
+      {"LU/COnfLUX", 8, 1, 432, 158, 405880},
+      {"LU/COnfLUX", 8, 2, 496, 208, 479608},
+      {"LU/COnfLUX", 9, 0, 516, 201, 450464},
+      {"LU/COnfLUX", 9, 1, 516, 201, 450464},
+      {"LU/COnfLUX", 9, 2, 496, 208, 479608},
+      {"LU/CALU", 4, 0, 224, 72, 207432},
+      {"LU/CALU", 4, 1, 224, 72, 207432},
+      {"LU/CALU", 4, 2, 224, 79, 296448},
+      {"LU/CALU", 8, 0, 480, 200, 463432},
+      {"LU/CALU", 8, 1, 416, 150, 389704},
+      {"LU/CALU", 8, 2, 480, 200, 463432},
+      {"LU/CALU", 9, 0, 500, 193, 433744},
+      {"LU/CALU", 9, 1, 500, 193, 433744},
+      {"LU/CALU", 9, 2, 480, 200, 463432},
+      {"Cholesky/ScaLAPACK", 4, 0, 14, 7, 131072},
+      {"Cholesky/ScaLAPACK", 8, 0, 30, 15, 196608},
+      {"Cholesky/ScaLAPACK", 9, 0, 36, 18, 262144},
+      {"Cholesky/COnfCHOX", 4, 0, 152, 57, 196608},
+      {"Cholesky/COnfCHOX", 4, 1, 152, 57, 196608},
+      {"Cholesky/COnfCHOX", 4, 2, 172, 73, 253952},
+      {"Cholesky/COnfCHOX", 8, 0, 350, 156, 376832},
+      {"Cholesky/COnfCHOX", 8, 1, 304, 135, 393216},
+      {"Cholesky/COnfCHOX", 8, 2, 350, 156, 376832},
+      {"Cholesky/COnfCHOX", 9, 0, 344, 149, 403456},
+      {"Cholesky/COnfCHOX", 9, 1, 344, 149, 403456},
+      {"Cholesky/COnfCHOX", 9, 2, 350, 156, 376832},
+  };
+  ASSERT_EQ(results.size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const CheckResult& r = results[i];
+    const Pinned& want = pinned[i];
+    SCOPED_TRACE(r.describe());
+    EXPECT_EQ(r.backend.family + "/" + r.backend.name, want.backend);
+    EXPECT_EQ(r.config.p, want.p);
+    EXPECT_EQ(r.config.force_layers, want.force_layers);
+    EXPECT_EQ(r.events, want.events);
+    EXPECT_EQ(r.run.total.messages_sent, want.messages);
+    EXPECT_EQ(r.run.total.bytes_sent, want.bytes);
+  }
 }
 
 TEST(CommCheck, UnknownFamilyIsRejected) {

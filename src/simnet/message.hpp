@@ -152,10 +152,12 @@ struct Message {
   SharedBuffer shared;
   std::vector<double> exclusive;
   std::size_t logical_bytes = 0;
-  /// Content fingerprint of `shared` stamped at deliver time when a trace
-  /// is attached (0 = unstamped). Re-checked at receive time: a mismatch
-  /// means some rank mutated an immutable in-flight payload — the
-  /// mutation-of-SharedBuffer lint of the verifier.
+  /// FNV-1a fingerprint of the payload (0 = unstamped), stamped at deliver
+  /// time iff the payload has data and either integrity mode is on or a
+  /// trace is attached and the payload is shared. Re-checked once at
+  /// receive time: under integrity mode a mismatch is PayloadCorrupted;
+  /// otherwise it means some rank mutated an immutable in-flight shared
+  /// payload — the mutation-of-SharedBuffer lint of the verifier.
   std::uint64_t fingerprint = 0;
   /// Virtual-time mode only: simulated arrival instant in seconds
   /// (sender's clock after LogGP injection, plus the link latency). The

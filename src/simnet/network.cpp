@@ -33,8 +33,21 @@ void flip_payload_bit(Message& msg, std::uint64_t bit) {
   }
 }
 
-[[nodiscard]] std::size_t payload_doubles(const Message& msg) {
-  return msg.shared ? msg.shared->size() : msg.exclusive.size();
+/// The message's payload, whichever flavour carries it.
+[[nodiscard]] std::span<const double> payload_data(const Message& msg) {
+  return msg.shared ? std::span<const double>(*msg.shared)
+                    : std::span<const double>(msg.exclusive);
+}
+
+/// Where a receive happens: rank `me` matching (src, tag).
+[[nodiscard]] CommContext at_receiver(int me, int src, Tag tag) {
+  return CommContext{.rank = me, .src = src, .dst = me}.with_tag(tag);
+}
+
+/// FNV-1a fingerprint of the payload; 0 is reserved for "unstamped".
+[[nodiscard]] std::uint64_t fingerprint_of(const Message& msg) {
+  const std::uint64_t fp = payload_fingerprint(payload_data(msg));
+  return fp == 0 ? 1 : fp;
 }
 
 /// Beyond this many sources, channel slots are shared (src % slots). Only
@@ -55,7 +68,6 @@ inline void cpu_pause() {
 
 Network::Network(int nranks, FabricSpec spec)
     : nranks_(nranks),
-      spec_(spec),
       slots_per_rank_(
           std::min<std::size_t>(static_cast<std::size_t>(nranks),
                                 kMaxChannelSlots)),
@@ -68,8 +80,8 @@ Network::Network(int nranks, FabricSpec spec)
   // the receiver must yield the core immediately instead.
   const unsigned hw = std::thread::hardware_concurrency();
   spin_iters_ = (hw > 1 && static_cast<int>(hw) >= nranks) ? 128 : 0;
-  if (spec_.mode == ExecMode::VirtualTime)
-    vt_ = std::make_unique<VtRuntime>(*this, nranks, spec_.link);
+  if (spec.mode == ExecMode::VirtualTime)
+    vt_ = std::make_unique<VtRuntime>(*this, nranks, spec.link);
 }
 
 Network::~Network() { stop_team(); }
@@ -103,14 +115,14 @@ void Network::set_trace(TraceRecorder* trace) {
   trace_ = trace;
   if (trace_ == nullptr) return;
   trace_->reset(nranks_);
-  if (vt_ != nullptr) trace_->set_virtual_clock(vt_->clock_ns_array());
+  if (vt_ != nullptr) trace_->set_virtual_clock(vt_->clocks());
 }
 
 void Network::set_telemetry(telemetry::TelemetryBoard* board) {
   telemetry_ = board;
   if (telemetry_ == nullptr) return;
   telemetry_->reset(nranks_);
-  if (vt_ != nullptr) telemetry_->set_virtual_clock(vt_->clock_ns_array());
+  if (vt_ != nullptr) telemetry_->set_virtual_clock(vt_->clocks());
   // Queue high-water marks restart with the board so a reused Network
   // reports this run, not the union of all runs.
   for (Inbound& in : inbound_)
@@ -123,38 +135,34 @@ void Network::set_faults(FaultPlan* plan) {
   if (faults_ != nullptr) faults_->reset(nranks_);
 }
 
-/// Stamp the payload's FNV-1a fingerprint into the message. Shared payloads
-/// are stamped whenever a trace is attached (the in-flight-mutation lint)
-/// or integrity mode is on; exclusive payloads only under integrity mode,
-/// where the stamp becomes a first-class end-to-end checksum.
-void Network::stamp_fingerprint(Message& msg) const {
-  if (msg.shared) {
-    if (trace_ != nullptr || integrity_) {
-      msg.fingerprint = payload_fingerprint(msg.shared);
-      if (msg.fingerprint == 0) msg.fingerprint = 1;  // 0 means unstamped
-    }
-  } else if (integrity_ && !msg.exclusive.empty()) {
-    msg.fingerprint =
-        payload_fingerprint(std::span<const double>(msg.exclusive));
-    if (msg.fingerprint == 0) msg.fingerprint = 1;
-  }
+/// Stamp the payload's fingerprint into the message when someone will
+/// check it: always under integrity mode (an end-to-end checksum over
+/// shared and exclusive payloads alike), and for shared payloads whenever a
+/// trace is attached (the in-flight-mutation lint). Ghosts carry no data.
+void Network::stamp(Message& msg) const {
+  const bool has_data = msg.shared || !msg.exclusive.empty();
+  if (has_data && (integrity_ || (trace_ != nullptr && msg.shared)))
+    msg.fingerprint = fingerprint_of(msg);
 }
 
-/// Consult the fault plan for this remote message and apply the verdict:
-/// corruption flips a payload bit (after stamping, so the receiver's
-/// integrity check sees the mismatch); stalls and delays become virtual-
-/// clock charges in VirtualTime mode, or a real sender sleep plus a
-/// delivery-ripeness timestamp in Threaded mode. Also performs the LogGP
-/// send charge, so injected chaos is makespan-visible in virtual time.
-void Network::apply_injection(int src, int dst, Tag tag, Message& msg) {
+/// The one send path, per destination, in its fixed order: count the bytes,
+/// apply the fault plan's verdict (after stamping, so corruption shows as a
+/// fingerprint mismatch; before recording, so the timestamps see the post-
+/// injection clock), attribute the bytes, log the Send, enqueue.
+void Network::post(int src, int dst, Tag tag, Message msg, bool multicast) {
+  CONFLUX_EXPECTS_CTX(dst >= 0 && dst < size(),
+                      (CommContext{.src = src, .dst = dst}.with_tag(tag)));
+  stats_.record_send(src, dst, msg.logical_bytes);
+  // Injection: corruption flips a payload bit; stalls and delays become
+  // virtual-clock charges in VirtualTime mode, or a real sender sleep plus
+  // a delivery-ripeness timestamp in Threaded mode.
   FaultPlan::Injection inj;
   if (faults_ != nullptr && src != dst)
-    inj = faults_->at_delivery(src, dst, tag, payload_doubles(msg));
+    inj = faults_->at_delivery(src, dst, tag, payload_data(msg).size());
   if (inj.corrupt) flip_payload_bit(msg, inj.corrupt_bit);
   if (vt_ != nullptr) {
-    // Charge the LogGP injection cost before the telemetry/trace records
-    // so their timestamps reflect the post-send clock. Self-sends are free
-    // (matching the StatsBoard accounting exemption).
+    // The LogGP send charge; self-sends are free (matching the StatsBoard
+    // accounting exemption).
     if (inj.stall_s > 0) vt_->charge_seconds(src, inj.stall_s);
     msg.vt_arrival = (src != dst)
                          ? vt_->charge_send(src, msg.logical_bytes) +
@@ -167,85 +175,29 @@ void Network::apply_injection(int src, int dst, Tag tag, Message& msg) {
       msg.not_before_ns =
           telemetry::now_ns() + static_cast<std::uint64_t>(inj.delay_s * 1e9);
   }
+  if (telemetry_ != nullptr && src != dst)
+    telemetry_->add_bytes(src, msg.logical_bytes);
+  if (trace_ != nullptr)
+    trace_->record_send(src, dst, tag, msg.logical_bytes, multicast);
+  enqueue(dst, src, tag, std::move(msg));
 }
 
 void Network::deliver(int src, int dst, Tag tag, Message msg) {
-  CONFLUX_EXPECTS_CTX(src >= 0 && src < size() && dst >= 0 && dst < size(),
+  CONFLUX_EXPECTS_CTX(src >= 0 && src < size(),
                       (CommContext{.src = src, .dst = dst}.with_tag(tag)));
-  stats_.record_send(src, dst, msg.logical_bytes);
-  stamp_fingerprint(msg);
-  apply_injection(src, dst, tag, msg);
-  if (telemetry_ != nullptr && src != dst)
-    telemetry_->add_bytes(src, msg.logical_bytes);
-  if (trace_ != nullptr) trace_->record_send(src, dst, tag, msg.logical_bytes);
-  enqueue(dst, src, tag, std::move(msg));
+  stamp(msg);
+  post(src, dst, tag, std::move(msg), /*multicast=*/false);
 }
 
 void Network::multicast(int src, std::span<const int> dsts, Tag tag,
                         SharedBuffer payload, std::size_t logical_bytes) {
   CONFLUX_EXPECTS_CTX(src >= 0 && src < size(),
                       (CommContext{.src = src}.with_tag(tag)));
-  std::uint64_t fingerprint = 0;
-  if ((trace_ != nullptr || integrity_) && payload) {
-    fingerprint = payload_fingerprint(payload);
-    if (fingerprint == 0) fingerprint = 1;
-  }
-  for (int dst : dsts) {
-    CONFLUX_EXPECTS_CTX(dst >= 0 && dst < size(),
-                        (CommContext{.src = src, .dst = dst}.with_tag(tag)));
-    stats_.record_send(src, dst, logical_bytes);
-    Message msg{payload, {}, logical_bytes, fingerprint, 0};
-    // Each destination gets its own injection verdict (and pays its own
-    // LogGP charge in virtual time): a P-way multicast is P sends, and a
-    // corrupted copy reaches only its targeted recipient.
-    apply_injection(src, dst, tag, msg);
-    if (telemetry_ != nullptr && src != dst)
-      telemetry_->add_bytes(src, logical_bytes);
-    if (trace_ != nullptr)
-      trace_->record_send(src, dst, tag, logical_bytes, /*multicast=*/true);
-    enqueue(dst, src, tag, std::move(msg));
-  }
-}
-
-/// Re-check the shared-payload fingerprint stamped at deliver time (the
-/// in-flight-mutation lint). Runs on the receiver's context once the
-/// message has been matched.
-void Network::check_fingerprint(int me, int src, Tag tag, const Message& m) {
-  if (m.shared && m.fingerprint != 0) {
-    std::uint64_t fp = payload_fingerprint(m.shared);
-    if (fp == 0) fp = 1;
-    if (fp != m.fingerprint) {
-      std::ostringstream os;
-      os << "shared payload mutated in flight "
-         << CommContext{.rank = me, .src = src, .dst = me}.with_tag(tag);
-      report_buffer_misuse(os.str());
-    }
-  }
-}
-
-/// End-to-end integrity verification (Network::set_integrity): recompute
-/// the payload fingerprint on the receiver and compare against the stamp
-/// from deliver time. Runs before the trace's mutation lint, so injected
-/// corruption surfaces as the typed PayloadCorrupted, never as a
-/// ContractViolation from the lint.
-void Network::check_integrity(int me, int src, Tag tag,
-                              const Message& m) const {
-  if (!integrity_ || m.fingerprint == 0) return;
-  std::uint64_t fp = m.shared
-                         ? payload_fingerprint(m.shared)
-                         : payload_fingerprint(
-                               std::span<const double>(m.exclusive));
-  if (fp == 0) fp = 1;
-  if (fp != m.fingerprint) {
-    const CommContext ctx =
-        CommContext{.rank = me, .src = src, .dst = me}.with_tag(tag);
-    std::ostringstream os;
-    os << "payload integrity violation: end-to-end fingerprint mismatch at "
-          "receive "
-       << ctx << " (" << payload_doubles(m) << " doubles, "
-       << m.logical_bytes << " wire bytes)";
-    throw PayloadCorrupted(os.str(), ctx);
-  }
+  Message msg{std::move(payload), {}, logical_bytes, 0, 0};
+  stamp(msg);  // once: every copy aliases the same payload
+  // A P-way multicast is P sends: each copy gets its own injection verdict
+  // and LogGP charge, and a corrupted copy reaches only its recipient.
+  for (int dst : dsts) post(src, dst, tag, msg, /*multicast=*/true);
 }
 
 /// Every rank currently parked in a blocking receive. Threaded mode scans
@@ -264,105 +216,109 @@ std::vector<ParkedRank> Network::parked_snapshot() {
   return out;
 }
 
-/// Build and throw the located timeout diagnostic for a receive that
-/// exceeded the run policy's deadline. Must be called with no channel
-/// mutex held (the parked snapshot takes them all in turn).
-void Network::throw_receive_timeout(int me, int src, Tag tag,
-                                    double waited_s) {
-  std::vector<ParkedRank> parked = parked_snapshot();
-  const CommContext ctx =
-      CommContext{.rank = me, .src = src, .dst = me}.with_tag(tag);
-  std::ostringstream os;
-  os << "receive deadline exceeded after " << waited_s << " s " << ctx
-     << ": no matching message from rank " << src << "; " << parked.size()
-     << " other rank(s) parked in receives; inbound queue-depth HWM for "
-        "rank "
-     << me << " = "
-     << inbound_[static_cast<std::size_t>(me)].hwm.load(
-            std::memory_order_relaxed);
-  throw ReceiveTimeout(os.str(), ctx, std::move(parked), /*deadlock=*/false);
+/// Match the head of `me`'s (src, tag) queue in `ch` (caller holds
+/// ch.mutex): true iff a ripe message waits there. With `out`, the message
+/// is also dequeued into it; without, this is a probe. A fault-injected
+/// link delay stamps a not-before instant (Threaded mode only), and FIFO
+/// order within the channel must hold, so an unripe head means "nothing
+/// yet" (`ripe_at` reports when to re-check).
+bool Network::pop(Channel& ch, int me, int src, Tag tag, Message* out,
+                  std::uint64_t* ripe_at) {
+  const auto it = ch.queues.find(std::make_pair(src, tag));
+  if (it == ch.queues.end() || it->second.empty()) return false;
+  Message& front = it->second.front();
+  if (front.not_before_ns != 0 && telemetry::now_ns() < front.not_before_ns) {
+    if (ripe_at != nullptr) *ripe_at = front.not_before_ns;
+    return false;
+  }
+  if (out == nullptr) return true;
+  *out = std::move(front);
+  it->second.pop_front();
+  if (it->second.empty()) ch.queues.erase(it);
+  inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
+      1, std::memory_order_relaxed);
+  return true;
+}
+
+/// The one receive epilogue, shared by both execution modes and run on the
+/// receiver's context once a message is matched: count the receive,
+/// attribute the wait to (src, tag), then check the stamped fingerprint —
+/// hashed once. Under integrity mode a mismatch throws PayloadCorrupted
+/// before anything is logged; otherwise the Recv event is logged in program
+/// order and then the in-flight-mutation lint reports a mutated shared
+/// payload.
+Message Network::complete_receive(int me, int src, Tag tag, Message&& msg,
+                                  std::uint64_t wait_begin_ns,
+                                  std::uint64_t wait_end_ns) {
+  stats_.record_recv(me, src);
+  if (telemetry_ != nullptr)
+    telemetry_->record_wait(me, src, tag, wait_begin_ns, wait_end_ns,
+                            msg.logical_bytes);
+  const bool checked = msg.fingerprint != 0 &&
+                       (integrity_ || (trace_ != nullptr && msg.shared));
+  const bool mismatch = checked && fingerprint_of(msg) != msg.fingerprint;
+  if (mismatch && integrity_) {
+    const CommContext ctx = at_receiver(me, src, tag);
+    std::ostringstream os;
+    os << "payload integrity violation: end-to-end fingerprint mismatch at "
+          "receive "
+       << ctx << " (" << payload_data(msg).size() << " doubles, "
+       << msg.logical_bytes << " wire bytes)";
+    throw PayloadCorrupted(os.str(), ctx);
+  }
+  if (trace_ != nullptr) {
+    trace_->record_recv(me, src, tag, msg.logical_bytes);
+    if (mismatch) {
+      std::ostringstream os;
+      os << "shared payload mutated in flight " << at_receiver(me, src, tag);
+      report_buffer_misuse(os.str());
+    }
+  }
+  return std::move(msg);
 }
 
 Message Network::receive(int me, int src, Tag tag) {
   CONFLUX_EXPECTS_CTX(me >= 0 && me < size() && src >= 0 && src < size(),
-                      (CommContext{.rank = me, .src = src, .dst = me}
-                           .with_tag(tag)));
+                      at_receiver(me, src, tag));
   if (vt_ != nullptr) return receive_vt(me, src, tag);
   Channel& ch = channel(me, src);
-  const auto key = std::make_pair(src, tag);
+  Message msg;
+  auto try_pop = [&] {
+    std::unique_lock<std::mutex> lock(ch.mutex, std::try_to_lock);
+    return lock.owns_lock() && pop(ch, me, src, tag, &msg);
+  };
   // Wait-time attribution (ConfScope): stamped lazily, only after the
   // first probe misses — a receive whose message already arrived records a
   // zero-length wait without touching the clock at all, so the attached
   // fast path stays within a few percent of the disabled one.
   std::uint64_t wait_begin = 0;
-
-  // Pop the head of the matching queue if it exists *and is ripe*: a
-  // fault-injected link delay stamps a not-before instant, and FIFO order
-  // within the channel must hold, so an unripe head means "nothing yet"
-  // (ripe_at reports when to re-check).
-  auto try_pop = [&](Message& out, std::uint64_t* ripe_at) {
-    const auto it = ch.queues.find(key);
-    if (it == ch.queues.end() || it->second.empty()) return false;
-    Message& front = it->second.front();
-    if (front.not_before_ns != 0) {
-      const std::uint64_t now = telemetry::now_ns();
-      if (now < front.not_before_ns) {
-        if (ripe_at != nullptr) *ripe_at = front.not_before_ns;
-        return false;
-      }
+  if (!try_pop()) {
+    if (telemetry_ != nullptr) wait_begin = telemetry::now_ns();
+    // Short spin: cheap when a matching send is already in flight on
+    // another core; skipped entirely (spin_iters_ == 0) when ranks
+    // outnumber cores.
+    bool got = false;
+    for (int i = 0; i < spin_iters_ && !got; ++i) {
+      if (aborted()) throw JobAborted{};
+      cpu_pause();
+      got = try_pop();
     }
-    out = std::move(front);
-    it->second.pop_front();
-    if (it->second.empty()) ch.queues.erase(it);
-    inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
-        1, std::memory_order_relaxed);
-    return true;
-  };
-
-  // Runs on the receiver's thread once a message has been matched: counts
-  // the receive, attributes the time parked here to (src, tag), verifies
-  // end-to-end integrity, logs the Recv event in program order and
-  // re-checks the shared-payload fingerprint (in-flight mutation lint).
-  auto finish = [&](Message&& m) -> Message {
-    stats_.record_recv(me, src);
-    if (telemetry_ != nullptr)
-      telemetry_->record_wait(
-          me, src, tag, wait_begin,
-          wait_begin != 0 ? telemetry::now_ns() : 0, m.logical_bytes);
-    check_integrity(me, src, tag, m);
-    if (trace_ != nullptr) {
-      trace_->record_recv(me, src, tag, m.logical_bytes);
-      check_fingerprint(me, src, tag, m);
-    }
-    return std::move(m);
-  };
-
-  Message msg;
-  // Clock-free first probe: the common already-delivered case.
-  {
-    std::unique_lock<std::mutex> lock(ch.mutex, std::try_to_lock);
-    if (lock.owns_lock() && try_pop(msg, nullptr))
-      return finish(std::move(msg));
+    if (!got) wait_on_channel(ch, me, src, tag, msg);
   }
-  if (telemetry_ != nullptr) wait_begin = telemetry::now_ns();
+  return complete_receive(me, src, tag, std::move(msg), wait_begin,
+                          wait_begin != 0 ? telemetry::now_ns() : 0);
+}
 
-  // Short spin: cheap when a matching send is already in flight on another
-  // core; skipped entirely (spin_iters_ == 0) when ranks outnumber cores.
-  for (int i = 0; i < spin_iters_; ++i) {
-    {
-      std::unique_lock<std::mutex> lock(ch.mutex, std::try_to_lock);
-      if (lock.owns_lock() && try_pop(msg, nullptr))
-        return finish(std::move(msg));
-    }
-    if (aborted()) throw JobAborted{};
-    cpu_pause();
-  }
-
+/// The threaded receive's blocking wait: sleep on the channel's condition
+/// variable until the matching message is ripe and popped into `out`.
+/// Throws ReceiveTimeout (located, with the parked snapshot) once the run
+/// policy's deadline expires.
+void Network::wait_on_channel(Channel& ch, int me, int src, Tag tag,
+                              Message& out) {
   const bool deadline_on = policy_.deadline_s > 0;
   const double heartbeat_s = std::max(policy_.heartbeat_s, 1e-3);
   std::uint64_t entered_ns = 0;  ///< stamped lazily on the first miss
   double waited_s = 0;
-  bool timed_out = false;
   {
     std::unique_lock<std::mutex> lock(ch.mutex);
     for (;;) {
@@ -371,9 +327,9 @@ Message Network::receive(int me, int src, Tag tag) {
         throw JobAborted{};
       }
       std::uint64_t ripe_at = 0;
-      if (try_pop(msg, &ripe_at)) {
+      if (pop(ch, me, src, tag, &out, &ripe_at)) {
         ch.waiting = false;
-        break;
+        return;
       }
       if (deadline_on) {
         const std::uint64_t now = telemetry::now_ns();
@@ -382,7 +338,6 @@ Message Network::receive(int me, int src, Tag tag) {
         if (elapsed >= policy_.deadline_s) {
           ch.waiting = false;
           waited_s = elapsed;
-          timed_out = true;
           break;
         }
       }
@@ -404,10 +359,19 @@ Message Network::receive(int me, int src, Tag tag) {
       }
     }
   }
-  // The timeout diagnostic snapshots every channel — build it with our own
-  // channel mutex released (it is not recursive).
-  if (timed_out) throw_receive_timeout(me, src, tag, waited_s);
-  return finish(std::move(msg));
+  // The located timeout diagnostic snapshots every channel — build it with
+  // our own channel mutex released (it is not recursive).
+  std::vector<ParkedRank> parked = parked_snapshot();
+  const CommContext ctx = at_receiver(me, src, tag);
+  std::ostringstream os;
+  os << "receive deadline exceeded after " << waited_s << " s " << ctx
+     << ": no matching message from rank " << src << "; " << parked.size()
+     << " other rank(s) parked in receives; inbound queue-depth HWM for "
+        "rank "
+     << me << " = "
+     << inbound_[static_cast<std::size_t>(me)].hwm.load(
+            std::memory_order_relaxed);
+  throw ReceiveTimeout(os.str(), ctx, std::move(parked), /*deadlock=*/false);
 }
 
 /// Virtual-time receive: no clocks, no spinning — a miss parks the calling
@@ -416,23 +380,12 @@ Message Network::receive(int me, int src, Tag tag) {
 /// and the blocked interval is recorded in virtual time.
 Message Network::receive_vt(int me, int src, Tag tag) {
   Channel& ch = channel(me, src);
-  const auto key = std::make_pair(src, tag);
   Message msg;
   for (;;) {
-    bool got = false;
     {
       const std::lock_guard<std::mutex> lock(ch.mutex);
-      const auto it = ch.queues.find(key);
-      if (it != ch.queues.end() && !it->second.empty()) {
-        msg = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) ch.queues.erase(it);
-        inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
-            1, std::memory_order_relaxed);
-        got = true;
-      }
+      if (pop(ch, me, src, tag, &msg)) break;
     }
-    if (got) break;
     if (aborted()) throw JobAborted{};
     vt_->park(me, src, tag);
     if (aborted()) throw JobAborted{};
@@ -442,27 +395,17 @@ Message Network::receive_vt(int me, int src, Tag tag) {
     // The virtual-time analogue of the real-time deadline: a fault-stalled
     // simulated run whose clock blows past the cap fails deterministically
     // with the same typed diagnostic a threaded timeout produces.
-    const CommContext ctx =
-        CommContext{.rank = me, .src = src, .dst = me}.with_tag(tag);
+    const CommContext ctx = at_receiver(me, src, tag);
     std::ostringstream os;
     os << "virtual-clock deadline exceeded: rank " << me << " reached "
        << end_s << " s > cap " << policy_.virtual_deadline_s << " s " << ctx;
     throw ReceiveTimeout(os.str(), ctx, vt_->parked_snapshot(),
                          /*deadlock=*/false);
   }
-  stats_.record_recv(me, src);
-  if (telemetry_ != nullptr)
-    telemetry_->record_wait(me, src, tag,
-                            static_cast<std::uint64_t>(begin_s * 1e9),
-                            static_cast<std::uint64_t>(end_s * 1e9),
-                            msg.logical_bytes);
-  check_integrity(me, src, tag, msg);
-  if (trace_ != nullptr) {
-    // After absorb_arrival, so the Recv event carries the post-match clock.
-    trace_->record_recv(me, src, tag, msg.logical_bytes);
-    check_fingerprint(me, src, tag, msg);
-  }
-  return msg;
+  // After absorb_arrival, so the Recv event carries the post-match clock.
+  return complete_receive(me, src, tag, std::move(msg),
+                          static_cast<std::uint64_t>(begin_s * 1e9),
+                          static_cast<std::uint64_t>(end_s * 1e9));
 }
 
 void Network::abort() {
@@ -625,7 +568,7 @@ void Network::flush_queue_hwm() {
 void Network::run_vt(const std::function<void(int)>& job) {
   std::exception_ptr error;
   try {
-    vt_->run(job, /*workers=*/0);
+    vt_->run(job);
   } catch (...) {
     error = std::current_exception();
   }

@@ -88,16 +88,8 @@ class Network {
   /// rethrown first) are collected in failure_report().
   void run_team(const std::function<void(int)>& job);
 
-  /// As run_team, with a containment policy installed for this and
-  /// subsequent runs (see RunPolicy in faults.hpp).
-  void run_team(const std::function<void(int)>& job, const RunPolicy& policy) {
-    set_policy(policy);
-    run_team(job);
-  }
-
   // --- virtual time ---------------------------------------------------------
 
-  [[nodiscard]] const FabricSpec& fabric() const { return spec_; }
   [[nodiscard]] bool virtual_time() const { return vt_ != nullptr; }
 
   /// Predicted wall-clock of the last virtual-time run: the maximum
@@ -129,7 +121,6 @@ class Network {
   /// to this network's rank count. Pass nullptr to detach. Must not be
   /// called while a job is running.
   void set_trace(TraceRecorder* trace);
-  [[nodiscard]] TraceRecorder* trace() const { return trace_; }
 
   /// Attach a ConfScope telemetry board (see support/telemetry.hpp): every
   /// deliver attributes wire bytes to the sender's open span, every receive
@@ -138,9 +129,6 @@ class Network {
   /// The board is reset to this network's rank count. Pass nullptr to
   /// detach. Must not be called while a job is running.
   void set_telemetry(telemetry::TelemetryBoard* board);
-  [[nodiscard]] telemetry::TelemetryBoard* telemetry() const {
-    return telemetry_;
-  }
 
   // --- ConfChaos: faults, containment, failure aggregation ------------------
 
@@ -152,20 +140,17 @@ class Network {
   /// every run_team. Pass nullptr to detach (zero hot-path cost). Must not
   /// be called while a job is running.
   void set_faults(FaultPlan* plan);
-  [[nodiscard]] FaultPlan* faults() const { return faults_; }
 
   /// End-to-end payload integrity: stamp every payload (shared *and*
   /// exclusive) with its FNV-1a fingerprint at deliver time and re-verify
   /// on the receiver once the message is matched, raising PayloadCorrupted
   /// on mismatch. Off (the default) costs nothing.
   void set_integrity(bool on) { integrity_ = on; }
-  [[nodiscard]] bool integrity() const { return integrity_; }
 
   /// Install the containment policy for subsequent runs: receive deadlines
   /// (Threaded) and the virtual-clock cap (VirtualTime). All-zero restores
   /// the wait-forever default.
   void set_policy(const RunPolicy& policy) { policy_ = policy; }
-  [[nodiscard]] const RunPolicy& policy() const { return policy_; }
 
   /// One rank's failure in the last run.
   struct RankFailure {
@@ -210,23 +195,25 @@ class Network {
     return channels_[static_cast<std::size_t>(dst) * slots_per_rank_ +
                      static_cast<std::size_t>(src) % slots_per_rank_];
   }
+  void stamp(Message& msg) const;
+  void post(int src, int dst, Tag tag, Message msg, bool multicast);
   void enqueue(int dst, int src, Tag tag, Message msg);
+  [[nodiscard]] bool pop(Channel& ch, int me, int src, Tag tag, Message* out,
+                         std::uint64_t* ripe_at = nullptr);
+  void wait_on_channel(Channel& ch, int me, int src, Tag tag, Message& out);
   [[nodiscard]] Message receive_vt(int me, int src, Tag tag);
-  void check_fingerprint(int me, int src, Tag tag, const Message& m);
+  [[nodiscard]] Message complete_receive(int me, int src, Tag tag,
+                                         Message&& msg,
+                                         std::uint64_t wait_begin_ns,
+                                         std::uint64_t wait_end_ns);
   void run_vt(const std::function<void(int)>& job);
   void flush_queue_hwm();
-  void stamp_fingerprint(Message& msg) const;
-  void check_integrity(int me, int src, Tag tag, const Message& m) const;
-  void apply_injection(int src, int dst, Tag tag, Message& msg);
   void note_rank_failure(int rank, std::string message);
   /// Every rank parked in a blocking receive right now (threaded channels
   /// or vtime fibers). Callers must not hold any channel mutex.
   [[nodiscard]] std::vector<ParkedRank> parked_snapshot();
-  [[noreturn]] void throw_receive_timeout(int me, int src, Tag tag,
-                                          double waited_s);
 
   int nranks_ = 0;
-  FabricSpec spec_;
   std::size_t slots_per_rank_ = 0;
   std::vector<Channel> channels_;
   std::vector<Inbound> inbound_;

@@ -17,7 +17,9 @@ void TraceRecorder::reset(int nranks) {
 }
 
 std::uint64_t TraceRecorder::stamp_ns(int rank) const {
-  if (vclock_ != nullptr) return vclock_[static_cast<std::size_t>(rank)];
+  if (vclock_ != nullptr)
+    return static_cast<std::uint64_t>(vclock_[static_cast<std::size_t>(rank)] *
+                                      1e9);
   return telemetry::now_ns() - epoch_;
 }
 
@@ -89,11 +91,6 @@ std::uint64_t payload_fingerprint(std::span<const double> data) {
     }
   }
   return h;
-}
-
-std::uint64_t payload_fingerprint(const SharedBuffer& buf) {
-  if (!buf) return payload_fingerprint(std::span<const double>{});
-  return payload_fingerprint(std::span<const double>(*buf));
 }
 
 }  // namespace conflux::simnet

@@ -69,13 +69,13 @@ class TraceRecorder {
   /// (captured in reset()).
   [[nodiscard]] std::uint64_t epoch_ns() const { return epoch_; }
 
-  /// Switch event timestamps to virtual time: `clock_ns` points at one
-  /// uint64 per rank (owned by the caller, updated by each rank's own
-  /// context). Events are then stamped from the recording rank's virtual
-  /// clock, so critical-path analysis over a virtual-time run works in
-  /// simulated seconds. reset() clears the attachment; pass nullptr to
-  /// detach.
-  void set_virtual_clock(const std::uint64_t* clock_ns) { vclock_ = clock_ns; }
+  /// Switch event timestamps to virtual time: `clock_s` points at one
+  /// double of virtual seconds per rank (owned by the caller, updated by
+  /// each rank's own context). Events are then stamped from the recording
+  /// rank's virtual clock, truncated to whole ns, so critical-path analysis
+  /// over a virtual-time run works in simulated seconds. reset() clears the
+  /// attachment; pass nullptr to detach.
+  void set_virtual_clock(const double* clock_s) { vclock_ = clock_s; }
 
  private:
   /// Cache-line-padded so concurrent ranks never share a line.
@@ -87,7 +87,7 @@ class TraceRecorder {
 
   std::vector<Slot> slots_;
   std::uint64_t epoch_ = 0;
-  const std::uint64_t* vclock_ = nullptr;
+  const double* vclock_ = nullptr;
 };
 
 /// --- buffer-ownership debug hooks ----------------------------------------
@@ -105,12 +105,10 @@ BufferMisuseHandler set_buffer_misuse_handler(BufferMisuseHandler handler);
 /// the Network payload-integrity check).
 void report_buffer_misuse(const std::string& what);
 
-/// FNV-1a over a payload's bytes — the fingerprint the paranoid payload
-/// check stamps on a shared buffer at deliver time and re-checks at receive
-/// time to catch in-flight mutation. The span overload covers exclusive
-/// (moved-vector) payloads, which the end-to-end integrity mode
-/// (Network::set_integrity) also stamps and re-checks.
+/// FNV-1a over a payload's bytes — the fingerprint the fabric stamps on a
+/// message at deliver time and re-checks at receive time: on shared
+/// payloads to catch in-flight mutation (the trace lint), on every payload
+/// under end-to-end integrity mode (Network::set_integrity).
 [[nodiscard]] std::uint64_t payload_fingerprint(std::span<const double> data);
-[[nodiscard]] std::uint64_t payload_fingerprint(const SharedBuffer& buf);
 
 }  // namespace conflux::simnet

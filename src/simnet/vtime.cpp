@@ -75,12 +75,12 @@ thread_local void* tl_worker_fake_stack = nullptr;
 }  // namespace
 
 /// One simulated rank's cooperative context: a ucontext fiber on an mmap'd
-/// guarded stack, the park/wake handshake state, and the rank's virtual
-/// clock. `parked`, `wait_src` and `wait_tag` are written by the rank's own
-/// worker under `park_mutex` and read by delivering fibers under the same
-/// mutex; everything else is touched only by the fiber itself or by the
-/// worker that just suspended/resumed it (hand-off through the ready queue
-/// provides the happens-before edge).
+/// guarded stack and the park/wake handshake state. `parked`, `wait_src`
+/// and `wait_tag` are written by the rank's own worker under `park_mutex`
+/// and read by delivering fibers under the same mutex; everything else is
+/// touched only by the fiber itself or by the worker that just suspended/
+/// resumed it (hand-off through the ready queue provides the happens-before
+/// edge).
 struct VtRuntime::RankCtx {
   enum class Phase : std::uint8_t { Ready, Running, Blocking, Parked, Done };
 
@@ -99,8 +99,6 @@ struct VtRuntime::RankCtx {
   bool parked = false;
   std::mutex park_mutex;
 
-  double vclock = 0;  ///< virtual seconds; owned by the rank's fiber
-
 #if defined(CONFLUX_VT_ASAN)
   void* fake_stack = nullptr;
   const void* worker_bottom = nullptr;
@@ -114,7 +112,9 @@ struct VtRuntime::RankCtx {
 
 struct VtRuntime::Impl {
   std::vector<std::unique_ptr<RankCtx>> ranks;
-  std::vector<std::uint64_t> clock_ns;  ///< vclock mirror for telemetry/trace
+  /// Per-rank virtual seconds; entry r is written only by rank r's fiber,
+  /// through advance_to().
+  std::vector<double> clock;
 
   std::mutex ready_mutex;
   std::condition_variable ready_cv;
@@ -134,7 +134,7 @@ VtRuntime::VtRuntime(Network& net, int nranks, LinkModel link)
   CONFLUX_EXPECTS(link.alpha_s >= 0 && link.beta_s_per_byte >= 0 &&
                   link.gamma_s_per_flop >= 0);
   impl_->ranks.reserve(static_cast<std::size_t>(nranks));
-  impl_->clock_ns.assign(static_cast<std::size_t>(nranks), 0);
+  impl_->clock.assign(static_cast<std::size_t>(nranks), 0.0);
   const std::size_t stack = fiber_stack_bytes();
   const std::size_t guard = page_size();
   for (int r = 0; r < nranks; ++r) {
@@ -170,17 +170,15 @@ VtRuntime::~VtRuntime() {
   delete impl_;
 }
 
-const std::uint64_t* VtRuntime::clock_ns_array() const {
-  return impl_->clock_ns.data();
-}
+const double* VtRuntime::clocks() const { return impl_->clock.data(); }
 
 double VtRuntime::clock_seconds(int rank) const {
-  return impl_->ranks[static_cast<std::size_t>(rank)]->vclock;
+  return impl_->clock[static_cast<std::size_t>(rank)];
 }
 
 double VtRuntime::makespan_seconds() const {
   double m = 0;
-  for (const auto& c : impl_->ranks) m = std::max(m, c->vclock);
+  for (const double t : impl_->clock) m = std::max(m, t);
   return m;
 }
 
@@ -234,9 +232,8 @@ void VtRuntime::finish_park(RankCtx& c) {
   // setting `parked`, and both happen under the channel mutex.
   auto& ch = net_->channel(c.rank, c.wait_src);
   const std::lock_guard<std::mutex> lock(ch.mutex);
-  const auto it = ch.queues.find(std::make_pair(c.wait_src, c.wait_tag));
-  const bool has = (it != ch.queues.end() && !it->second.empty());
-  if (has || net_->aborted()) {
+  if (net_->pop(ch, c.rank, c.wait_src, c.wait_tag, /*out=*/nullptr) ||
+      net_->aborted()) {
     c.phase = RankCtx::Phase::Ready;
     push_ready(c.rank);
     return;
@@ -334,39 +331,33 @@ void VtRuntime::wake_all_parked() {
 
 // --- clocks -----------------------------------------------------------------
 
+/// The one writer of the clocks: move `rank`'s clock to `t` unless it is
+/// already later; returns the new reading.
+double VtRuntime::advance_to(int rank, double t) {
+  double& clock = impl_->clock[static_cast<std::size_t>(rank)];
+  clock = std::max(clock, t);
+  return clock;
+}
+
 double VtRuntime::charge_send(int rank, std::size_t bytes) {
-  RankCtx& c = *impl_->ranks[static_cast<std::size_t>(rank)];
-  c.vclock += static_cast<double>(bytes) * link_.beta_s_per_byte;
-  impl_->clock_ns[static_cast<std::size_t>(rank)] =
-      static_cast<std::uint64_t>(c.vclock * 1e9);
-  return c.vclock + link_.alpha_s;
+  return advance_to(rank, clock_seconds(rank) + static_cast<double>(bytes) *
+                                                    link_.beta_s_per_byte) +
+         link_.alpha_s;
 }
 
 std::pair<double, double> VtRuntime::absorb_arrival(int rank, double arrival) {
-  RankCtx& c = *impl_->ranks[static_cast<std::size_t>(rank)];
-  const double begin = c.vclock;
-  if (arrival > c.vclock) {
-    c.vclock = arrival;
-    impl_->clock_ns[static_cast<std::size_t>(rank)] =
-        static_cast<std::uint64_t>(c.vclock * 1e9);
-  }
-  return {begin, c.vclock};
+  const double begin = clock_seconds(rank);
+  return {begin, advance_to(rank, arrival)};
 }
 
 void VtRuntime::charge_flops(int rank, double flops) {
   if (link_.gamma_s_per_flop <= 0 || flops <= 0) return;
-  RankCtx& c = *impl_->ranks[static_cast<std::size_t>(rank)];
-  c.vclock += flops * link_.gamma_s_per_flop;
-  impl_->clock_ns[static_cast<std::size_t>(rank)] =
-      static_cast<std::uint64_t>(c.vclock * 1e9);
+  advance_to(rank, clock_seconds(rank) + flops * link_.gamma_s_per_flop);
 }
 
 void VtRuntime::charge_seconds(int rank, double seconds) {
   if (seconds <= 0) return;
-  RankCtx& c = *impl_->ranks[static_cast<std::size_t>(rank)];
-  c.vclock += seconds;
-  impl_->clock_ns[static_cast<std::size_t>(rank)] =
-      static_cast<std::uint64_t>(c.vclock * 1e9);
+  advance_to(rank, clock_seconds(rank) + seconds);
 }
 
 std::vector<ParkedRank> VtRuntime::parked_snapshot() const {
@@ -452,7 +443,7 @@ void VtRuntime::worker_loop() {
   }
 }
 
-void VtRuntime::run(const std::function<void(int)>& job, int workers) {
+void VtRuntime::run(const std::function<void(int)>& job) {
   Impl& im = *impl_;
   CONFLUX_EXPECTS(im.job == nullptr);  // no concurrent / re-entrant runs
   im.job = &job;
@@ -461,6 +452,7 @@ void VtRuntime::run(const std::function<void(int)>& job, int workers) {
   im.running = 0;
   im.finished = 0;
   im.ready.clear();
+  std::fill(im.clock.begin(), im.clock.end(), 0.0);
 
   for (auto& cp : impl_->ranks) {
     RankCtx& c = *cp;
@@ -468,8 +460,6 @@ void VtRuntime::run(const std::function<void(int)>& job, int workers) {
     c.parked = false;
     c.wait_src = -1;
     c.wait_tag = 0;
-    c.vclock = 0;
-    im.clock_ns[static_cast<std::size_t>(c.rank)] = 0;
     // Fresh context on the persistent stack for this run.
     CONFLUX_ASSERT(::getcontext(&c.uc) == 0);
     c.uc.uc_stack.ss_sp = c.stack_base;
@@ -486,10 +476,9 @@ void VtRuntime::run(const std::function<void(int)>& job, int workers) {
   // inside a fiber (the numeric kernels use it) runs inline by the pool's
   // re-entrancy rule, so the workers never deadlock on themselves.
   support::ThreadPool& pool = support::global_pool();
-  const int base =
-      workers > 0 ? workers : std::min(pool.size(), nranks_);
-  const int w =
-      std::max(1, static_cast<int>(env_int("CONFLUX_VT_WORKERS", base)));
+  const int w = std::max(
+      1, static_cast<int>(env_int("CONFLUX_VT_WORKERS",
+                                  std::min(pool.size(), nranks_))));
   if (w == 1 || pool.size() == 1) {
     worker_loop();
   } else {

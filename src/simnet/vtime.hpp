@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -79,9 +78,9 @@ class VtRuntime {
   VtRuntime& operator=(const VtRuntime&) = delete;
 
   /// Run `job(rank)` once per rank on cooperative fibers, multiplexed over
-  /// `workers` host threads (clamped to the shared pool's size by the
-  /// caller). Rethrows the first rank exception after all fibers unwind.
-  void run(const std::function<void(int)>& job, int workers);
+  /// min(pool size, nranks) host threads (CONFLUX_VT_WORKERS overrides).
+  /// Rethrows the first rank exception after all fibers unwind.
+  void run(const std::function<void(int)>& job);
 
   // --- called from inside a rank's fiber -----------------------------------
 
@@ -126,10 +125,10 @@ class VtRuntime {
   [[nodiscard]] double clock_seconds(int rank) const;
   [[nodiscard]] double makespan_seconds() const;
 
-  /// Per-rank virtual clocks in nanoseconds, updated by each rank's own
-  /// fiber — the timestamp source TelemetryBoard/TraceRecorder use in
-  /// virtual-time mode.
-  [[nodiscard]] const std::uint64_t* clock_ns_array() const;
+  /// Per-rank virtual clocks in seconds, one double per rank, each written
+  /// only by its rank's own fiber — the timestamp source TelemetryBoard and
+  /// TraceRecorder use in virtual-time mode.
+  [[nodiscard]] const double* clocks() const;
 
   /// Every rank currently parked in a blocking receive and the (src, tag)
   /// it waits on — the parked-channel snapshot a ReceiveTimeout diagnostic
@@ -145,6 +144,7 @@ class VtRuntime {
   /// two unsigned ints (makecontext passes only ints portably).
   static void trampoline(unsigned int hi, unsigned int lo);
 
+  double advance_to(int rank, double t);
   void worker_loop();
   void resume(RankCtx& c);
   void finish_park(RankCtx& c);

@@ -34,7 +34,9 @@ void TelemetryBoard::reset(int nranks) {
 }
 
 std::uint64_t TelemetryBoard::stamp_ns(int rank) const {
-  if (vclock_ != nullptr) return vclock_[static_cast<std::size_t>(rank)];
+  if (vclock_ != nullptr)
+    return static_cast<std::uint64_t>(vclock_[static_cast<std::size_t>(rank)] *
+                                      1e9);
   return now_ns() - epoch_;
 }
 

@@ -97,14 +97,15 @@ class TelemetryBoard {
   /// Absolute steady-clock ns of the epoch all timestamps are relative to.
   [[nodiscard]] std::uint64_t epoch_ns() const { return epoch_; }
 
-  /// Switch the board to virtual time: `clock_ns` points at one uint64 per
-  /// rank (owned by the caller, updated by each rank's own context), and
-  /// spans/waits are stamped from it instead of the steady clock — so a
-  /// virtual-time run's profile and Chrome trace show *simulated* seconds.
+  /// Switch the board to virtual time: `clock_s` points at one double of
+  /// virtual seconds per rank (owned by the caller, updated by each rank's
+  /// own context), and spans/waits are stamped from it, truncated to whole
+  /// ns, instead of the steady clock — so a virtual-time run's profile and
+  /// Chrome trace show *simulated* seconds.
   /// record_wait then interprets its begin/end arguments as virtual ns
   /// (already epoch-relative). reset() clears the attachment; re-attach
   /// after resetting. Pass nullptr to detach.
-  void set_virtual_clock(const std::uint64_t* clock_ns) { vclock_ = clock_ns; }
+  void set_virtual_clock(const double* clock_s) { vclock_ = clock_s; }
   [[nodiscard]] bool virtual_clock() const { return vclock_ != nullptr; }
 
   // --- hot path (called only by rank `rank`'s own thread) -----------------
@@ -173,7 +174,7 @@ class TelemetryBoard {
 
   std::vector<Slot> slots_;
   std::uint64_t epoch_ = 0;
-  const std::uint64_t* vclock_ = nullptr;
+  const double* vclock_ = nullptr;
 };
 
 /// RAII span guard. With a null board this is a pair of pointer tests —

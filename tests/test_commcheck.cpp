@@ -297,7 +297,11 @@ TEST(OwnershipLint, DefaultHandlerThrows) {
   EXPECT_THROW((void)view.data(), ContractViolation);  // NOLINT(bugprone-use-after-move)
 }
 
-TEST(OwnershipLint, InFlightMutationOfSharedPayloadIsDetected) {
+/// The mutation lint runs in the receive epilogue both execution modes
+/// share; it is pinned in each.
+class InFlightLint : public ::testing::TestWithParam<simnet::ExecMode> {};
+
+TEST_P(InFlightLint, InFlightMutationOfSharedPayloadIsDetected) {
   // A rank mutating an immutable shared payload while it sits in a mailbox
   // is the aliasing bug the zero-copy fabric must never allow. The trace
   // fingerprint stamped at deliver time catches it at receive time.
@@ -306,7 +310,9 @@ TEST(OwnershipLint, InFlightMutationOfSharedPayloadIsDetected) {
       [&](const std::string& what) { reports.push_back(what); });
 
   simnet::TraceRecorder rec;
-  simnet::Network net(2);
+  simnet::FabricSpec fabric;
+  fabric.mode = GetParam();
+  simnet::Network net(2, fabric);
   net.set_trace(&rec);
   simnet::SharedBuffer buf =
       simnet::make_shared_buffer(std::vector<double>{1.0, 2.0, 3.0});
@@ -322,7 +328,19 @@ TEST(OwnershipLint, InFlightMutationOfSharedPayloadIsDetected) {
   (void)simnet::set_buffer_misuse_handler(std::move(previous));
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_NE(reports[0].find("mutated in flight"), std::string::npos);
+  // The lint fires after the Recv event is logged.
+  ASSERT_EQ(rec.rank_events(1).size(), 1u);
+  EXPECT_EQ(rec.rank_events(1)[0].kind, simnet::EventKind::Recv);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    OwnershipLint, InFlightLint,
+    ::testing::Values(simnet::ExecMode::Threaded,
+                      simnet::ExecMode::VirtualTime),
+    [](const ::testing::TestParamInfo<simnet::ExecMode>& info) {
+      return info.param == simnet::ExecMode::VirtualTime ? "VirtualTime"
+                                                         : "Threaded";
+    });
 
 // ---- contextual assertions (support/assert.hpp) --------------------------
 

@@ -10,6 +10,7 @@
 
 #include "factor/factorization.hpp"
 #include "lu/lu_common.hpp"
+#include "models/machines.hpp"
 #include "simnet/comm.hpp"
 #include "simnet/network.hpp"
 #include "simnet/spmd.hpp"
@@ -84,6 +85,33 @@ TEST(CriticalPath, TracksDryRunWallClockAndBoundsBusyTime) {
     min_slack = std::min(min_slack, s);
   }
   EXPECT_LT(min_slack, path.seconds);
+}
+
+TEST(CriticalPath, VirtualTimePathEndsAtPredictedMakespan) {
+  // In virtual time the trace and the telemetry board read the ranks'
+  // virtual clocks, so the critical path and the board's wall clock are
+  // both the predicted makespan, to the ns the timestamps keep.
+  const models::Machine m = models::machine_by_name("Piz Daint");
+  for (const char* algo : {"COnfLUX", "LibSci"}) {
+    simnet::TraceRecorder rec;
+    telemetry::TelemetryBoard board;
+    lu::LuConfig cfg;
+    cfg.n = 512;
+    cfg.p = 64;
+    cfg.mode = lu::Mode::DryRun;
+    cfg.trace = &rec;
+    cfg.telemetry = &board;
+    cfg.fabric.mode = simnet::ExecMode::VirtualTime;
+    cfg.fabric.link = {m.alpha_s, m.beta_s_per_byte, m.gamma_s_per_flop};
+    const auto result = lu::make_algorithm(algo)->run(nullptr, cfg);
+    const CriticalPath path =
+        extract_critical_path(CommGraph::build(rec), board);
+
+    ASSERT_GT(result.predicted_seconds, 0.0) << algo;
+    EXPECT_NEAR(path.seconds, result.predicted_seconds, 1e-9) << algo;
+    EXPECT_NEAR(board.wall_seconds(), result.predicted_seconds, 1e-9)
+        << algo;
+  }
 }
 
 TEST(CriticalPath, ShiftsThroughAnInjectedDelay) {

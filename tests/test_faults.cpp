@@ -10,6 +10,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "factor/retry.hpp"
@@ -18,6 +19,7 @@
 #include "simnet/collectives.hpp"
 #include "simnet/comm.hpp"
 #include "simnet/spmd.hpp"
+#include "simnet/trace.hpp"
 
 namespace conflux::simnet {
 namespace {
@@ -247,12 +249,37 @@ TEST(Containment, VirtualClockDeadlineFiresDeterministically) {
   }
 }
 
-TEST(Integrity, CorruptedExclusivePayloadIsDetected) {
+/// Rank 0 multicasts `payload` to ranks 1 and 2; with the caller's fault
+/// plan corrupting every copy, the run must fail with PayloadCorrupted.
+void expect_corrupted_multicast(Network& net, const SharedBuffer& payload) {
+  EXPECT_THROW(run_spmd(net,
+                        [&](Comm& comm) {
+                          if (comm.rank() == 0) {
+                            const std::vector<int> dsts = {1, 2};
+                            comm.multicast(dsts, 7, payload);
+                          } else {
+                            (void)comm.recv_view(0, 7);
+                          }
+                        }),
+               PayloadCorrupted);
+}
+
+/// The receive epilogue is shared by both execution modes; every integrity
+/// case runs in each.
+class Integrity : public ::testing::TestWithParam<ExecMode> {
+ protected:
+  static FabricSpec fabric() {
+    return GetParam() == ExecMode::VirtualTime ? virtual_fabric()
+                                               : FabricSpec{};
+  }
+};
+
+TEST_P(Integrity, CorruptedExclusivePayloadIsDetected) {
   FaultSpec spec;
   spec.seed = 21;
   spec.corrupt_prob = 1.0;
   FaultPlan plan(spec);
-  Network net(2);
+  Network net(2, fabric());
   net.set_faults(&plan);
   net.set_integrity(true);
   try {
@@ -271,7 +298,7 @@ TEST(Integrity, CorruptedExclusivePayloadIsDetected) {
   EXPECT_EQ(plan.counters().corrupted, 1u);
 }
 
-TEST(Integrity, MulticastCorruptionIsIsolatedPerRecipient) {
+TEST_P(Integrity, MulticastCorruptionIsIsolatedPerRecipient) {
   // A shared multicast payload is aliased by every recipient; injected
   // corruption clones before flipping, so the sender's buffer (and any
   // uncorrupted recipient's view) stays pristine.
@@ -279,33 +306,51 @@ TEST(Integrity, MulticastCorruptionIsIsolatedPerRecipient) {
   spec.seed = 22;
   spec.corrupt_prob = 1.0;
   FaultPlan plan(spec);
-  Network net(3);
+  Network net(3, fabric());
   net.set_faults(&plan);
   net.set_integrity(true);
   const SharedBuffer payload =
       make_shared_buffer(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  EXPECT_THROW(run_spmd(net,
-                        [&](Comm& comm) {
-                          if (comm.rank() == 0) {
-                            const std::vector<int> dsts = {1, 2};
-                            comm.multicast(dsts, 7, payload);
-                          } else {
-                            (void)comm.recv_view(0, 7);
-                          }
-                        }),
-               PayloadCorrupted);
+  expect_corrupted_multicast(net, payload);
   // The original storage was never touched.
   EXPECT_EQ((*payload)[0], 1.0);
   EXPECT_EQ((*payload)[3], 4.0);
   EXPECT_EQ(plan.counters().corrupted, 2u);
 }
 
-TEST(Integrity, GhostMessagesCannotBeCorrupted) {
+TEST_P(Integrity, CorruptionUnderTraceFailsBeforeRecvAndLint) {
+  // Trace and integrity both check a shared payload's fingerprint. The
+  // merged check must keep their order: integrity throws PayloadCorrupted
+  // before the Recv event is logged, so the mutation lint never fires.
+  std::vector<std::string> reports;
+  auto previous = set_buffer_misuse_handler(
+      [&](const std::string& what) { reports.push_back(what); });
+  FaultSpec spec;
+  spec.seed = 24;
+  spec.corrupt_prob = 1.0;
+  FaultPlan plan(spec);
+  TraceRecorder rec;
+  Network net(3, fabric());
+  net.set_faults(&plan);
+  net.set_trace(&rec);
+  net.set_integrity(true);
+  const SharedBuffer payload =
+      make_shared_buffer(std::vector<double>{1.0, 2.0, 3.0, 4.0});
+  expect_corrupted_multicast(net, payload);
+  (void)set_buffer_misuse_handler(std::move(previous));
+  EXPECT_EQ(reports.size(), 0u);
+  EXPECT_EQ(rec.rank_events(0).size(), 2u);  // both multicast Sends
+  for (const int r : {1, 2})
+    for (const TraceEvent& e : rec.rank_events(r))
+      EXPECT_NE(e.kind, EventKind::Recv) << "rank " << r;
+}
+
+TEST_P(Integrity, GhostMessagesCannotBeCorrupted) {
   FaultSpec spec;
   spec.seed = 23;
   spec.corrupt_prob = 1.0;
   FaultPlan plan(spec);
-  Network net(2);
+  Network net(2, fabric());
   net.set_faults(&plan);
   net.set_integrity(true);
   run_spmd(net, [&](Comm& comm) {
@@ -316,6 +361,13 @@ TEST(Integrity, GhostMessagesCannotBeCorrupted) {
   });
   EXPECT_EQ(plan.counters().corrupted, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, Integrity,
+    ::testing::Values(ExecMode::Threaded, ExecMode::VirtualTime),
+    [](const ::testing::TestParamInfo<ExecMode>& info) {
+      return info.param == ExecMode::VirtualTime ? "VirtualTime" : "Threaded";
+    });
 
 TEST(Aggregation, AllRankFailuresAreReported) {
   for (const bool vtime : {false, true}) {

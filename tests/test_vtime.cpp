@@ -11,6 +11,7 @@
 
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
+#include "simnet/trace.hpp"
 #include "simnet/vtime.hpp"
 #include "support/telemetry.hpp"
 
@@ -359,7 +360,9 @@ TEST(VirtualTime, TelemetrySpansCarryVirtualTimestamps) {
   const double beta = 1e-9;
   Network net(2, virtual_fabric(alpha, beta));
   telemetry::TelemetryBoard board;
+  TraceRecorder rec;
   net.set_telemetry(&board);
+  net.set_trace(&rec);
   EXPECT_TRUE(board.virtual_clock());
   run_spmd(net, [&](Comm& comm) {
     telemetry::ScopedSpan span(&board, comm.rank(), "exchange");
@@ -380,6 +383,15 @@ TEST(VirtualTime, TelemetrySpansCarryVirtualTimestamps) {
   ASSERT_EQ(waits.size(), 1u);
   EXPECT_EQ(waits[0].begin_ns, 0u);
   EXPECT_EQ(waits[0].ns, expect_ns);
+  // The trace reads the same one clock: the Send at the post-injection
+  // sender clock, the Recv at the receiver's post-match clock.
+  ASSERT_EQ(rec.rank_events(0).size(), 1u);
+  EXPECT_EQ(rec.rank_events(0)[0].kind, EventKind::Send);
+  EXPECT_EQ(rec.rank_events(0)[0].t_ns,
+            static_cast<std::uint64_t>(1024 * beta * 1e9));
+  ASSERT_EQ(rec.rank_events(1).size(), 1u);
+  EXPECT_EQ(rec.rank_events(1)[0].kind, EventKind::Recv);
+  EXPECT_EQ(rec.rank_events(1)[0].t_ns, expect_ns);
 }
 
 }  // namespace

@@ -57,26 +57,23 @@ Matrix factor_and_bcast_a00(const Plan25D& plan, TileStore& store,
                             const simnet::Group& world,
                             std::atomic<bool>* not_spd) {
   const int v = plan.v;
+  const std::size_t vv = static_cast<std::size_t>(v) * v;
   const int root = plan.g.rank_of({t % plan.g.px_extent(), py_c, l_star});
-  Matrix a00(v, v);
-  if (plan.numeric) {
-    std::vector<double> flat(static_cast<std::size_t>(v) * v, 0.0);
-    if (comm.rank() == root) {
-      linalg::MatrixView tile(store.tile_at(t, t), v, v, v);
-      if (linalg::potrf_unblocked(tile) != linalg::FactorStatus::Ok)
-        not_spd->store(true, std::memory_order_relaxed);
-      for (int i = 0; i < v; ++i)
-        for (int j = 0; j <= i; ++j)
-          flat[static_cast<std::size_t>(i) * v + j] = tile(i, j);
-    }
-    simnet::bcast(comm, world, root, flat,
-                  make_tag(3, static_cast<std::uint32_t>(t), 0));
-    std::copy(flat.begin(), flat.end(), a00.data());
-  } else {
-    (void)simnet::bcast_ghost(
-        comm, world, root, static_cast<std::size_t>(v) * v * sizeof(double),
-        make_tag(3, static_cast<std::uint32_t>(t), 0));
+  std::vector<double> flat;
+  if (plan.numeric && comm.rank() == root) {
+    flat.assign(vv, 0.0);
+    linalg::MatrixView tile(store.tile_at(t, t), v, v, v);
+    if (linalg::potrf_unblocked(tile) != linalg::FactorStatus::Ok)
+      not_spd->store(true, std::memory_order_relaxed);
+    for (int i = 0; i < v; ++i)
+      for (int j = 0; j <= i; ++j)
+        flat[static_cast<std::size_t>(i) * v + j] = tile(i, j);
   }
+  const simnet::BufferView got = simnet::bcast(
+      comm, world, root, simnet::payload_or_ghost(std::move(flat)),
+      vv * sizeof(double), make_tag(3, static_cast<std::uint32_t>(t), 0));
+  Matrix a00(v, v);
+  if (plan.numeric) std::copy(got.data(), got.data() + vv, a00.data());
   return a00;
 }
 
@@ -138,6 +135,7 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
   const int px_count = plan.g.px_extent();
   const int py_count = plan.g.py_extent();
   out.slice = chunk_range(v, c, me.l);
+  const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
 
   if (me.py == py_c && me.l == l_star) {
     const auto tiles = owned_tiles(plan, t + 1, px_count, me.px);
@@ -155,11 +153,11 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
         for (int px2 = 0; px2 < px_count; ++px2)
           dsts[static_cast<std::size_t>(px2)] =
               plan.g.rank_of({px2, py_d, l});
-        const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
+        const std::size_t count =
+            group.size() * static_cast<std::size_t>(v) * slice.size();
+        std::vector<double> buf;
         if (plan.numeric) {
-          std::vector<double> buf;
-          buf.reserve(group.size() * static_cast<std::size_t>(v) *
-                      slice.size());
+          buf.reserve(count);
           for (int i : group)
             for (int q = 0; q < v; ++q) {
               const double* base =
@@ -167,13 +165,9 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
                   (static_cast<std::size_t>(i) * v + q) * v + slice.begin;
               buf.insert(buf.end(), base, base + slice.size());
             }
-          comm.multicast(dsts, tag,
-                         simnet::make_shared_buffer(std::move(buf)));
-        } else {
-          comm.multicast_ghost(dsts, tag,
-                               group.size() * static_cast<std::size_t>(v) *
-                                   slice.size() * sizeof(double));
         }
+        comm.multicast(dsts, tag, simnet::payload_or_ghost(std::move(buf)),
+                       count * sizeof(double));
       }
     }
   }
@@ -189,18 +183,14 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
       for (std::size_t j = 0; j < mine.size(); ++j)
         if (mine[j] % px_count == px1) sub.push_back(static_cast<int>(j));
       if (sub.empty()) continue;
-      const int src = plan.g.rank_of({px1, py_c, l_star});
-      const Tag tag = make_tag(10, static_cast<std::uint32_t>(t), 0);
-      if (plan.numeric) {
-        const simnet::BufferView buf = comm.recv_view(src, tag);
-        const double* in = buf.data();
-        for (int j : sub)
-          for (int q = 0; q < v; ++q)
-            for (int k = out.slice.begin; k < out.slice.end; ++k)
-              out.values(k - out.slice.begin, j * v + q) = *in++;
-      } else {
-        (void)comm.recv_ghost(src, tag);
-      }
+      const simnet::BufferView buf =
+          comm.recv_view(plan.g.rank_of({px1, py_c, l_star}), tag);
+      if (!plan.numeric) continue;
+      const double* in = buf.data();
+      for (int j : sub)
+        for (int q = 0; q < v; ++q)
+          for (int k = out.slice.begin; k < out.slice.end; ++k)
+            out.values(k - out.slice.begin, j * v + q) = *in++;
     }
   }
   return out;

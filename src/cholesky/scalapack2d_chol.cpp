@@ -22,7 +22,6 @@ using linalg::Matrix;
 using simnet::Comm;
 using simnet::Group;
 using simnet::make_tag;
-using simnet::Tag;
 
 struct BodyParams {
   int n = 0;
@@ -66,25 +65,23 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     if (me.pc == pck) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelFactor, s);
-      const Group cg = factor::col_group(g, pck, 0);
-      if (numeric) {
-        std::vector<double> buf(static_cast<std::size_t>(nb) * nb, 0.0);
-        if (me.pr == prk) {
-          linalg::MatrixView a00 =
-              me.loc.block(me.lrow(k0), me.lcol(k0), nb, nb);
-          if (linalg::potrf_unblocked(a00) != linalg::FactorStatus::Ok)
-            params.not_spd->store(true, std::memory_order_relaxed);
-          for (int i = 0; i < nb; ++i)
-            for (int j = 0; j <= i; ++j)
-              buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
-        }
-        simnet::bcast(comm, cg, prk, buf, make_tag(20, ts, 0));
-        std::copy(buf.begin(), buf.end(), l00.data());
-      } else {
-        (void)simnet::bcast_ghost(comm, cg, prk,
-                                  static_cast<std::size_t>(nb) * nb * 8,
-                                  make_tag(20, ts, 0));
+      const std::size_t count = static_cast<std::size_t>(nb) * nb;
+      std::vector<double> buf;
+      if (numeric && me.pr == prk) {
+        buf.assign(count, 0.0);
+        linalg::MatrixView a00 =
+            me.loc.block(me.lrow(k0), me.lcol(k0), nb, nb);
+        if (linalg::potrf_unblocked(a00) != linalg::FactorStatus::Ok)
+          params.not_spd->store(true, std::memory_order_relaxed);
+        for (int i = 0; i < nb; ++i)
+          for (int j = 0; j <= i; ++j)
+            buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
       }
+      const simnet::BufferView got = simnet::bcast(
+          comm, factor::col_group(g, pck, 0), prk,
+          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
+          make_tag(20, ts, 0));
+      if (numeric) std::copy(got.data(), got.data() + count, l00.data());
     }
 
     // ---- Panel solve: L10 := A10 * L00^{-T} on the panel column ---------
@@ -102,21 +99,22 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group rg = factor::row_group(g, me.pr, 0);
-      const Tag tag = make_tag(24, ts, 0);
+      const std::size_t count = static_cast<std::size_t>(mtrail) * nb;
+      std::vector<double> buf;
+      if (numeric && me.pc == pck) {
+        buf.resize(count);
+        for (int il = 0; il < mtrail; ++il)
+          for (int q = 0; q < nb; ++q)
+            buf[static_cast<std::size_t>(il) * nb + q] =
+                me.loc(mrow0 + il, me.lcol(k0) + q);
+      }
+      const simnet::BufferView got = simnet::bcast(
+          comm, factor::row_group(g, me.pr, 0), pck,
+          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
+          make_tag(24, ts, 0));
       if (numeric) {
-        std::vector<double> buf(static_cast<std::size_t>(mtrail) * nb);
-        if (me.pc == pck)
-          for (int il = 0; il < mtrail; ++il)
-            for (int q = 0; q < nb; ++q)
-              buf[static_cast<std::size_t>(il) * nb + q] =
-                  me.loc(mrow0 + il, me.lcol(k0) + q);
-        simnet::bcast(comm, rg, pck, buf, tag);
         lpanel = Matrix(mtrail, nb);
-        std::copy(buf.begin(), buf.end(), lpanel.data());
-      } else {
-        (void)simnet::bcast_ghost(
-            comm, rg, pck, static_cast<std::size_t>(mtrail) * nb * 8, tag);
+        std::copy(got.data(), got.data() + count, lpanel.data());
       }
     }
 
@@ -143,28 +141,25 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
           if (me.rowmap.owner_of(c2) == pr) rows_pr.push_back(c2);
         }
         if (rows_pr.empty()) continue;
-        const Tag tag = make_tag(25, ts, static_cast<std::uint32_t>(pr));
-        if (numeric) {
-          std::vector<double> buf(rows_pr.size() *
-                                  static_cast<std::size_t>(nb));
-          if (me.pr == pr) {
-            std::size_t off = 0;
-            for (int c2 : rows_pr) {
-              const int il = me.lrow(c2) - mrow0;
-              auto row = lpanel.row(il);
-              for (int q = 0; q < nb; ++q) buf[off++] = row[q];
-            }
-          }
-          simnet::bcast(comm, cg, pr, buf, tag);
-          std::size_t off = 0;
+        const std::size_t count =
+            rows_pr.size() * static_cast<std::size_t>(nb);
+        std::vector<double> buf;
+        if (numeric && me.pr == pr) {
+          buf.reserve(count);
           for (int c2 : rows_pr) {
-            const int jc = me.lcol(c2) - ncol0;
-            for (int q = 0; q < nb; ++q) colpanel(q, jc) = buf[off++];
+            auto row = lpanel.row(me.lrow(c2) - mrow0);
+            buf.insert(buf.end(), row.begin(), row.end());
           }
-        } else {
-          (void)simnet::bcast_ghost(
-              comm, cg, pr, rows_pr.size() * static_cast<std::size_t>(nb) * 8,
-              tag);
+        }
+        const simnet::BufferView got = simnet::bcast(
+            comm, cg, pr, simnet::payload_or_ghost(std::move(buf)),
+            count * sizeof(double),
+            make_tag(25, ts, static_cast<std::uint32_t>(pr)));
+        if (!numeric) continue;
+        const double* in = got.data();
+        for (int c2 : rows_pr) {
+          const int jc = me.lcol(c2) - ncol0;
+          for (int q = 0; q < nb; ++q) colpanel(q, jc) = *in++;
         }
       }
     }

@@ -78,36 +78,31 @@ void reduce_panel_column(const Plan25D& plan, TileStore& store,
   if (me.l != l_star) {
     const Tag tag = make_tag(1, static_cast<std::uint32_t>(t),
                              static_cast<std::uint32_t>(me.l));
-    const int dst = plan.g.rank_of({me.px, py_c, l_star});
+    const std::size_t count = rows.size() * static_cast<std::size_t>(v);
+    std::vector<double> buf;
     if (plan.numeric) {
-      std::vector<double> buf;
-      buf.reserve(rows.size() * static_cast<std::size_t>(v));
+      buf.reserve(count);
       for (int r : rows) {
         double* base = &store.elem_at(r, col0);
         buf.insert(buf.end(), base, base + v);
         std::fill(base, base + v, 0.0);
       }
-      comm.send(dst, tag, std::move(buf));
-    } else {
-      comm.send_ghost_doubles(dst, tag,
-                              rows.size() * static_cast<std::size_t>(v));
     }
+    comm.send(plan.g.rank_of({me.px, py_c, l_star}), tag, std::move(buf),
+              count * sizeof(double));
   } else {
     for (int l = 0; l < plan.g.layers(); ++l) {
       if (l == l_star) continue;
       const Tag tag = make_tag(1, static_cast<std::uint32_t>(t),
                                static_cast<std::uint32_t>(l));
-      const int src = plan.g.rank_of({me.px, py_c, l});
-      if (plan.numeric) {
-        // Accumulate straight out of the shared payload; no copy-out.
-        const simnet::BufferView buf = comm.recv_view(src, tag);
-        const double* in = buf.data();
-        for (int r : rows) {
-          double* base = &store.elem_at(r, col0);
-          for (int k = 0; k < v; ++k) base[k] += *in++;
-        }
-      } else {
-        (void)comm.recv_ghost(src, tag);
+      const simnet::BufferView buf =
+          comm.recv_view(plan.g.rank_of({me.px, py_c, l}), tag);
+      if (!plan.numeric) continue;
+      // Accumulate straight out of the payload; no copy-out.
+      const double* in = buf.data();
+      for (int r : rows) {
+        double* base = &store.elem_at(r, col0);
+        for (int k = 0; k < v; ++k) base[k] += *in++;
       }
     }
   }
@@ -133,31 +128,27 @@ RowSlice multicast_row_panel(const Plan25D& plan, const grid::Coord3& me,
       if (slice.size() == 0) continue;
       for (int py = 0; py < plan.g.py_extent(); ++py)
         dsts[static_cast<std::size_t>(py)] = plan.g.rank_of({me.px, py, l});
+      const std::size_t count = rows * static_cast<std::size_t>(slice.size());
+      std::vector<double> buf;
       if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(rows * static_cast<std::size_t>(slice.size()));
+        buf.reserve(count);
         for (std::size_t i = 0; i < rows; ++i) {
           const double* base =
               panel.data() + i * static_cast<std::size_t>(v) + slice.begin;
           buf.insert(buf.end(), base, base + slice.size());
         }
-        comm.multicast(dsts, tag, simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(
-            dsts, tag,
-            rows * static_cast<std::size_t>(slice.size()) * sizeof(double));
       }
+      comm.multicast(dsts, tag, simnet::payload_or_ghost(std::move(buf)),
+                     count * sizeof(double));
     }
   }
 
   if (out.slice.size() > 0) {
-    const int src = plan.g.rank_of({me.px, py_c, l_star});
+    const simnet::BufferView buf =
+        comm.recv_view(plan.g.rank_of({me.px, py_c, l_star}), tag);
     if (plan.numeric) {
-      const simnet::BufferView buf = comm.recv_view(src, tag);
       out.values = linalg::Matrix(static_cast<int>(rows), out.slice.size());
       std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
     }
   }
   return out;

@@ -55,6 +55,8 @@ struct StepView {
   int px_c = 0;    ///< process row anchoring the A01 aggregators
   std::vector<int> rem;                    ///< unpivoted rows, ascending
   std::vector<std::vector<int>> rows_by_px;  ///< rem split by tile-row owner
+  std::vector<std::vector<int>> cols_by_py;       ///< trailing cols per py
+  std::vector<std::vector<int>> tile_cols_by_py;  ///< trailing tile cols / py
 };
 
 StepView make_step_view(const Plan& plan,
@@ -73,129 +75,76 @@ StepView make_step_view(const Plan& plan,
                                            plan.g.px_extent())]
         .push_back(r);
   }
+  const int py_count = plan.g.py_extent();
+  sv.cols_by_py.resize(static_cast<std::size_t>(py_count));
+  sv.tile_cols_by_py.resize(static_cast<std::size_t>(py_count));
+  for (int jt = t + 1; jt < plan.steps; ++jt) {
+    auto& cols = sv.cols_by_py[static_cast<std::size_t>(jt % py_count)];
+    for (int col = jt * plan.v; col < (jt + 1) * plan.v; ++col)
+      cols.push_back(col);
+    sv.tile_cols_by_py[static_cast<std::size_t>(jt % py_count)].push_back(jt);
+  }
   return sv;
 }
 
 /// ---- Step 2: tournament pivoting over the Px panel owners ---------------
 /// Butterfly: returns (pivots, a00) on every rank with px < fold-size.
 /// Tree: returns them on the tree root (px == 0) only. Everyone else
-/// learns them from the step-3 broadcast.
+/// learns them from the step-3 broadcast. Dry runs return nothing: their
+/// synthetic winners come from the host-precomputed schedule (DryStep).
 struct TournamentOutcome {
   std::vector<int> pivots;
   Matrix a00;
-  bool have = false;
 };
 
 TournamentOutcome run_tournament(const Plan& plan, RankState& st,
                                  const Comm& comm, const StepView& sv) {
   TournamentOutcome out;
-  const int px_count = plan.g.px_extent();
-  const int v = plan.v;
-
-  if (!plan.numeric) {
-    // Ghost traffic replays the exact message sizes of the numeric
-    // tournament (butterfly or tree); the synthetic winners themselves are
-    // precomputed once by the host (see DrySchedule).
-    if (st.me.py == sv.py_c && st.me.l == sv.l_star) {
-      std::vector<std::size_t> size_of(
-          static_cast<std::size_t>(px_count));
-      for (int px = 0; px < px_count; ++px)
-        size_of[static_cast<std::size_t>(px)] = std::min<std::size_t>(
-            static_cast<std::size_t>(v),
-            sv.rows_by_px[static_cast<std::size_t>(px)].size());
-      auto pack_bytes = [v](std::size_t count) {
-        return (2 + count * (1 + static_cast<std::size_t>(v))) *
-               sizeof(double);
-      };
-      const int px = st.me.px;
-      if (plan.tournament == PanelTournament::Tree) {
-        // Replay the reduction tree: every rank walks the global schedule,
-        // ghosting its own edge and updating the size recursion
-        // (merged count saturates at v, exactly like tournament_round).
-        for (const linalg::TreeStep& step :
-             linalg::reduction_tree_schedule(px_count)) {
-          const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t),
-                                   static_cast<std::uint32_t>(step.round));
-          if (step.src == px)
-            comm.send_ghost(
-                plan.g.rank_of({step.dst, sv.py_c, sv.l_star}), tag,
-                pack_bytes(size_of[static_cast<std::size_t>(step.src)]));
-          else if (step.dst == px)
-            (void)comm.recv_ghost(
-                plan.g.rank_of({step.src, sv.py_c, sv.l_star}), tag);
-          size_of[static_cast<std::size_t>(step.dst)] =
-              std::min<std::size_t>(
-                  static_cast<std::size_t>(v),
-                  size_of[static_cast<std::size_t>(step.dst)] +
-                      size_of[static_cast<std::size_t>(step.src)]);
-        }
-        out.have = true;
-        return out;
-      }
-      int fold = 1;
-      while (fold * 2 <= px_count) fold *= 2;
-      // Fold-in phase (ghost sizes follow the global size recursion).
-      if (px >= fold) {
-        comm.send_ghost(
-            plan.g.rank_of({px - fold, sv.py_c, sv.l_star}),
-            make_tag(2, static_cast<std::uint32_t>(sv.t), 0),
-            pack_bytes(size_of[static_cast<std::size_t>(px)]));
-      } else if (px + fold < px_count) {
-        (void)comm.recv_ghost(
-            plan.g.rank_of({px + fold, sv.py_c, sv.l_star}),
-            make_tag(2, static_cast<std::uint32_t>(sv.t), 0));
-      }
-      for (int q = 0; q + fold < px_count; ++q)
-        size_of[static_cast<std::size_t>(q)] = std::min<std::size_t>(
-            static_cast<std::size_t>(v),
-            size_of[static_cast<std::size_t>(q)] +
-                size_of[static_cast<std::size_t>(q + fold)]);
-      // Butterfly phase (all ranks replay the global size recursion).
-      if (px < fold) {
-        unsigned round = 1;
-        for (int mask = 1; mask < fold; mask <<= 1, ++round) {
-          const int partner = px ^ mask;
-          comm.send_ghost(
-              plan.g.rank_of({partner, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), round),
-              pack_bytes(size_of[static_cast<std::size_t>(px)]));
-          (void)comm.recv_ghost(
-              plan.g.rank_of({partner, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), round));
-          std::vector<std::size_t> next = size_of;
-          for (int q = 0; q < fold; ++q)
-            next[static_cast<std::size_t>(q)] = std::min<std::size_t>(
-                static_cast<std::size_t>(v),
-                size_of[static_cast<std::size_t>(q)] +
-                    size_of[static_cast<std::size_t>(q ^ mask)]);
-          size_of = std::move(next);
-        }
-      }
-    }
-    // Winners come from the host-precomputed schedule (filled in by the
-    // caller); nothing further to do here.
-    out.have = true;
-    return out;
-  }
-
-  // --- numeric tournament --------------------------------------------------
   if (st.me.py != sv.py_c || st.me.l != sv.l_star) return out;
+  const int px_count = plan.g.px_extent();
   const int px = st.me.px;
-  const int col0 = sv.t * v;
+  const int v = plan.v;
+  const auto& mine = sv.rows_by_px[static_cast<std::size_t>(px)];
 
+  // Every participant tracks how many candidates it holds — min(v, rows)
+  // after the local selection, min(v, a + b) after each merge, with the
+  // partner's count read off the message's wire size — and numeric runs
+  // also hold the candidates themselves.
+  std::size_t count = std::min(static_cast<std::size_t>(v), mine.size());
   linalg::PivotCandidates cand;
-  {
-    const auto& mine = sv.rows_by_px[static_cast<std::size_t>(px)];
+  if (plan.numeric) {
     linalg::PivotCandidates local;
     local.rows = mine;
     local.values = Matrix(static_cast<int>(mine.size()), v);
     for (std::size_t i = 0; i < mine.size(); ++i) {
-      const double* base = &st.store.elem_at(mine[i], col0);
+      const double* base = &st.store.elem_at(mine[i], sv.t * v);
       auto dst = local.values.row(static_cast<int>(i));
       std::copy(base, base + v, dst.begin());
     }
     cand = linalg::select_best(local, v);
   }
+  const auto wire_doubles = [v](std::size_t rows) {  // pack_candidates size
+    return 2 + rows * (1 + static_cast<std::size_t>(v));
+  };
+  const auto tag_of = [&sv](unsigned round) {
+    return make_tag(2, static_cast<std::uint32_t>(sv.t), round);
+  };
+  const auto send_to = [&](int dst_px, Tag tag) {
+    comm.send(plan.g.rank_of({dst_px, sv.py_c, sv.l_star}), tag,
+              plan.numeric ? linalg::pack_candidates(cand)
+                           : std::vector<double>(),
+              wire_doubles(count) * sizeof(double));
+  };
+  const auto merge_from = [&](int src_px, Tag tag) {
+    const simnet::BufferView other =
+        comm.recv_view(plan.g.rank_of({src_px, sv.py_c, sv.l_star}), tag);
+    const std::size_t theirs =
+        (other.logical_bytes() / sizeof(double) - 2) / (1 + v);
+    count = std::min(static_cast<std::size_t>(v), count + theirs);
+    if (plan.numeric)
+      cand = linalg::tournament_round(
+          cand, linalg::unpack_candidates(other.span()), v);
+  };
 
   if (plan.tournament == PanelTournament::Tree) {
     // TSLU reduction tree: odd multiples of the round's gap send their
@@ -204,122 +153,95 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
     // root finalizes.
     for (const linalg::TreeStep& step :
          linalg::reduction_tree_schedule(px_count)) {
-      const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t),
-                               static_cast<std::uint32_t>(step.round));
+      const Tag tag = tag_of(static_cast<unsigned>(step.round));
       if (step.src == px) {
-        comm.send(plan.g.rank_of({step.dst, sv.py_c, sv.l_star}), tag,
-                  linalg::pack_candidates(cand));
+        send_to(step.dst, tag);
         return out;  // learns the pivots from the step-3 broadcast
       }
-      if (step.dst == px) {
-        const auto other = linalg::unpack_candidates(
-            comm.recv(plan.g.rank_of({step.src, sv.py_c, sv.l_star}), tag));
-        cand = linalg::tournament_round(cand, other, v);
-      }
+      if (step.dst == px) merge_from(step.src, tag);
     }
-    // Every participant > 0 sent exactly once above; only the root reaches
-    // this point.
+  } else {
+    // Butterfly: the participants beyond the largest power of two fold
+    // into their partner first, then log2(fold) all-to-all rounds.
+    int fold = 1;
+    while (fold * 2 <= px_count) fold *= 2;
+    if (px >= fold) {
+      send_to(px - fold, tag_of(0));
+      return out;  // learns the pivots from the step-3 broadcast
+    }
+    if (px + fold < px_count) merge_from(px + fold, tag_of(0));
+    unsigned round = 1;
+    for (int mask = 1; mask < fold; mask <<= 1, ++round) {
+      send_to(px ^ mask, tag_of(round));
+      merge_from(px ^ mask, tag_of(round));
+    }
+  }
+
+  if (plan.numeric) {
     const linalg::TournamentResult result = linalg::finalize_tournament(cand);
     out.pivots = result.pivot_rows;
     out.a00 = result.a00;
-    out.have = true;
-    return out;
   }
-
-  int fold = 1;
-  while (fold * 2 <= px_count) fold *= 2;
-
-  if (px >= fold) {
-    comm.send(plan.g.rank_of({px - fold, sv.py_c, sv.l_star}),
-              make_tag(2, static_cast<std::uint32_t>(sv.t), 0),
-              linalg::pack_candidates(cand));
-    return out;  // learns the pivots from the step-3 broadcast
-  }
-  if (px + fold < px_count) {
-    const auto other = linalg::unpack_candidates(
-        comm.recv(plan.g.rank_of({px + fold, sv.py_c, sv.l_star}),
-                  make_tag(2, static_cast<std::uint32_t>(sv.t), 0)));
-    cand = linalg::tournament_round(cand, other, v);
-  }
-  unsigned round = 1;
-  for (int mask = 1; mask < fold; mask <<= 1, ++round) {
-    const int partner_rank =
-        plan.g.rank_of({px ^ mask, sv.py_c, sv.l_star});
-    const Tag tag = make_tag(2, static_cast<std::uint32_t>(sv.t), round);
-    comm.send(partner_rank, tag, linalg::pack_candidates(cand));
-    const auto other = linalg::unpack_candidates(comm.recv(partner_rank, tag));
-    cand = linalg::tournament_round(cand, other, v);
-  }
-
-  const linalg::TournamentResult result = linalg::finalize_tournament(cand);
-  out.pivots = result.pivot_rows;
-  out.a00 = result.a00;
-  out.have = true;
   return out;
 }
 
 /// ---- Step 3: broadcast pivots + A00 to all active ranks ------------------
+/// One packed payload from the root participant: the v pivot rows
+/// bit-packed as ints (4 B each), then the v x v factored block.
 void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
                            const StepView& sv, TournamentOutcome& outcome,
                            const simnet::Group& world) {
   const int v = plan.v;
+  const std::size_t vv = static_cast<std::size_t>(v) * v;
   const int root = plan.g.rank_of({0, sv.py_c, sv.l_star});
-  if (plan.numeric) {
-    std::vector<int> piv =
-        outcome.have ? outcome.pivots : std::vector<int>();
-    piv.resize(static_cast<std::size_t>(v), -1);
-    simnet::bcast_ints(comm, world, root, piv,
-                       make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
-    std::vector<double> a00_flat;
-    if (outcome.have)
-      a00_flat.assign(outcome.a00.data(),
-                      outcome.a00.data() + outcome.a00.size());
-    else
-      a00_flat.resize(static_cast<std::size_t>(v) * v);
-    simnet::bcast(comm, world, root, a00_flat,
-                  make_tag(3, static_cast<std::uint32_t>(sv.t), 1));
-    outcome.pivots = std::move(piv);
-    outcome.a00 = Matrix(v, v);
-    std::copy(a00_flat.begin(), a00_flat.end(), outcome.a00.data());
-    outcome.have = true;
-  } else {
-    (void)simnet::bcast_ghost(
-        comm, world, root,
-        static_cast<std::size_t>(v) * sizeof(int) +
-            static_cast<std::size_t>(v) * v * sizeof(double),
-        make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
-    // outcome.pivots already carries the synthetic winners on every rank;
-    // dry runs keep the pivot bookkeeping host-side (DryStep), so there is
-    // no per-rank state to update.
-    return;
+  std::vector<double> packed;
+  if (plan.numeric && comm.rank() == root) {
+    CONFLUX_ASSERT(outcome.pivots.size() == static_cast<std::size_t>(v));
+    packed = simnet::pack_ints(outcome.pivots);
+    packed.insert(packed.end(), outcome.a00.data(),
+                  outcome.a00.data() + vv);
   }
+  const simnet::BufferView got = simnet::bcast(
+      comm, world, root, simnet::payload_or_ghost(std::move(packed)),
+      static_cast<std::size_t>(v) * sizeof(int) + vv * sizeof(double),
+      make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
+  // Dry runs keep the pivot bookkeeping host-side (DryStep): the caller
+  // already put the synthetic winners in outcome.pivots.
+  if (!plan.numeric) return;
+  outcome.pivots = simnet::unpack_ints(got, static_cast<std::size_t>(v));
+  outcome.a00 = Matrix(v, v);
+  std::copy(got.data() + got.size() - vv, got.data() + got.size(),
+            outcome.a00.data());
   for (int r : outcome.pivots) {
     st.pivoted[static_cast<std::size_t>(r)] = 1;
     st.pivot_order.push_back(r);
   }
 }
 
-/// Rows remaining after this step's pivots are masked out, and their split
-/// by tile-row owner.
+/// The rows remaining after this step's pivots are masked out, and the
+/// pivots, each split by tile-row owner.
 struct Rem2 {
-  std::vector<int> rows;                     ///< ascending
-  std::vector<std::vector<int>> by_px;       ///< split by tile-row owner
-  std::vector<int> px_of_pos;                ///< owner px per position
+  std::vector<std::vector<int>> by_px;     ///< remaining rows, ascending
+  std::vector<std::vector<int>> qs_of_px;  ///< pivot q's per row owner
 };
 
 Rem2 make_rem2(const Plan& plan, const StepView& sv,
                const std::vector<int>& pivots) {
+  const int px_count = plan.g.px_extent();
   std::vector<std::uint8_t> is_piv(static_cast<std::size_t>(plan.n), 0);
   for (int r : pivots) is_piv[static_cast<std::size_t>(r)] = 1;
   Rem2 rem2;
-  rem2.by_px.resize(static_cast<std::size_t>(plan.g.px_extent()));
+  rem2.by_px.resize(static_cast<std::size_t>(px_count));
   for (int r : sv.rem) {
     if (is_piv[static_cast<std::size_t>(r)]) continue;
-    const int px = (r / plan.v) % plan.g.px_extent();
-    rem2.rows.push_back(r);
-    rem2.px_of_pos.push_back(px);
-    rem2.by_px[static_cast<std::size_t>(px)].push_back(r);
+    rem2.by_px[static_cast<std::size_t>((r / plan.v) % px_count)].push_back(r);
   }
+  rem2.qs_of_px.resize(static_cast<std::size_t>(px_count));
+  for (int q = 0; q < plan.v; ++q)
+    rem2.qs_of_px[static_cast<std::size_t>(
+                      (pivots[static_cast<std::size_t>(q)] / plan.v) %
+                      px_count)]
+        .push_back(q);
   return rem2;
 }
 
@@ -332,9 +254,6 @@ struct DryStep {
   StepView sv;
   std::vector<int> pivots;
   Rem2 rem2;  ///< post-pivot row split, shared by all ranks
-  std::vector<std::vector<int>> qs_of_px;        ///< pivot q's per row owner
-  std::vector<std::vector<int>> cols_by_py;      ///< trailing cols per py
-  std::vector<std::vector<int>> tile_cols_by_py; ///< trailing tile cols / py
 };
 
 /// ---- Steps 4 + 7: A10 triangular solve at the row leaders ----------------
@@ -388,54 +307,23 @@ struct A01Panel {
 
 A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
                                   const Comm& comm, const StepView& sv,
+                                  const Rem2& rem2,
                                   const std::vector<int>& pivots,
                                   const Matrix& a00,
-                                  std::vector<StepRecord>* records,
-                                  const DryStep* dry) {
+                                  std::vector<StepRecord>* records) {
   A01Panel panel;
+  if (sv.t + 1 == plan.steps) return panel;
   const int v = plan.v;
-  const int n = plan.n;
-  const int trail0 = (sv.t + 1) * v;
-  if (n - trail0 == 0) return panel;
   const int px_count = plan.g.px_extent();
-  const int py_count = plan.g.py_extent();
-
   // My trailing columns (the ones my tiles cover) — needed by every rank
-  // for the later multicast and Schur update. Dry runs reuse the shared
-  // precomputed split.
-  if (dry != nullptr) {
-    panel.my_cols = dry->cols_by_py[static_cast<std::size_t>(st.me.py)];
-  } else {
-    for (int col = trail0; col < n; ++col)
-      if ((col / v) % py_count == st.me.py) panel.my_cols.push_back(col);
-  }
-
-  // Pivot q's grouped by the tile-row owner of their row.
-  std::vector<std::vector<int>> qs_local;
-  if (dry == nullptr) {
-    qs_local.resize(static_cast<std::size_t>(px_count));
-    for (int q = 0; q < v; ++q)
-      qs_local[static_cast<std::size_t>(
-                   (pivots[static_cast<std::size_t>(q)] / v) % px_count)]
-          .push_back(q);
-  }
-  const std::vector<std::vector<int>>& qs_of_px =
-      dry != nullptr ? dry->qs_of_px : qs_local;
-
-  // My trailing tile columns, for the send layout.
-  const int tiles_total = n / v;
-  std::vector<int> tile_cols_local;
-  if (dry == nullptr) {
-    for (int jt = sv.t + 1; jt < tiles_total; ++jt)
-      if (jt % py_count == st.me.py) tile_cols_local.push_back(jt);
-  }
+  // for the later multicast and Schur update — and tile columns.
+  panel.my_cols = sv.cols_by_py[static_cast<std::size_t>(st.me.py)];
   const std::vector<int>& my_tile_cols =
-      dry != nullptr ? dry->tile_cols_by_py[static_cast<std::size_t>(st.me.py)]
-                     : tile_cols_local;
+      sv.tile_cols_by_py[static_cast<std::size_t>(st.me.py)];
 
   // Phase 1 (step 5): everyone holding pivot-row partials ships them to the
   // aggregator of its process column.
-  const auto& my_qs = qs_of_px[static_cast<std::size_t>(st.me.px)];
+  const auto& my_qs = rem2.qs_of_px[static_cast<std::size_t>(st.me.px)];
   const std::size_t seg_count = my_qs.size() * my_tile_cols.size();
   if (seg_count > 0) {
     // Step 5 is the lazy cross-layer reduction of the pivot rows; its
@@ -443,10 +331,8 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
     // reaches it from inside the TRSM step block (nested span wins).
     const telemetry::ScopedSpan span(plan.tel, comm.rank(),
                                      telemetry::kLayerReduction, sv.t);
-    const int dst = plan.g.rank_of({sv.px_c, st.me.py, sv.l_star});
-    const Tag tag = make_tag(5, static_cast<std::uint32_t>(sv.t), 0);
+    std::vector<double> buf;
     if (plan.numeric) {
-      std::vector<double> buf;
       buf.reserve(seg_count * static_cast<std::size_t>(v));
       for (int jt : my_tile_cols)
         for (int q : my_qs) {
@@ -454,11 +340,11 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
               pivots[static_cast<std::size_t>(q)], jt * v);
           buf.insert(buf.end(), base, base + v);
         }
-      comm.send(dst, tag, std::move(buf));
-    } else {
-      comm.send_ghost_doubles(dst, tag,
-                              seg_count * static_cast<std::size_t>(v));
     }
+    comm.send(plan.g.rank_of({sv.px_c, st.me.py, sv.l_star}),
+              make_tag(5, static_cast<std::uint32_t>(sv.t), 0),
+              std::move(buf),
+              seg_count * static_cast<std::size_t>(v) * sizeof(double));
   }
 
   panel.aggregator = (st.me.px == sv.px_c && st.me.l == sv.l_star);
@@ -472,22 +358,20 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
     const telemetry::ScopedSpan span(plan.tel, comm.rank(),
                                      telemetry::kLayerReduction, sv.t);
     for (int px = 0; px < px_count; ++px) {
-      if (qs_of_px[static_cast<std::size_t>(px)].empty()) continue;
+      const auto& qs = rem2.qs_of_px[static_cast<std::size_t>(px)];
+      if (qs.empty()) continue;
       for (int l = 0; l < plan.g.layers(); ++l) {
-        const int src = plan.g.rank_of({px, st.me.py, l});
-        const Tag tag = make_tag(5, static_cast<std::uint32_t>(sv.t), 0);
-        if (plan.numeric) {
-          const simnet::BufferView buf = comm.recv_view(src, tag);
-          const double* in = buf.data();
-          for (std::size_t jc = 0; jc < my_tile_cols.size(); ++jc)
-            for (int q : qs_of_px[static_cast<std::size_t>(px)]) {
-              auto row = panel.agg.row(q);
-              for (int k = 0; k < v; ++k)
-                row[jc * static_cast<std::size_t>(v) + k] += *in++;
-            }
-        } else {
-          (void)comm.recv_ghost(src, tag);
-        }
+        const simnet::BufferView buf =
+            comm.recv_view(plan.g.rank_of({px, st.me.py, l}),
+                           make_tag(5, static_cast<std::uint32_t>(sv.t), 0));
+        if (!plan.numeric) continue;
+        const double* in = buf.data();
+        for (std::size_t jc = 0; jc < my_tile_cols.size(); ++jc)
+          for (int q : qs) {
+            auto row = panel.agg.row(q);
+            for (int k = 0; k < v; ++k)
+              row[jc * static_cast<std::size_t>(v) + k] += *in++;
+          }
       }
     }
   }
@@ -521,9 +405,9 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
   A01Slice out;
   const int v = plan.v;
   const int c = plan.g.layers();
-  const int trail0 = (sv.t + 1) * v;
   out.slice = chunk_range(v, c, st.me.l);
-  if (plan.n - trail0 == 0) return out;
+  if (sv.t + 1 == plan.steps) return out;
+  const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
 
   if (panel.aggregator && !panel.my_cols.empty()) {
     // One packed slice per layer, multicast down the process column.
@@ -534,36 +418,29 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
       for (int px = 0; px < plan.g.px_extent(); ++px)
         dsts[static_cast<std::size_t>(px)] =
             plan.g.rank_of({px, st.me.py, l});
-      const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
+      const std::size_t count =
+          static_cast<std::size_t>(slice.size()) * panel.my_cols.size();
+      std::vector<double> buf;
       if (plan.numeric) {
-        std::vector<double> buf;
-        buf.reserve(static_cast<std::size_t>(slice.size()) *
-                    panel.my_cols.size());
+        buf.reserve(count);
         for (int q = slice.begin; q < slice.end; ++q) {
           auto row = panel.agg.row(q);
           buf.insert(buf.end(), row.begin(), row.end());
         }
-        comm.multicast(dsts, tag,
-                       simnet::make_shared_buffer(std::move(buf)));
-      } else {
-        comm.multicast_ghost(dsts, tag,
-                             static_cast<std::size_t>(slice.size()) *
-                                 panel.my_cols.size() * sizeof(double));
       }
+      comm.multicast(dsts, tag, simnet::payload_or_ghost(std::move(buf)),
+                     count * sizeof(double));
     }
   }
 
   if (!panel.my_cols.empty() && out.slice.size() > 0) {
-    const int src = plan.g.rank_of({sv.px_c, st.me.py, sv.l_star});
-    const Tag tag = make_tag(10, static_cast<std::uint32_t>(sv.t), 0);
+    const simnet::BufferView buf =
+        comm.recv_view(plan.g.rank_of({sv.px_c, st.me.py, sv.l_star}), tag);
     if (plan.numeric) {
       out.cols = panel.my_cols;
-      const simnet::BufferView buf = comm.recv_view(src, tag);
       out.values =
           Matrix(out.slice.size(), static_cast<int>(out.cols.size()));
       std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    } else {
-      (void)comm.recv_ghost(src, tag);
     }
   }
   return out;
@@ -608,30 +485,12 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   if (!plan.numeric) {
     std::vector<std::uint8_t> pivoted(static_cast<std::size_t>(plan.n), 0);
     dry_sched.reserve(static_cast<std::size_t>(plan.steps));
-    const int px_count = plan.g.px_extent();
-    const int py_count = plan.g.py_extent();
-    const int tiles_total = plan.n / plan.v;
     for (int t = 0; t < plan.steps; ++t) {
       DryStep ds;
       ds.sv = make_step_view(plan, pivoted, t);
       ds.pivots = synthetic_pivots(pivoted, plan.n, plan.v, t, plan.seed);
       for (int r : ds.pivots) pivoted[static_cast<std::size_t>(r)] = 1;
       ds.rem2 = make_rem2(plan, ds.sv, ds.pivots);
-      ds.qs_of_px.resize(static_cast<std::size_t>(px_count));
-      for (int q = 0; q < plan.v; ++q)
-        ds.qs_of_px[static_cast<std::size_t>(
-                        (ds.pivots[static_cast<std::size_t>(q)] / plan.v) %
-                        px_count)]
-            .push_back(q);
-      ds.cols_by_py.resize(static_cast<std::size_t>(py_count));
-      ds.tile_cols_by_py.resize(static_cast<std::size_t>(py_count));
-      for (int jt = t + 1; jt < tiles_total; ++jt) {
-        auto& cols = ds.cols_by_py[static_cast<std::size_t>(jt % py_count)];
-        for (int col = jt * plan.v; col < (jt + 1) * plan.v; ++col)
-          cols.push_back(col);
-        ds.tile_cols_by_py[static_cast<std::size_t>(jt % py_count)]
-            .push_back(jt);
-      }
       dry_sched.push_back(std::move(ds));
     }
   }
@@ -692,11 +551,11 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
         rec.pivots = outcome.pivots;
         rec.a00 = outcome.a00;
       }
-      const DryStep* ds =
-          plan.numeric ? nullptr : &dry_sched[static_cast<std::size_t>(t)];
       Rem2 rem2_storage;
       if (plan.numeric) rem2_storage = make_rem2(plan, sv, outcome.pivots);
-      const Rem2& rem2 = plan.numeric ? rem2_storage : ds->rem2;
+      const Rem2& rem2 =
+          plan.numeric ? rem2_storage
+                       : dry_sched[static_cast<std::size_t>(t)].rem2;
       const std::vector<int>& my_rows =
           rem2.by_px[static_cast<std::size_t>(st.me.px)];
       Matrix a10_panel;
@@ -707,8 +566,8 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
             plan, st, sv, rem2, outcome.a00,
             want_records ? &records : nullptr);
         a01_panel = solve_a01_at_aggregators(                        // 5 + 9
-            plan, st, comm, sv, outcome.pivots, outcome.a00,
-            want_records ? &records : nullptr, ds);
+            plan, st, comm, sv, rem2, outcome.pivots, outcome.a00,
+            want_records ? &records : nullptr);
       }
       {
         const telemetry::ScopedSpan span(plan.tel, me,

@@ -27,8 +27,8 @@ enum class PanelTournament {
 };
 
 /// Run the 2.5D engine with the given tournament topology. Numeric and dry
-/// modes follow the FactorConfig contract of lu_common.hpp; dry runs replay
-/// the chosen topology's exact message-size recursion with ghost payloads.
+/// modes follow the FactorConfig contract of lu_common.hpp; dry runs make
+/// the numeric run's calls with ghost payloads and synthetic pivots.
 [[nodiscard]] LuResult run_block25d(const linalg::Matrix* a,
                                     const LuConfig& cfg,
                                     PanelTournament tournament);

@@ -4,10 +4,7 @@
 
 #include "factor/core25d.hpp"
 #include "grid/grid_opt.hpp"
-#include "linalg/getrf.hpp"
 #include "lu/scalapack2d.hpp"
-#include "simnet/spmd.hpp"
-#include "support/timer.hpp"
 
 namespace conflux::lu {
 
@@ -31,58 +28,10 @@ LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
 
   const int front = std::max(1, cfg.p / c);
   const grid::Grid2D face = grid::choose_grid_2d_near_square(front);
-  const int nb =
-      grid::choose_block_size(cfg.n, 1, cfg.block > 0 ? cfg.block : 64);
-  const int active = face.active() * c;
-
-  linalg::Matrix gathered;
-  std::vector<int> ipiv;
-  const bool numeric = (cfg.mode == Mode::Numeric);
-  const bool verify = numeric && cfg.verify;
-  const bool gather = numeric && (cfg.verify || cfg.keep_factors);
-  if (gather) gathered = linalg::Matrix(cfg.n, cfg.n);
-
-  simnet::Network net(active, cfg.fabric);
-  factor::attach_instruments(net, cfg);
-  Stopwatch timer;
-  simnet::run_spmd(net, [&](simnet::Comm& comm) {
-    const int layer = comm.rank() / face.active();
-    Scalapack2DParams params;
-    params.n = cfg.n;
-    params.nb = nb;
-    params.g = face;
-    params.base_rank = layer * face.active();
-    params.numeric = numeric;
-    params.seed = cfg.seed;  // identical pivots keep replicas coherent
-    params.a = a;
-    params.tel = cfg.telemetry;
-    if (gather && layer == 0) {
-      params.gathered = &gathered;
-      params.ipiv_out = &ipiv;
-    }
-    scalapack2d_body(comm, params);
-  });
-
-  LuResult result;
-  result.seconds = timer.seconds();
-  factor::fill_comm_stats(result, net, active, cfg.p);
-  result.grid = face.to_string() + " x " + std::to_string(c);
-  result.block = nb;
-  if (verify) {
-    result.residual = linalg::lu_residual(*a, gathered.view(), ipiv);
-    result.growth = linalg::growth_factor(*a, gathered.view());
-    result.residual_eps = factor::residual_in_eps(result.residual);
-    std::vector<double> u_diag(static_cast<std::size_t>(cfg.n));
-    for (int i = 0; i < cfg.n; ++i)
-      u_diag[static_cast<std::size_t>(i)] = gathered(i, i);
-    result.pivot_stats = factor::pivot_stats(
-        linalg::pivots_to_permutation(ipiv, cfg.n), u_diag);
-  }
-  if (numeric && cfg.keep_factors) {
-    result.permutation = linalg::pivots_to_permutation(ipiv, cfg.n);
-    result.factors = std::make_shared<linalg::Matrix>(std::move(gathered));
-  }
-  return result;
+  return run_2d_faces(
+      a, cfg, face,
+      grid::choose_block_size(cfg.n, 1, cfg.block > 0 ? cfg.block : 64), c,
+      face.to_string() + " x " + std::to_string(c));
 }
 
 }  // namespace conflux::lu

@@ -11,34 +11,19 @@
 
 #include "grid/grid3d.hpp"
 #include "lu/lu_common.hpp"
-#include "simnet/comm.hpp"
-
-namespace conflux::telemetry {
-class TelemetryBoard;
-}
 
 namespace conflux::lu {
 
-/// Shared SPMD body so the CANDMC proxy can replicate it per layer.
-/// `base_rank` maps the (pr, pc) grid onto global ranks
-/// base_rank + pr + Pr * pc. In numeric mode, `gathered`/`ipiv_out` (when
-/// non-null) receive the factored matrix and the pivot sequence via disjoint
-/// out-of-band writes (result collection is not part of the measured
-/// volume).
-struct Scalapack2DParams {
-  int n = 0;
-  int nb = 0;
-  grid::Grid2D g{1, 1};
-  int base_rank = 0;
-  bool numeric = true;
-  std::uint64_t seed = 42;
-  const linalg::Matrix* a = nullptr;  ///< input (numeric mode)
-  linalg::Matrix* gathered = nullptr;
-  std::vector<int>* ipiv_out = nullptr;
-  telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope spans (optional)
-};
-
-void scalapack2d_body(simnet::Comm& comm, const Scalapack2DParams& params);
+/// The one 2D LU driver: `layers` replicated copies of the right-looking
+/// pdgetrf schedule, one per face of `face.active()` ranks (face l holds
+/// global ranks l * face.active() + face.rank_of(pr, pc)). Every face runs
+/// the same pivots, so the replicas stay coherent, and face 0 hands back
+/// the factors. LibSci and SLATE run one face, CANDMC c; `grid_label` is
+/// the result's grid string.
+[[nodiscard]] LuResult run_2d_faces(const linalg::Matrix* a,
+                                    const LuConfig& cfg,
+                                    const grid::Grid2D& face, int nb,
+                                    int layers, std::string grid_label);
 
 /// LibSci proxy (and, via `slate_mode`, the SLATE proxy).
 class ScaLapack2D : public LuAlgorithm {

@@ -25,41 +25,37 @@ namespace {
   return g.at((vrank + root_index) % g.size());
 }
 
-/// The binomial broadcast tree of one rank: its parent hop (if any) and its
-/// forwarding rounds, shared by the real / packed / ghost bcast variants.
-struct BcastPosition {
-  int parent_vrank = -1;  ///< -1 at the root
-  unsigned recv_round = 0;
-  unsigned first_send_round = 0;
-  int first_mask = 1;
-};
-
-[[nodiscard]] BcastPosition bcast_position(int v) {
-  BcastPosition pos;
-  if (v == 0) return pos;
-  int bit = 1;
-  while (bit * 2 <= v) bit <<= 1;
-  unsigned r = 0;
-  for (int b = bit; b > 1; b >>= 1) ++r;
-  pos.parent_vrank = v - bit;
-  pos.recv_round = r;
-  pos.first_send_round = r + 1;
-  pos.first_mask = bit << 1;
-  return pos;
-}
-
-/// Forward an immutable payload down this rank's branch of the binomial
-/// tree: one refcount bump per child, zero copies.
-void bcast_forward(const Comm& comm, const Group& group, int root_index,
-                   int v, const BcastPosition& pos, const SharedBuffer& buf,
-                   std::size_t logical_bytes, Tag tag, unsigned op) {
+/// The one binomial-tree broadcast walk (bcast and the second half of
+/// allreduce_maxloc). Member v (relative to the root) receives the root's
+/// payload in round r from v - 2^r, 2^r being v's highest set bit, then
+/// forwards it to v + 2^k in each later round k — one refcount bump per
+/// child, zero copies, and a ghost forwarded as a ghost.
+BufferView bcast_walk(const Comm& comm, const Group& group, int root_index,
+                      SharedBuffer buf, std::size_t logical_bytes, Tag tag,
+                      unsigned op) {
   const int n = group.size();
-  unsigned round = pos.first_send_round;
-  for (int mask = pos.first_mask; mask < n; mask <<= 1, ++round) {
-    if (v < mask && v + mask < n)
+  const int me = group.index_of(comm.rank());
+  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
+  const int v = vrank_of(me, root_index, n);
+  unsigned round = 0;
+  int mask = 1;
+  if (v != 0) {
+    while (mask * 2 <= v) {
+      mask <<= 1;
+      ++round;
+    }
+    BufferView got = comm.recv_view(real_of(v - mask, root_index, group),
+                                    sub_tag(tag, op, round));
+    logical_bytes = got.logical_bytes();
+    buf = got.shared();
+    mask <<= 1;
+    ++round;
+  }
+  for (; mask < n; mask <<= 1, ++round)
+    if (v + mask < n)
       comm.send_shared(real_of(v + mask, root_index, group),
                        sub_tag(tag, op, round), buf, logical_bytes);
-  }
+  return BufferView(std::move(buf), logical_bytes);
 }
 
 }  // namespace
@@ -98,75 +94,20 @@ int Group::index_of(int rank) const {
   return (it != sorted_.end() && it->first == rank) ? it->second : -1;
 }
 
+BufferView bcast(const Comm& comm, const Group& group, int root_index,
+                 SharedBuffer buf, std::size_t logical_bytes, Tag tag) {
+  return bcast_walk(comm, group, root_index, std::move(buf), logical_bytes,
+                    tag, 0);
+}
+
 void bcast(const Comm& comm, const Group& group, int root_index,
            std::vector<double>& data, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
-  SharedBuffer buf;
-  if (v == 0) {
-    if (n == 1) return;
-    buf = make_shared_buffer(std::span<const double>(data));
-  } else {
-    buf = comm.recv_view(real_of(pos.parent_vrank, root_index, group),
-                         sub_tag(tag, 0, pos.recv_round))
-              .shared();
-  }
-  bcast_forward(comm, group, root_index, v, pos, buf,
-                buf->size() * sizeof(double), tag, 0);
-  if (v != 0) data = BufferView(std::move(buf)).take();
-}
-
-std::size_t bcast_ghost(const Comm& comm, const Group& group, int root_index,
-                        std::size_t logical_bytes, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
-  std::size_t count = logical_bytes;
-  if (v != 0)
-    count = comm.recv_ghost(real_of(pos.parent_vrank, root_index, group),
-                            sub_tag(tag, 0, pos.recv_round));
-  unsigned round = pos.first_send_round;
-  for (int mask = pos.first_mask; mask < n; mask <<= 1, ++round) {
-    if (v < mask && v + mask < n)
-      comm.send_ghost(real_of(v + mask, root_index, group),
-                      sub_tag(tag, 0, round), count);
-  }
-  return count;
-}
-
-void bcast_ints(const Comm& comm, const Group& group, int root_index,
-                std::vector<int>& data, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  const int v = vrank_of(me, root_index, n);
-  const BcastPosition pos = bcast_position(v);
-
-  // One bit-packed buffer (exact 4 B/element accounting) travels the same
-  // binomial tree as bcast, forwarded by reference hop-to-hop.
-  SharedBuffer buf;
-  std::size_t logical_bytes = data.size() * sizeof(int);
-  if (v == 0) {
-    if (n == 1) return;
-    buf = make_shared_buffer(pack_ints(data));
-  } else {
-    const BufferView view =
-        comm.recv_view(real_of(pos.parent_vrank, root_index, group),
-                       sub_tag(tag, 1, pos.recv_round));
-    logical_bytes = view.logical_bytes();
-    buf = view.shared();
-  }
-  bcast_forward(comm, group, root_index, v, pos, buf, logical_bytes, tag, 1);
-  if (v != 0)
-    data = unpack_ints(BufferView(std::move(buf)),
-                       logical_bytes / sizeof(int));
+  const bool root = group.index_of(comm.rank()) == root_index;
+  BufferView got = bcast(
+      comm, group, root_index,
+      root ? make_shared_buffer(std::span<const double>(data)) : nullptr,
+      data.size() * sizeof(double), tag);
+  if (!root) data = std::move(got).take();
 }
 
 void reduce_sum(const Comm& comm, const Group& group, int root_index,
@@ -254,18 +195,9 @@ MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
     }
   }
   // Broadcast the winner down the same tree, zero-copy.
-  const BcastPosition pos = bcast_position(me);
-  SharedBuffer buf;
-  if (me == 0) {
-    if (n == 1) return mine;
-    buf = encode(mine);
-  } else {
-    buf = comm.recv_view(group.at(pos.parent_vrank),
-                         sub_tag(tag, 5, pos.recv_round))
-              .shared();
-  }
-  bcast_forward(comm, group, 0, me, pos, buf, kPairBytes, tag, 5);
-  return {(*buf)[0], static_cast<int>((*buf)[1])};
+  const BufferView got = bcast_walk(
+      comm, group, 0, me == 0 ? encode(mine) : nullptr, kPairBytes, tag, 5);
+  return {got[0], static_cast<int>(got[1])};
 }
 
 std::vector<std::vector<double>> gather(const Comm& comm, const Group& group,

@@ -51,20 +51,19 @@ class Group {
   std::vector<std::pair<int, int>> sorted_;  ///< (rank, index), by rank
 };
 
-/// Binomial-tree broadcast of `data` from the group member at `root_index`.
-/// Non-root buffers are overwritten.
+/// Binomial-tree broadcast of one immutable payload from the group member
+/// at `root_index`. The root passes `buf` — null for a ghost, whose wire
+/// size alone travels — and its wire size `logical_bytes` (4 B per int for
+/// `pack_ints` payloads); the other members' arguments are ignored. Every
+/// member gets back a view of the root's payload (empty for a ghost)
+/// carrying that wire size. Each hop forwards the same shared buffer: zero
+/// copies.
+BufferView bcast(const Comm& comm, const Group& group, int root_index,
+                 SharedBuffer buf, std::size_t logical_bytes, Tag tag);
+
+/// Broadcast of `data` (8 B per element); non-root buffers are overwritten.
 void bcast(const Comm& comm, const Group& group, int root_index,
            std::vector<double>& data, Tag tag);
-
-/// Ghost broadcast: only a logical byte count (known at the root) travels.
-/// Returns the byte count on every rank.
-std::size_t bcast_ghost(const Comm& comm, const Group& group, int root_index,
-                        std::size_t logical_bytes, Tag tag);
-
-/// Broadcast of int indices, bit-packed two per double slot (exactly 4 B
-/// per element on the wire, same tree shape as bcast).
-void bcast_ints(const Comm& comm, const Group& group, int root_index,
-                std::vector<int>& data, Tag tag);
 
 /// Binomial-tree sum-reduction into the member at `root_index` (in place:
 /// on the root, `inout` holds the element-wise total on return; on other
@@ -72,7 +71,8 @@ void bcast_ints(const Comm& comm, const Group& group, int root_index,
 void reduce_sum(const Comm& comm, const Group& group, int root_index,
                 std::span<double> inout, Tag tag);
 
-/// Ghost reduction with the same tree shape and byte counts.
+/// Ghost reduction with the same tree shape and byte counts (the folded
+/// dry panel of lu/scalapack2d.cpp).
 void reduce_ghost(const Comm& comm, const Group& group, int root_index,
                   std::size_t logical_bytes, Tag tag);
 

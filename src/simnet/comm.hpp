@@ -1,11 +1,14 @@
 /// \file comm.hpp
 /// Per-rank communication endpoint: typed point-to-point operations over the
-/// simulated network, in both numeric (real payload) and dry-run ("ghost",
-/// bytes-only) flavours. Byte accounting uses 8 B per double and 4 B per
-/// int index, matching what the MPI datatypes would put on the wire.
-/// Payloads are immutable shared buffers (see message.hpp): `send_shared`
-/// and `multicast` move a refcounted buffer through the fabric with zero
-/// copies, and `recv_view` hands the receiver a non-owning view.
+/// simulated network. Byte accounting uses 8 B per double and 4 B per int
+/// index, matching what the MPI datatypes would put on the wire. Numeric
+/// and dry runs share every call: a send states its wire size once, and a
+/// dry run passes no payload (a "ghost" — null shared buffer or empty
+/// vector), for which `recv_view` returns an empty view carrying the same
+/// wire size. Payloads are immutable shared buffers (see message.hpp):
+/// `send_shared` and `multicast` move a refcounted buffer through the
+/// fabric with zero copies, and `recv_view` hands the receiver a
+/// non-owning view.
 #pragma once
 
 #include <cstring>
@@ -73,16 +76,11 @@ class Comm {
     net_->multicast(rank_, dsts, tag, std::move(buf), bytes);
   }
 
-  /// Multicast with an explicit wire size (packed int / mixed payloads).
+  /// Multicast with an explicit wire size (packed int / mixed payloads; a
+  /// null `buf` is a ghost).
   void multicast(std::span<const int> dsts, Tag tag, SharedBuffer buf,
                  std::size_t logical_bytes) const {
     net_->multicast(rank_, dsts, tag, std::move(buf), logical_bytes);
-  }
-
-  /// Ghost multicast: only byte counts travel (dry-run mode).
-  void multicast_ghost(std::span<const int> dsts, Tag tag,
-                       std::size_t logical_bytes) const {
-    net_->multicast(rank_, dsts, tag, nullptr, logical_bytes);
   }
 
   /// Blocking receive of a non-owning view of the payload. Reading is
@@ -104,8 +102,15 @@ class Comm {
   /// Move-send an owned buffer (no copy at all for large panels: the
   /// receiver's `take()` gets this very storage).
   void send(int dst, Tag tag, std::vector<double>&& data) const {
+    const std::size_t bytes = data.size() * sizeof(double);
+    send(dst, tag, std::move(data), bytes);
+  }
+
+  /// As above with an explicit wire size; an empty `data` is a ghost.
+  void send(int dst, Tag tag, std::vector<double>&& data,
+            std::size_t logical_bytes) const {
     Message msg;
-    msg.logical_bytes = data.size() * sizeof(double);
+    msg.logical_bytes = logical_bytes;
     msg.exclusive = std::move(data);
     net_->deliver(rank_, dst, tag, std::move(msg));
   }
@@ -130,20 +135,15 @@ class Comm {
     return unpack_ints(view, view.logical_bytes() / sizeof(int));
   }
 
-  // --- point-to-point, ghost (dry-run) ------------------------------------
+  // --- point-to-point, ghost --------------------------------------------
 
   /// Send only a byte count: exercises the same channel and accounting as a
-  /// real message without materializing data. Used by dry-run mode for
-  /// matrix payloads whose contents cannot affect communication volume.
+  /// real message without materializing data (zero-byte control messages,
+  /// fabric probes).
   void send_ghost(int dst, Tag tag, std::size_t logical_bytes) const {
     Message msg;
     msg.logical_bytes = logical_bytes;
     net_->deliver(rank_, dst, tag, std::move(msg));
-  }
-
-  /// Ghost send sized in doubles.
-  void send_ghost_doubles(int dst, Tag tag, std::size_t count) const {
-    send_ghost(dst, tag, count * sizeof(double));
   }
 
   /// Blocking receive of a ghost message; returns its logical byte count.

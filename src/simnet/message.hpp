@@ -74,6 +74,13 @@ using SharedBuffer = std::shared_ptr<const std::vector<double>>;
   return std::make_shared<std::vector<double>>(data.begin(), data.end());
 }
 
+/// A packed payload as the fabric carries it: null — a ghost, whose wire
+/// size alone travels — when nothing was packed. One send site thus serves
+/// numeric runs, which pack, and dry runs, which do not.
+[[nodiscard]] inline SharedBuffer payload_or_ghost(std::vector<double>&& data) {
+  return data.empty() ? nullptr : make_shared_buffer(std::move(data));
+}
+
 /// A receiver's non-owning handle to a delivered payload. The data may be
 /// aliased by other recipients of the same multicast; reading is always
 /// safe, and `take()` produces a private mutable copy (free for exclusive

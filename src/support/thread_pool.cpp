@@ -8,9 +8,9 @@
 namespace conflux::support {
 
 namespace {
-// Set while a thread is executing inside ThreadPool::worker_loop; used to
-// run nested parallel_for calls inline instead of deadlocking on busy
-// workers.
+// Set while a thread is executing inside ThreadPool::worker_loop, or is the
+// submitter running chunk 0 of a parallel_for; used to run nested
+// parallel_for calls inline instead of deadlocking on busy workers.
 thread_local const ThreadPool* g_current_pool = nullptr;
 
 int default_pool_size() {
@@ -109,7 +109,14 @@ void ThreadPool::parallel_for(int begin, int end,
       queue_.emplace_back([run_chunk, c] { run_chunk(c); });
   }
   cv_.notify_all();
-  run_chunk(0);  // the submitting thread takes the first chunk
+  // The submitting thread takes the first chunk, marked as a pool thread
+  // while it does: a nested parallel_for inside it (e.g. a GEMM in a fiber
+  // that a virtual-time worker loop resumes here) must run inline, since
+  // the workers may all be busy in this very parallel_for's chunks.
+  const ThreadPool* const outer = g_current_pool;
+  g_current_pool = this;
+  run_chunk(0);
+  g_current_pool = outer;
 
   std::unique_lock lock(shared.done_mutex);
   shared.done_cv.wait(lock, [&shared] { return shared.remaining == 0; });

@@ -50,9 +50,11 @@ TEST_P(CollectiveP, BcastGhostMatchesRealVolume) {
   });
   run_spmd(ghost, [&](Comm& comm) {
     const Group g = Group::iota(p);
-    const std::size_t n =
-        bcast_ghost(comm, g, 0, 57 * sizeof(double), make_tag(1, 0));
-    EXPECT_EQ(n, 57 * sizeof(double));
+    // A null payload is a ghost: every rank learns the wire size only.
+    const BufferView got =
+        bcast(comm, g, 0, nullptr, 57 * sizeof(double), make_tag(1, 0));
+    EXPECT_EQ(got.logical_bytes(), 57 * sizeof(double));
+    EXPECT_TRUE(got.empty());
   });
   EXPECT_EQ(real.stats().total().bytes_sent, ghost.stats().total().bytes_sent);
   EXPECT_EQ(real.stats().total().messages_sent,
@@ -162,10 +164,13 @@ TEST_P(CollectiveP, BcastIntsDelivers) {
   const int p = GetParam();
   run_spmd(p, [&](Comm& comm) {
     const Group g = Group::iota(p);
-    std::vector<int> data;
-    if (comm.rank() == 0) data = {3, -1, 4, 1 << 20, 5};
-    bcast_ints(comm, g, 0, data, make_tag(7, 0));
-    EXPECT_EQ(data, (std::vector<int>{3, -1, 4, 1 << 20, 5}));
+    // Only the root's payload and wire size travel.
+    const std::vector<int> data = {3, -1, 4, 1 << 20, 5};
+    const bool root = comm.rank() == 0;
+    const BufferView got =
+        bcast(comm, g, 0, root ? make_shared_buffer(pack_ints(data)) : nullptr,
+              root ? data.size() * sizeof(int) : 0, make_tag(7, 0));
+    EXPECT_EQ(unpack_ints(got, got.logical_bytes() / sizeof(int)), data);
   });
 }
 
@@ -178,13 +183,13 @@ TEST_P(CollectiveP, BcastIntsVolumeIsExactly4BytesPerElement) {
   Network real(p), ghost(p);
   run_spmd(real, [&](Comm& comm) {
     const Group g = Group::iota(p);
-    std::vector<int> data;
-    if (comm.rank() == 0) data.assign(count, 9);
-    bcast_ints(comm, g, 0, data, make_tag(7, 1));
+    const std::vector<int> data(count, 9);
+    (void)bcast(comm, g, 0, make_shared_buffer(pack_ints(data)),
+                count * sizeof(int), make_tag(7, 1));
   });
   run_spmd(ghost, [&](Comm& comm) {
     const Group g = Group::iota(p);
-    (void)bcast_ghost(comm, g, 0, count * sizeof(int), make_tag(7, 1));
+    (void)bcast(comm, g, 0, nullptr, count * sizeof(int), make_tag(7, 1));
   });
   EXPECT_EQ(real.stats().total().bytes_sent,
             static_cast<std::uint64_t>(p - 1) * count * sizeof(int));

@@ -141,7 +141,7 @@ TEST(Multicast, GhostAccountingMatchesReal) {
   });
   run_spmd(ghost, [&](Comm& comm) {
     if (comm.rank() == 0)
-      comm.multicast_ghost(dsts, 1, 33 * sizeof(double));
+      comm.multicast(dsts, 1, nullptr, 33 * sizeof(double));
     else
       EXPECT_EQ(comm.recv_ghost(0, 1), 33 * sizeof(double));
   });

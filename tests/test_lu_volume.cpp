@@ -6,6 +6,7 @@
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
+#include "models/machines.hpp"
 
 namespace conflux::lu {
 namespace {
@@ -37,6 +38,17 @@ TEST_P(DryEqualsNumeric, TotalVolumeWithinTolerance) {
   const double ratio = dry.total_bytes() / numeric.total_bytes();
   EXPECT_GT(ratio, 0.93) << algo << " n=" << n << " p=" << p;
   EXPECT_LT(ratio, 1.07) << algo << " n=" << n << " p=" << p;
+  // The 2.5D engines make one call per message site in both modes, so the
+  // message count obeys the same band. The 2D baselines do not: their dry
+  // panel folds kb per-column collectives into one per panel (see
+  // lu/scalapack2d.cpp), so they send about kb times fewer panel messages.
+  if (std::string(algo) == "COnfLUX" || std::string(algo) == "CALU") {
+    const double msg_ratio =
+        static_cast<double>(dry.total.messages_sent) /
+        static_cast<double>(numeric.total.messages_sent);
+    EXPECT_GT(msg_ratio, 0.93) << algo << " n=" << n << " p=" << p;
+    EXPECT_LT(msg_ratio, 1.07) << algo << " n=" << n << " p=" << p;
+  }
   EXPECT_EQ(dry.ranks_used, numeric.ranks_used);
   EXPECT_EQ(dry.block, numeric.block);
   EXPECT_EQ(dry.grid, numeric.grid);
@@ -47,6 +59,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_tuple("COnfLUX", 128, 8),
                       std::make_tuple("COnfLUX", 192, 12),
                       std::make_tuple("COnfLUX", 128, 16),
+                      std::make_tuple("CALU", 128, 8),
+                      std::make_tuple("CALU", 128, 16),
                       std::make_tuple("LibSci", 128, 8),
                       std::make_tuple("LibSci", 192, 9),
                       std::make_tuple("SLATE", 128, 8),
@@ -57,6 +71,39 @@ TEST(DryRun, DeterministicAcrossRepeats) {
   const LuResult b = run_mode("COnfLUX", 256, 16, Mode::DryRun);
   EXPECT_EQ(a.total.bytes_sent, b.total.bytes_sent);
   EXPECT_EQ(a.total.messages_sent, b.total.messages_sent);
+}
+
+TEST(DryRun, TournamentPinnedWhereTheProcessColumnIsTall) {
+  // Piz Daint link, N = 1024, P = 512: grid [10 x 10 x 5] with v = 16, so
+  // the step-2 tournament runs over Px = 10 participants — the butterfly
+  // folds 2 of them in and runs three rounds, and CALU's reduction tree
+  // has 10 leaves. The commcheck pins (P <= 9) reach Px <= 3 only. Every
+  // value is the schedule's exact output; a change to any of them is a
+  // schedule change.
+  struct Pin {
+    const char* algo;
+    std::uint64_t bytes;
+    std::uint64_t messages;
+    double predicted_seconds;
+  };
+  const models::Machine m = models::machine_by_name("Piz Daint");
+  for (const Pin& pin : {Pin{"COnfLUX", 189076952, 119143,
+                             0.0016434039999999835},
+                         Pin{"CALU", 186762912, 118055,
+                             0.0016427463999999837}}) {
+    LuConfig cfg;
+    cfg.n = 1024;
+    cfg.p = 512;
+    cfg.mode = Mode::DryRun;
+    cfg.fabric.mode = simnet::ExecMode::VirtualTime;
+    cfg.fabric.link = {m.alpha_s, m.beta_s_per_byte, m.gamma_s_per_flop};
+    const LuResult r = make_algorithm(pin.algo)->run(nullptr, cfg);
+    EXPECT_EQ(r.grid, "[10 x 10 x 5]") << pin.algo;
+    EXPECT_EQ(r.block, 16) << pin.algo;
+    EXPECT_EQ(r.total.bytes_sent, pin.bytes) << pin.algo;
+    EXPECT_EQ(r.total.messages_sent, pin.messages) << pin.algo;
+    EXPECT_DOUBLE_EQ(r.predicted_seconds, pin.predicted_seconds) << pin.algo;
+  }
 }
 
 TEST(DryRun, SeedChangesScheduleNotScale) {

@@ -1,14 +1,19 @@
 // The virtual-time execution mode: cooperative-fiber scheduling at rank
 // counts far beyond the host's cores, LogGP clock semantics, bit-identical
 // determinism across repeated runs and worker counts, CommVolume parity
-// with the threaded rank team, the make_tag wide-layout regression, and
-// shared-channel-slot stress at P = 256.
+// with the threaded rank team, the make_tag wide-layout regression,
+// shared-channel-slot stress at P = 256, and numeric factorizations at the
+// default fiber-worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "linalg/generate.hpp"
+#include "lu/lu_common.hpp"
+#include "models/machines.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "simnet/trace.hpp"
@@ -350,6 +355,31 @@ TEST(VirtualTime, CommVolumeMatchesThreadedModeBitForBit) {
     EXPECT_EQ(a.bytes_received, b.bytes_received) << "rank " << r;
     EXPECT_EQ(a.messages_sent, b.messages_sent) << "rank " << r;
     EXPECT_EQ(a.messages_received, b.messages_received) << "rank " << r;
+  }
+}
+
+// --- numeric factorizations on the fiber workers ----------------------------
+
+TEST(VirtualTime, NumericFactorizationsFinishAtDefaultWorkerCount) {
+  // A fiber resumed by a worker loop on the thread that submitted the loops
+  // to the pool calls the optimized GEMM, whose parallel_for must then run
+  // inline: the pool's workers are all busy running the other worker
+  // loops. N = 256 makes the GEMMs large enough to split. On a 1-core host
+  // the pool runs everything inline and this passes trivially.
+  const models::Machine m = models::machine_by_name("Piz Daint");
+  const linalg::Matrix a =
+      linalg::generate(256, linalg::MatrixKind::Uniform, 7);
+  for (const char* algo : {"COnfLUX", "LibSci"}) {
+    lu::LuConfig cfg;
+    cfg.n = 256;
+    cfg.p = 4;
+    cfg.mode = lu::Mode::Numeric;
+    cfg.verify = true;
+    cfg.fabric.mode = ExecMode::VirtualTime;
+    cfg.fabric.link = {m.alpha_s, m.beta_s_per_byte, m.gamma_s_per_flop};
+    const lu::LuResult r = lu::make_algorithm(algo)->run(&a, cfg);
+    EXPECT_GT(r.predicted_seconds, 0.0) << algo;
+    EXPECT_LT(r.residual_eps, 100.0 * std::max(1.0, r.growth)) << algo;
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <tuple>
 
 #include "factor/layout2d.hpp"
 #include "grid/grid_opt.hpp"
@@ -71,6 +71,11 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   auto rank_of = [&](int pr, int pc) {
     return params.base_rank + g.rank_of(pr, pc);
   };
+  // Every collective below runs over my own process row or column (the
+  // panel's column group is used only when me.pc == pck), so both groups
+  // are built once, not per step.
+  const Group my_row = factor::row_group(g, me.pr, params.base_rank);
+  const Group my_col = factor::col_group(g, me.pc, params.base_rank);
 
   std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
   const int steps = n / nb;
@@ -87,7 +92,6 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
-        const Group cg = factor::col_group(g, pck, params.base_rank);
         for (int j = k0; j < k0 + kb; ++j) {
           const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
           // Local pivot search in column j, rows >= j.
@@ -101,8 +105,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
               mine.location = me.my_rows[static_cast<std::size_t>(il)];
             }
           }
-          const simnet::MaxLoc win =
-              simnet::allreduce_maxloc(comm, cg, mine, make_tag(20, ts, js));
+          const simnet::MaxLoc win = simnet::allreduce_maxloc(
+              comm, my_col, mine, make_tag(20, ts, js));
           const int piv = win.location >= 0 ? win.location : j;
           ipiv[static_cast<std::size_t>(j)] = piv;
 
@@ -140,7 +144,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             for (int col = j; col < k0 + kb; ++col)
               seg[static_cast<std::size_t>(col - j)] = me.loc(r, me.lcol(col));
           }
-          simnet::bcast(comm, cg, powner, seg, make_tag(22, ts, js));
+          simnet::bcast(comm, my_col, powner, seg, make_tag(22, ts, js));
 
           // Scale column j below the diagonal and rank-1 update the panel.
           const double diag = seg[0];
@@ -176,17 +180,16 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             j + static_cast<int>(swap_hash(params.seed, j) %
                                  static_cast<std::uint64_t>(n - j));
       if (me.pc == pck) {
-        const Group cg = factor::col_group(g, pck, params.base_rank);
         const std::size_t pair_bytes =
             static_cast<std::size_t>(kb) * (sizeof(double) + sizeof(int));
-        simnet::reduce_ghost(comm, cg, 0, pair_bytes, make_tag(20, ts, 0));
-        (void)simnet::bcast(comm, cg, 0, nullptr, pair_bytes,
+        simnet::reduce_ghost(comm, my_col, 0, pair_bytes, make_tag(20, ts, 0));
+        (void)simnet::bcast(comm, my_col, 0, nullptr, pair_bytes,
                             make_tag(20, ts, 1));
         // Pivot-row segments: sum over columns of (kb - jj) doubles.
         const std::size_t seg_doubles =
             static_cast<std::size_t>(kb) * (kb + 1) / 2;
-        (void)simnet::bcast(comm, cg, 0, nullptr, seg_doubles * sizeof(double),
-                            make_tag(22, ts, 0));
+        (void)simnet::bcast(comm, my_col, 0, nullptr,
+                            seg_doubles * sizeof(double), make_tag(22, ts, 0));
         // Panel-width swap exchanges.
         for (int j = k0; j < k0 + kb; ++j) {
           const int piv = ipiv[static_cast<std::size_t>(j)];
@@ -216,8 +219,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             std::span<const int>(ipiv).subspan(static_cast<std::size_t>(k0),
                                                static_cast<std::size_t>(kb)));
       const simnet::BufferView got = simnet::bcast(
-          comm, factor::row_group(g, me.pr, params.base_rank), pck,
-          simnet::payload_or_ghost(std::move(packed)),
+          comm, my_row, pck, simnet::payload_or_ghost(std::move(packed)),
           static_cast<std::size_t>(kb) * sizeof(int), make_tag(26, ts, 0));
       if (numeric) {
         const std::vector<int> piv_step =
@@ -231,32 +233,31 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
       // Convert the kb sequential swaps into an explicit permutation
-      // (pdlapiv semantics): occupant[pos] = original row whose data must
-      // end up at position pos. Applying moves from original positions is
-      // then order-independent, so messages batch safely even when swap
-      // chains share rows. A flat (pos, row) list beats a std::map here:
-      // at most 2*kb entries, rebuilt by every rank every step.
-      std::vector<std::pair<int, int>> occupant;
-      occupant.reserve(2 * static_cast<std::size_t>(kb));
-      auto occ = [&](int pos) {
-        for (const auto& [p, row] : occupant)
-          if (p == pos) return row;
-        return pos;
-      };
-      auto set_occ = [&](int pos, int row) {
-        for (auto& [p, r] : occupant)
-          if (p == pos) {
-            r = row;
-            return;
-          }
-        occupant.emplace_back(pos, row);
-      };
+      // (pdlapiv semantics) over the touched positions, sorted once (at most
+      // 2*kb): from[i] = original row whose data must end up at touched[i].
+      // Applying moves from original positions is then order-independent,
+      // so messages batch safely even when swap chains share rows. Every
+      // rank builds this in O(kb log kb) per step.
+      std::vector<int> touched;
+      touched.reserve(2 * static_cast<std::size_t>(kb));
       for (int j = k0; j < k0 + kb; ++j) {
         const int piv = ipiv[static_cast<std::size_t>(j)];
         if (piv == j) continue;
-        const int oj = occ(j), op = occ(piv);
-        set_occ(j, op);
-        set_occ(piv, oj);
+        touched.push_back(j);
+        touched.push_back(piv);
+      }
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+      std::vector<int> from = touched;
+      auto index_of = [&](int pos) {
+        return static_cast<std::size_t>(
+            std::lower_bound(touched.begin(), touched.end(), pos) -
+            touched.begin());
+      };
+      for (int j = k0; j < k0 + kb; ++j) {
+        const int piv = ipiv[static_cast<std::size_t>(j)];
+        if (piv != j) std::swap(from[index_of(j)], from[index_of(piv)]);
       }
       // Columns outside the panel that I own (sender and receiver live in
       // the same process column, so both sides see the same width): local
@@ -271,17 +272,39 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         for (int jl = panel_hi; jl < ncols; ++jl) fn(jl);
       };
 
-      // Moves grouped by (source owner -> destination owner). Every rank
-      // iterates `occupant` in the same (deterministic) order, so the
-      // per-pair move lists agree between sender and receiver.
-      std::map<std::pair<int, int>, std::vector<std::pair<int, int>>> moves;
-      for (const auto& [pos, src] : occupant) {
-        if (pos == src) continue;
-        moves[{me.rowmap.owner_of(src), me.rowmap.owner_of(pos)}]
-            .emplace_back(src, pos);
-      }
+      // Moves grouped by (source owner -> destination owner): one flat
+      // list, stable-sorted, so every rank sees the same groups in the same
+      // order and the per-pair move lists agree between sender and
+      // receiver. Group i (counting from 1) is pair i of the step's tags.
+      struct Move {
+        int osrc, odst, src, pos;
+      };
+      std::vector<Move> moves;
+      moves.reserve(touched.size());
+      for (std::size_t i = 0; i < touched.size(); ++i)
+        if (from[i] != touched[i])
+          moves.push_back({me.rowmap.owner_of(from[i]),
+                           me.rowmap.owner_of(touched[i]), from[i],
+                           touched[i]});
+      std::stable_sort(moves.begin(), moves.end(),
+                       [](const Move& a, const Move& b) {
+                         return std::tie(a.osrc, a.odst) <
+                                std::tie(b.osrc, b.odst);
+                       });
+      // fn(pair_id, first, last) over each owner pair's moves.
+      auto for_each_pair = [&](auto&& fn) {
+        unsigned pair_id = 0;
+        for (auto first = moves.begin(); first != moves.end();) {
+          auto last = first;
+          while (last != moves.end() && last->osrc == first->osrc &&
+                 last->odst == first->odst)
+            ++last;
+          fn(++pair_id, first, last);
+          first = last;
+        }
+      };
       // Stage all outgoing data before any write, then send, then receive.
-      std::vector<std::pair<int, int>> local_moves;  // (src, pos), same owner
+      std::vector<Move> local_moves;  // same owner, mine
       struct Outgoing {
         int dst_rank;
         Tag tag;
@@ -289,39 +312,32 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         std::size_t count;
       };
       std::vector<Outgoing> outbox;
-      unsigned pair_id = 0;
-      for (const auto& [owners, mv] : moves) {
-        const auto [osrc, odst] = owners;
-        ++pair_id;
-        if (osrc == odst) {
-          if (me.pr == osrc)
-            local_moves.insert(local_moves.end(), mv.begin(), mv.end());
-          continue;
+      for_each_pair([&](unsigned pair_id, auto first, auto last) {
+        if (me.pr != first->osrc) return;
+        if (first->osrc == first->odst) {
+          local_moves.insert(local_moves.end(), first, last);
+          return;
         }
-        if (me.pr == osrc) {
-          Outgoing out;
-          out.dst_rank = rank_of(odst, me.pc);
-          out.tag = make_tag(23, ts, pair_id);
-          out.count = mv.size() * out_count;
-          if (numeric) {
-            out.buf.reserve(out.count);
-            for (const auto& [src, pos] : mv) {
-              const int r = me.lrow(src);
-              for_each_out_col(
-                  [&](int jl) { out.buf.push_back(me.loc(r, jl)); });
-            }
+        Outgoing out;
+        out.dst_rank = rank_of(first->odst, me.pc);
+        out.tag = make_tag(23, ts, pair_id);
+        out.count = static_cast<std::size_t>(last - first) * out_count;
+        if (numeric) {
+          out.buf.reserve(out.count);
+          for (auto mv = first; mv != last; ++mv) {
+            const int r = me.lrow(mv->src);
+            for_each_out_col([&](int jl) { out.buf.push_back(me.loc(r, jl)); });
           }
-          outbox.push_back(std::move(out));
         }
-      }
+        outbox.push_back(std::move(out));
+      });
       // Stage local (same-owner) moves: read everything, then write.
       std::vector<std::vector<double>> staged;
-      if (numeric && me.pr >= 0) {
-        for (const auto& [src, pos] : local_moves) {
-          (void)pos;
+      if (numeric) {
+        for (const Move& mv : local_moves) {
           std::vector<double> row;
           row.reserve(out_count);
-          const int r = me.lrow(src);
+          const int r = me.lrow(mv.src);
           for_each_out_col([&](int jl) { row.push_back(me.loc(r, jl)); });
           staged.push_back(std::move(row));
         }
@@ -331,26 +347,22 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
                   out.count * sizeof(double));
       if (numeric) {
         for (std::size_t i = 0; i < local_moves.size(); ++i) {
-          const int r = me.lrow(local_moves[i].second);
+          const int r = me.lrow(local_moves[i].pos);
           std::size_t idx = 0;
           for_each_out_col([&](int jl) { me.loc(r, jl) = staged[i][idx++]; });
         }
       }
-      pair_id = 0;
-      for (const auto& [owners, mv] : moves) {
-        const auto [osrc, odst] = owners;
-        ++pair_id;
-        if (osrc == odst || me.pr != odst) continue;
-        const simnet::BufferView buf =
-            comm.recv_view(rank_of(osrc, me.pc), make_tag(23, ts, pair_id));
-        if (!numeric) continue;
+      for_each_pair([&](unsigned pair_id, auto first, auto last) {
+        if (first->osrc == first->odst || me.pr != first->odst) return;
+        const simnet::BufferView buf = comm.recv_view(
+            rank_of(first->osrc, me.pc), make_tag(23, ts, pair_id));
+        if (!numeric) return;
         const double* in = buf.data();
-        for (const auto& [src, pos] : mv) {
-          (void)src;
-          const int r = me.lrow(pos);
+        for (auto mv = first; mv != last; ++mv) {
+          const int r = me.lrow(mv->pos);
           for_each_out_col([&](int jl) { me.loc(r, jl) = *in++; });
         }
-      }
+      });
     }
 
     // ---- Broadcast the L panel along process rows -----------------------
@@ -370,9 +382,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             buf.push_back(me.loc(il, me.lcol(col)));
       }
       const simnet::BufferView got = simnet::bcast(
-          comm, factor::row_group(g, me.pr, params.base_rank), pck,
-          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
-          make_tag(24, ts, 0));
+          comm, my_row, pck, simnet::payload_or_ghost(std::move(buf)),
+          count * sizeof(double), make_tag(24, ts, 0));
       if (numeric) {
         lpanel = Matrix(m_loc, kb);
         std::copy(got.data(), got.data() + count, lpanel.data());
@@ -408,9 +419,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         buf.assign(u01.data(), u01.data() + u01.size());
       }
       const simnet::BufferView got = simnet::bcast(
-          comm, factor::col_group(g, me.pc, params.base_rank), prk,
-          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
-          make_tag(25, ts, 0));
+          comm, my_col, prk, simnet::payload_or_ghost(std::move(buf)),
+          count * sizeof(double), make_tag(25, ts, 0));
       if (numeric && me.pr != prk) {
         u01 = Matrix(kb, ntrail);
         std::copy(got.data(), got.data() + count, u01.data());

@@ -98,7 +98,7 @@ void Network::enqueue(int dst, int src, Tag tag, Message msg) {
   bool wake = false;
   {
     const std::lock_guard<std::mutex> lock(ch.mutex);
-    ch.queues[{src, tag}].push_back(std::move(msg));
+    ch.pending.push_back({src, tag, std::move(msg)});
     if (vt_ != nullptr) {
       // Fiber wakeup shares the channel mutex with the park handshake, so
       // a deliver concurrent with a park either lands before the parking
@@ -216,25 +216,26 @@ std::vector<ParkedRank> Network::parked_snapshot() {
   return out;
 }
 
-/// Match the head of `me`'s (src, tag) queue in `ch` (caller holds
+/// Match the first pending (src, tag) entry in `ch` (caller holds
 /// ch.mutex): true iff a ripe message waits there. With `out`, the message
 /// is also dequeued into it; without, this is a probe. A fault-injected
 /// link delay stamps a not-before instant (Threaded mode only), and FIFO
-/// order within the channel must hold, so an unripe head means "nothing
-/// yet" (`ripe_at` reports when to re-check).
+/// order within the channel must hold, so an unripe first match means
+/// "nothing yet" (`ripe_at` reports when to re-check).
 bool Network::pop(Channel& ch, int me, int src, Tag tag, Message* out,
                   std::uint64_t* ripe_at) {
-  const auto it = ch.queues.find(std::make_pair(src, tag));
-  if (it == ch.queues.end() || it->second.empty()) return false;
-  Message& front = it->second.front();
+  const auto it = std::find_if(
+      ch.pending.begin(), ch.pending.end(),
+      [&](const Pending& e) { return e.src == src && e.tag == tag; });
+  if (it == ch.pending.end()) return false;
+  const Message& front = it->msg;
   if (front.not_before_ns != 0 && telemetry::now_ns() < front.not_before_ns) {
     if (ripe_at != nullptr) *ripe_at = front.not_before_ns;
     return false;
   }
   if (out == nullptr) return true;
-  *out = std::move(front);
-  it->second.pop_front();
-  if (it->second.empty()) ch.queues.erase(it);
+  *out = std::move(it->msg);
+  ch.pending.erase(it);
   inbound_[static_cast<std::size_t>(me)].depth.fetch_sub(
       1, std::memory_order_relaxed);
   return true;
@@ -515,7 +516,7 @@ void Network::run_team(const std::function<void(int)>& job) {
   if (aborted()) {
     for (auto& ch : channels_) {
       const std::lock_guard<std::mutex> lock(ch.mutex);
-      ch.queues.clear();
+      ch.pending.clear();
       ch.waiting = false;
     }
     for (Inbound& in : inbound_) in.depth.store(0, std::memory_order_relaxed);

@@ -14,9 +14,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -165,12 +163,23 @@ class Network {
  private:
   friend class VtRuntime;  ///< parks/wakes under the channel mutexes
 
-  /// One (destination, source-slot) channel. Queues are keyed by
-  /// (source, tag) so slot sharing at very large rank counts stays correct.
+  /// A delivered message not yet matched by a receive.
+  struct Pending {
+    int src = -1;
+    Tag tag = 0;
+    Message msg;
+  };
+
+  /// One (destination, source-slot) channel. Its mailbox is one flat FIFO
+  /// of pending (source, tag) entries — MPI's unexpected-message queue: a
+  /// receive takes the first entry that matches, so order per (source,
+  /// destination, tag) holds, and slot sharing at very large rank counts
+  /// stays correct. The vector's capacity is reused, so a deliver
+  /// allocates nothing per key.
   struct Channel {
     std::mutex mutex;
     std::condition_variable cv;
-    std::map<std::pair<int, Tag>, std::deque<Message>> queues;
+    std::vector<Pending> pending;
     // What the destination thread is parked on, if anything. Guarded by
     // `mutex`; lets deliver skip the notify for non-matching traffic.
     int waiting_src = -1;

@@ -150,41 +150,59 @@ TEST(Multicast, GhostAccountingMatchesReal) {
             ghost.stats().total().messages_sent);
 }
 
-TEST(Fabric, FifoPerChannelUnderInterleavedTagStress) {
-  // Many ranks, several concurrent senders per receiver, interleaved tags:
-  // per-(source, destination, tag) channels must each stay FIFO even though
-  // messages of different tags interleave arbitrarily on the same pair.
-  const int p = 16;
+/// Many ranks, two concurrent senders per receiver (at distances 1 and
+/// `far`) on the same tags, interleaved: per-(source, destination, tag)
+/// channels must each stay FIFO even though messages of different tags —
+/// and, where the two sources share a channel slot, of different sources —
+/// interleave arbitrarily in one mailbox.
+void interleaved_tag_stress(ExecMode mode, int p, int far) {
   const int per_tag = 40;
   const Tag tags[] = {11, 22, 33};
-  run_spmd(p, [&](Comm& comm) {
+  FabricSpec spec;
+  spec.mode = mode;
+  Network net(p, spec);
+  run_spmd(net, [&](Comm& comm) {
     const int me = comm.rank();
     const int next = (me + 1) % p;
     const int prev = (me + p - 1) % p;
-    const int next2 = (me + 2) % p;
-    const int prev2 = (me + p - 2) % p;
+    const int next_far = (me + far) % p;
+    const int prev_far = (me + p - far) % p;
     // Round-robin the tag streams so their messages interleave per channel.
     for (int i = 0; i < per_tag; ++i) {
       for (Tag t : tags) {
-        comm.send(next, t,
-                  std::vector<double>{static_cast<double>(i), double(t)});
-        comm.send(next2, t + 100,
-                  std::vector<double>{static_cast<double>(i)});
+        const std::vector<double> msg = {static_cast<double>(i), double(t),
+                                         static_cast<double>(me)};
+        comm.send(next, t, msg);
+        comm.send(next_far, t, msg);
       }
     }
-    // Drain the far stream first, then the near streams in reverse tag
-    // order: ordering within each channel must still be send order.
-    for (int i = 0; i < per_tag; ++i)
-      for (Tag t : tags)
-        EXPECT_EQ(comm.recv_view(prev2, t + 100)[0], static_cast<double>(i));
-    for (auto it = std::rbegin(tags); it != std::rend(tags); ++it) {
-      for (int i = 0; i < per_tag; ++i) {
-        const BufferView v = comm.recv_view(prev, *it);
-        EXPECT_EQ(v[0], static_cast<double>(i));
-        EXPECT_EQ(v[1], static_cast<double>(*it));
-      }
+    // Drain tag by tag in reverse send order, alternating which source
+    // goes first: whichever stream reached a shared slot first, some
+    // receive asks for the other one while the first one's same-tag
+    // messages still wait ahead of it. Within each channel, ordering must
+    // still be send order.
+    auto expect = [&](int src, Tag t, int i) {
+      const BufferView v = comm.recv_view(src, t);
+      EXPECT_EQ(v[0], static_cast<double>(i));
+      EXPECT_EQ(v[1], static_cast<double>(t));
+      EXPECT_EQ(v[2], static_cast<double>(src));
+    };
+    for (std::size_t k = std::size(tags); k-- > 0;) {
+      const int first = k % 2 == 0 ? prev_far : prev;
+      const int second = first == prev ? prev_far : prev;
+      for (int i = 0; i < per_tag; ++i) expect(first, tags[k], i);
+      for (int i = 0; i < per_tag; ++i) expect(second, tags[k], i);
     }
   });
+}
+
+TEST(Fabric, FifoPerChannelUnderInterleavedTagStress) {
+  // Threaded, P = 16: every source has a channel slot of its own.
+  interleaved_tag_stress(ExecMode::Threaded, 16, 2);
+  // Virtual time, P = 80 > 64 channel slots: sources r and r + 64 share a
+  // slot, so receivers 65..79 find both streams (from me - 1 and me - 65)
+  // in one mailbox, and a receive must match the source as well as the tag.
+  interleaved_tag_stress(ExecMode::VirtualTime, 80, 65);
 }
 
 TEST(RankTeam, ThreadsAreReusedAcrossRuns) {

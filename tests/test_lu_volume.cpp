@@ -74,23 +74,34 @@ TEST(DryRun, DeterministicAcrossRepeats) {
 }
 
 TEST(DryRun, TournamentPinnedWhereTheProcessColumnIsTall) {
-  // Piz Daint link, N = 1024, P = 512: grid [10 x 10 x 5] with v = 16, so
-  // the step-2 tournament runs over Px = 10 participants — the butterfly
-  // folds 2 of them in and runs three rounds, and CALU's reduction tree
-  // has 10 leaves. The commcheck pins (P <= 9) reach Px <= 3 only. Every
-  // value is the schedule's exact output; a change to any of them is a
-  // schedule change.
+  // Piz Daint link, N = 1024, P = 512. COnfLUX and CALU: grid
+  // [10 x 10 x 5] with v = 16, so the step-2 tournament runs over Px = 10
+  // participants — the butterfly folds 2 of them in and runs three rounds,
+  // and CALU's reduction tree has 10 leaves. The 2D baselines: process
+  // columns of 16, 22 and 11 ranks, so every pdlaswp step groups its row
+  // moves over many (source owner, destination owner) pairs. The commcheck
+  // pins (P <= 9) reach Px <= 3 only. Every value is the schedule's exact
+  // output; a change to any of them is a schedule change.
   struct Pin {
     const char* algo;
+    const char* grid;
+    int block;
     std::uint64_t bytes;
     std::uint64_t messages;
     double predicted_seconds;
   };
   const models::Machine m = models::machine_by_name("Piz Daint");
-  for (const Pin& pin : {Pin{"COnfLUX", 189076952, 119143,
-                             0.0016434039999999835},
-                         Pin{"CALU", 186762912, 118055,
-                             0.0016427463999999837}}) {
+  for (const Pin& pin :
+       {Pin{"COnfLUX", "[10 x 10 x 5]", 16, 189076952, 119143,
+            0.0016434039999999835},
+        Pin{"CALU", "[10 x 10 x 5]", 16, 186762912, 118055,
+            0.0016427463999999837},
+        Pin{"LibSci", "[16 x 32]", 64, 216994816, 33624,
+            0.0012661199999999826},
+        Pin{"SLATE", "[22 x 23]", 16, 199510016, 126206,
+            0.0014049504000000195},
+        Pin{"CANDMC", "[11 x 11] x 4", 64, 401473536, 39048,
+            0.0012641759999999802}}) {
     LuConfig cfg;
     cfg.n = 1024;
     cfg.p = 512;
@@ -98,8 +109,8 @@ TEST(DryRun, TournamentPinnedWhereTheProcessColumnIsTall) {
     cfg.fabric.mode = simnet::ExecMode::VirtualTime;
     cfg.fabric.link = {m.alpha_s, m.beta_s_per_byte, m.gamma_s_per_flop};
     const LuResult r = make_algorithm(pin.algo)->run(nullptr, cfg);
-    EXPECT_EQ(r.grid, "[10 x 10 x 5]") << pin.algo;
-    EXPECT_EQ(r.block, 16) << pin.algo;
+    EXPECT_EQ(r.grid, pin.grid) << pin.algo;
+    EXPECT_EQ(r.block, pin.block) << pin.algo;
     EXPECT_EQ(r.total.bytes_sent, pin.bytes) << pin.algo;
     EXPECT_EQ(r.total.messages_sent, pin.messages) << pin.algo;
     EXPECT_DOUBLE_EQ(r.predicted_seconds, pin.predicted_seconds) << pin.algo;

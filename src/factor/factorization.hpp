@@ -72,11 +72,12 @@ struct FactorConfig {
   /// dry run; numeric runs can attach it too to check the dry-run contract.
   simnet::TraceRecorder* trace = nullptr;
 
-  /// Execution mode of the run's fabric (simnet/vtime.hpp). Threaded (the
-  /// default) runs one OS thread per rank; VirtualTime multiplexes
-  /// cooperative fibers over the thread pool with a LogGP clock, which is
-  /// what lets the benches run P = 512–4096 on a laptop-class host and
-  /// report a *predicted* wall clock (FactorResult::predicted_seconds).
+  /// The clock of the run's fabric (simnet/vtime.hpp). Either way the ranks
+  /// run as cooperative fibers over min(pool size, P) host threads.
+  /// HostClock (the default) charges nothing and stamps host time;
+  /// VirtualTime keeps a LogGP clock per rank, which is what lets the
+  /// benches run P = 512–4096 on a laptop-class host and report a
+  /// *predicted* wall clock (FactorResult::predicted_seconds).
   simnet::FabricSpec fabric;
 
   /// Optional ConfScope telemetry (support/telemetry.hpp), mirroring the
@@ -91,7 +92,9 @@ struct FactorConfig {
   /// Optional ConfChaos fault plan (simnet/faults.hpp), mirroring the
   /// `trace`/`telemetry` hooks: when set, the run's Network attaches this
   /// plan and every remote message consults it for seeded link delays,
-  /// rank stalls and payload bit-flips. Null (the default) costs nothing.
+  /// rank stalls and payload bit-flips. Delays and stalls are charged to
+  /// the virtual clock, so a plan that makes them needs a VirtualTime
+  /// fabric. Null (the default) costs nothing.
   simnet::FaultPlan* faults = nullptr;
 
   /// End-to-end payload integrity: stamp every payload with its FNV-1a
@@ -100,9 +103,9 @@ struct FactorConfig {
   /// default (zero hot-path cost).
   bool integrity = false;
 
-  /// Containment policy for the run's fabric: receive deadlines (Threaded)
-  /// and the virtual-clock cap (VirtualTime). All-zero (the default) waits
-  /// forever, exactly as before ConfChaos.
+  /// Containment policy for the run's fabric: the virtual-clock cap
+  /// (VirtualTime). All-zero (the default) sets no cap; a deadlock fails
+  /// the run under either clock.
   simnet::RunPolicy policy;
 };
 
@@ -120,8 +123,8 @@ struct FactorResult {
   double seconds = 0;                ///< wall time of the simulated run
 
   /// Virtual-time runs only: the predicted wall clock of the run on the
-  /// modeled machine — the maximum per-rank LogGP clock at the join. 0 for
-  /// threaded runs.
+  /// modeled machine — the maximum per-rank LogGP clock at the join. 0
+  /// under the host clock.
   double predicted_seconds = 0;
 
   /// Recovery accounting (factor/retry.hpp). attempts counts runs

@@ -32,7 +32,7 @@ struct RetryPolicy {
   int max_attempts = 3;      ///< total tries, including the first
   double backoff_s = 0.01;   ///< first inter-attempt backoff
   double backoff_max_s = 1.0;  ///< cap for the exponential growth
-  /// Sleep the backoff for real (Threaded mode). False in virtual-time
+  /// Sleep the backoff for real (host-clock runs). False in virtual-time
   /// mode: the backoff is recorded in FactorResult::backoff_seconds but
   /// not slept — the simulated machine's recovery latency, not the host's.
   bool real_sleep = true;

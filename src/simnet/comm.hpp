@@ -166,10 +166,7 @@ class Comm {
     return net_->stats().rank_volume(rank_);
   }
 
-  // --- virtual time (no-ops / 0 in threaded mode) --------------------------
-
-  /// True when the fabric runs in virtual-time mode (fibers + LogGP clock).
-  [[nodiscard]] bool virtual_time() const { return net_->virtual_time(); }
+  // --- virtual time (no-ops / 0 under the host clock) ----------------------
 
   /// Charge local compute to this rank's virtual clock (gamma * flops).
   void charge_flops(double flops) const { net_->charge_flops(rank_, flops); }

@@ -87,7 +87,7 @@ FaultPlan::Injection FaultPlan::at_delivery(int src, int dst, Tag tag,
                       (CommContext{.src = src, .dst = dst}.with_tag(tag)));
   // The per-source sequence number advances in the sender's program order —
   // fixed by the dataflow — so this key, and every decision derived from
-  // it, is identical across repeats, host pool sizes and execution modes.
+  // it, is identical across repeats, host pool sizes and clocks.
   const std::uint64_t seq = seq_[static_cast<std::size_t>(src)].fetch_add(
       1, std::memory_order_relaxed);
   const std::uint64_t key =

@@ -8,22 +8,21 @@
 /// rank stall, or a payload bit-flip. Every decision is a pure function of
 /// (seed, attempt, src, dst, tag, per-source sequence number): the sequence
 /// number advances in the sender's program order, which the dataflow fixes,
-/// so chaos runs are bit-for-bit reproducible across repeats, host pool
-/// sizes and execution modes. In ExecMode::Threaded the faults become real
-/// sleeps (stalls on the sender, delays as a delivery-ripeness timestamp
-/// the receiver honors); in ExecMode::VirtualTime they fold into the
-/// per-rank LogGP clock, so injected chaos is makespan-visible and the
-/// predicted wall clock stays deterministic.
+/// so chaos runs are bit-for-bit reproducible across repeats and host
+/// worker counts. Delays and stalls fold into the per-rank LogGP clock, so
+/// they need ExecMode::VirtualTime: injected chaos is makespan-visible and
+/// the predicted wall clock stays deterministic. Bit-flips work under
+/// either clock.
 ///
-/// Containment — RunPolicy puts a deadline on blocked receives (real
-/// seconds per receive in Threaded mode, a virtual-clock cap in VirtualTime
-/// mode) so a lost or indefinitely delayed message becomes a typed
-/// ReceiveTimeout carrying the full CommContext, a parked-channel snapshot
-/// and queue-depth high-water marks — a located diagnostic instead of a CI
-/// hang. Payload integrity (FactorConfig::integrity) stamps every payload
-/// with the trace layer's FNV-1a fingerprint at deliver time and re-checks
-/// it when the receiver matches the message, raising PayloadCorrupted
-/// instead of silently misfactoring.
+/// Containment — RunPolicy caps the virtual clock, so a lost or
+/// indefinitely delayed message becomes a typed ReceiveTimeout carrying the
+/// full CommContext and a parked-channel snapshot — a located diagnostic
+/// instead of a CI hang. A run whose every live rank parks with no message
+/// in flight fails the same way under either clock, flagged as a deadlock.
+/// Payload integrity (FactorConfig::integrity) stamps every payload with
+/// the trace layer's FNV-1a fingerprint at deliver time and re-checks it
+/// when the receiver matches the message, raising PayloadCorrupted instead
+/// of silently misfactoring.
 ///
 /// Recovery lives one layer up: factor::run_with_retry (factor/retry.hpp)
 /// classifies these exceptions as transient and re-runs with capped
@@ -43,23 +42,13 @@
 
 namespace conflux::simnet {
 
-/// Per-run containment policy, honored by Network::receive, the collectives
-/// built on it, and the virtual-time runtime. All-zero (the default) means
-/// "wait forever" — the pre-ConfChaos behaviour, with zero hot-path cost.
+/// Per-run containment policy, honored by Network::receive and the
+/// collectives built on it. All-zero (the default) means no cap, with zero
+/// hot-path cost.
 struct RunPolicy {
-  /// Threaded mode: longest real time any single receive may stay blocked
-  /// before it raises ReceiveTimeout (0 = no deadline). Injected link
-  /// delays count toward it — a link slower than the deadline is a fault.
-  double deadline_s = 0;
-
-  /// Threaded mode: how often a blocked receive wakes to re-check the
-  /// deadline and the abort flag while parked on its condition variable.
-  double heartbeat_s = 0.05;
-
   /// VirtualTime mode: cap on a rank's virtual clock, checked when a
   /// receive completes (0 = no cap). Fault-stalled simulated runs whose
-  /// clock blows past the cap fail with ReceiveTimeout deterministically —
-  /// the virtual-time analogue of the real-time deadline.
+  /// clock blows past the cap fail with ReceiveTimeout deterministically.
   double virtual_deadline_s = 0;
 };
 
@@ -86,9 +75,10 @@ struct FaultSpec {
   double corrupt_prob = 0;  ///< per-message probability of one bit flip in
                             ///< the payload (messages with payloads only)
 
-  [[nodiscard]] bool any() const {
-    return delay_prob > 0 || stall_prob > 0 || corrupt_prob > 0;
-  }
+  /// True when the plan can delay or stall: clock charges, which need
+  /// ExecMode::VirtualTime.
+  [[nodiscard]] bool timed() const { return delay_prob > 0 || stall_prob > 0; }
+  [[nodiscard]] bool any() const { return timed() || corrupt_prob > 0; }
 };
 
 /// A seeded, reproducible fault schedule. Attach to a Network with
@@ -119,7 +109,7 @@ class FaultPlan {
 
   /// Begin one run/attempt: sequence counters restart so an identical rerun
   /// injects identically (the determinism contract test_faults pins).
-  /// Called by the Network at the top of every run_team.
+  /// Called by the Network at the top of every run.
   void begin_run();
 
   /// Advance to the next retry attempt: all subsequent decisions
@@ -169,12 +159,10 @@ struct ParkedRank {
   std::uint64_t tag = 0;  ///< tag the rank is waiting on
 };
 
-/// A blocked receive exceeded the run policy's deadline (or, in
-/// virtual-time mode, every live rank parked with no message in flight —
-/// `deadlock() == true`). Carries the full communication context of the
-/// timed-out receive plus a snapshot of every parked rank and the inbound
-/// queue-depth high-water marks, so a would-be hang is a located
-/// diagnostic.
+/// A receive exceeded the run policy's virtual-clock cap, or every live
+/// rank parked with no message in flight (`deadlock() == true`). Carries
+/// the full communication context of the failed receive plus a snapshot of
+/// every parked rank, so a would-be hang is a located diagnostic.
 class ReceiveTimeout : public std::runtime_error {
  public:
   ReceiveTimeout(const std::string& what, CommContext context,
@@ -189,10 +177,9 @@ class ReceiveTimeout : public std::runtime_error {
     return parked_;
   }
 
-  /// True for the virtual-time all-ranks-parked case: a deterministic
-  /// program bug (a retry would deadlock again), as opposed to a deadline
-  /// expiry, which a retry may outrun. factor::is_transient_failure keys
-  /// off this.
+  /// True for the all-ranks-parked case: a deterministic program bug (a
+  /// retry would deadlock again), as opposed to a deadline expiry, which a
+  /// retry may outrun. factor::is_transient_failure keys off this.
   [[nodiscard]] bool deadlock() const { return deadlock_; }
 
  private:

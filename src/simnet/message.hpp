@@ -169,14 +169,8 @@ struct Message {
   /// Virtual-time mode only: simulated arrival instant in seconds
   /// (sender's clock after LogGP injection, plus the link latency). The
   /// receiver's clock advances to at least this value when it matches the
-  /// message. Unused (0) in threaded mode.
+  /// message. Unused (0) under the host clock.
   double vt_arrival = 0;
-  /// Threaded mode only: earliest steady-clock instant (ns) at which the
-  /// receiver may match this message — how an injected link delay
-  /// (simnet/faults.hpp) manifests as real latency. 0 = ripe immediately.
-  /// FIFO order within a (src, dst, tag) channel is preserved: an unripe
-  /// message at the head makes the receiver wait, never skips.
-  std::uint64_t not_before_ns = 0;
 };
 
 }  // namespace conflux::simnet

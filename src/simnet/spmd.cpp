@@ -5,7 +5,7 @@
 namespace conflux::simnet {
 
 void run_spmd(Network& net, const std::function<void(Comm&)>& body) {
-  net.run_team([&](int rank) {
+  net.run([&](int rank) {
     Comm comm(net, rank);
     body(comm);
   });
@@ -15,20 +15,6 @@ CommVolume run_spmd(int nranks, const std::function<void(Comm&)>& body) {
   CONFLUX_EXPECTS(nranks >= 1);
   Network net(nranks);
   run_spmd(net, body);
-  return net.stats().total();
-}
-
-void run_spmd(Network& net, const std::function<void(Comm&)>& body,
-              const RunPolicy& policy) {
-  net.set_policy(policy);
-  run_spmd(net, body);
-}
-
-CommVolume run_spmd(int nranks, const std::function<void(Comm&)>& body,
-                    const RunPolicy& policy) {
-  CONFLUX_EXPECTS(nranks >= 1);
-  Network net(nranks);
-  run_spmd(net, body, policy);
   return net.stats().total();
 }
 

@@ -1,9 +1,9 @@
 /// \file spmd.hpp
-/// The SPMD launcher: runs one OS thread per simulated rank, exactly like
+/// The SPMD launcher: runs one rank body per simulated rank, exactly like
 /// `mpirun -np P` launches P processes over a single program body. The
-/// threads belong to the Network's persistent rank team — created once per
-/// Network and reused by every subsequent run over it, so repeated runs
-/// (benchmark sweeps, multi-phase jobs) pay the thread-spawn cost once.
+/// ranks are the Network's cooperative fibers (vtime.hpp), multiplexed over
+/// min(pool size, P) host threads, so repeated runs over one Network
+/// (benchmark sweeps, multi-phase jobs) reuse its fiber stacks.
 #pragma once
 
 #include <functional>
@@ -12,24 +12,15 @@
 
 namespace conflux::simnet {
 
-/// Run `body(comm)` on `nranks` concurrent ranks over a fresh Network and
-/// return that network's statistics board totals. If any rank throws, the
-/// job is aborted (blocked receives wake up with JobAborted) and the first
+/// Run `body(comm)` on `nranks` ranks over a fresh Network and return that
+/// network's statistics board totals. If any rank throws, the job is
+/// aborted (parked receives wake up with JobAborted) and the first
 /// exception is rethrown on the caller's thread.
 CommVolume run_spmd(int nranks, const std::function<void(Comm&)>& body);
 
 /// As run_spmd, but over a caller-provided network (so the caller can read
-/// per-rank statistics afterwards, and repeated runs reuse the network's
-/// rank team). The network's rank count must match.
+/// per-rank statistics afterwards, and pick the clock). The network's rank
+/// count must match.
 void run_spmd(Network& net, const std::function<void(Comm&)>& body);
-
-/// run_spmd with a containment policy (simnet/faults.hpp): receive
-/// deadlines in Threaded mode, the virtual-clock cap in VirtualTime mode.
-/// Overloads rather than default arguments, so the two-argument forms
-/// never clobber a policy already installed on the network.
-CommVolume run_spmd(int nranks, const std::function<void(Comm&)>& body,
-                    const RunPolicy& policy);
-void run_spmd(Network& net, const std::function<void(Comm&)>& body,
-              const RunPolicy& policy);
 
 }  // namespace conflux::simnet

@@ -45,11 +45,11 @@ namespace conflux::simnet {
 
 namespace {
 
-/// Usable fiber stack size. Fibers run the same rank bodies the OS-thread
-/// team runs (numeric kernels included), so the default leaves headroom;
-/// sanitizer builds triple frame sizes, hence the larger floor there. The
-/// stacks are lazily committed mmap regions — 4096 ranks reserve virtual
-/// address space only for pages never touched.
+/// Usable fiber stack size. Fibers run every rank body (numeric kernels
+/// included), so the default leaves headroom; sanitizer builds triple frame
+/// sizes, hence the larger floor there. The stacks are lazily committed
+/// mmap regions — 4096 ranks reserve virtual address space only for pages
+/// never touched.
 std::size_t fiber_stack_bytes() {
 #if defined(CONFLUX_VT_ASAN) || defined(CONFLUX_VT_TSAN)
   const std::int64_t kb = env_int("CONFLUX_VT_STACK_KB", 1024);
@@ -412,17 +412,26 @@ void VtRuntime::worker_loop() {
     if (all_done) {
       im.ready_cv.notify_all();
     } else if (deadlock) {
+      // Typed, located diagnostic: which ranks are parked and on what.
+      // deadlock() == true marks it deterministic — a retry would park the
+      // same way, so factor::run_with_retry must not re-run it. Each parked
+      // rank also lands in the failure report: the fibers themselves
+      // unwind with JobAborted, which records nothing.
+      std::vector<ParkedRank> parked = parked_snapshot();
+      for (const ParkedRank& p : parked) {
+        std::ostringstream os;
+        os << "deadlock: parked in a receive "
+           << CommContext{.rank = p.rank, .src = p.src, .dst = p.rank}
+                  .with_tag(p.tag);
+        net_->note_rank_failure(p.rank, os.str());
+      }
       {
         const std::lock_guard<std::mutex> lock(im.error_mutex);
         if (!im.error) {
-          // Typed, located diagnostic: which ranks are parked and on what.
-          // deadlock() == true marks it deterministic — a retry would park
-          // the same way, so factor::run_with_retry must not re-run it.
-          std::vector<ParkedRank> parked = parked_snapshot();
           CommContext ctx;
           std::ostringstream os;
-          os << "virtual-time deadlock: every live rank is parked in a "
-                "receive with no matching message in flight ("
+          os << "deadlock: every live rank is parked in a receive with no "
+                "matching message in flight ("
              << parked.size() << " parked";
           if (!parked.empty()) {
             const ParkedRank& p = parked.front();
@@ -472,17 +481,30 @@ void VtRuntime::run(const std::function<void(int)>& job) {
     im.ready.push_back(c.rank);
   }
 
-  // Multiplex the fibers over the shared thread pool. parallel_for from
-  // inside a fiber (the numeric kernels use it) runs inline by the pool's
-  // re-entrancy rule, so the workers never deadlock on themselves.
+  // Multiplex the fibers over w host threads. When the ranks can occupy
+  // the whole pool, the pool's own threads run the worker loops, and a
+  // parallel_for inside a rank (the numeric kernels' GEMM) runs inline by
+  // the pool's re-entrancy rule. With fewer workers than pool threads, the
+  // calling thread and w - 1 helpers outside the pool run them instead, so
+  // each rank's kernels still spread over the idle pool threads, as they
+  // would from a rank process. A run started inside a pool task keeps to
+  // the calling thread.
   support::ThreadPool& pool = support::global_pool();
-  const int w = std::max(
-      1, static_cast<int>(env_int("CONFLUX_VT_WORKERS",
-                                  std::min(pool.size(), nranks_))));
-  if (w == 1 || pool.size() == 1) {
-    worker_loop();
-  } else {
+  const int w =
+      pool.on_worker_thread()
+          ? 1
+          : std::max(1, static_cast<int>(env_int(
+                            "CONFLUX_VT_WORKERS",
+                            std::min(pool.size(), nranks_))));
+  if (w >= pool.size()) {
     support::parallel_for(0, w, [&](int) { worker_loop(); });
+  } else {
+    std::vector<std::thread> helpers;
+    helpers.reserve(static_cast<std::size_t>(w - 1));
+    for (int i = 1; i < w; ++i)
+      helpers.emplace_back([this] { worker_loop(); });
+    worker_loop();
+    for (std::thread& t : helpers) t.join();
   }
 
   im.job = nullptr;

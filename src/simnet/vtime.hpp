@@ -1,15 +1,18 @@
 /// \file vtime.hpp
-/// The virtual-time execution mode of the simulated fabric: an event-driven
-/// scheduler that multiplexes thousands of cooperative rank contexts
-/// (ucontext fibers with small mmap'd stacks) onto the shared thread pool,
-/// and a LogGP-style latency/bandwidth clock that advances a per-rank
-/// virtual clock on every send, receive and (optionally) charged flop.
-///
-/// Why it exists: the persistent rank team runs one OS thread per simulated
-/// rank, which caps usable P at roughly the host's core count. The paper's
-/// headline figures run at P = 512–4096 on Piz Daint; with fibers, those
-/// scales run on a laptop, and the virtual clocks turn the run into a
-/// *predicted wall-clock* for the modeled machine.
+/// The rank scheduler of the simulated fabric and its two clocks. Every
+/// Network runs its ranks here: an event-driven scheduler that multiplexes
+/// cooperative rank contexts (ucontext fibers with small mmap'd stacks)
+/// onto min(pool size, P) host threads: the pool's own threads when the
+/// ranks can fill the pool, else the calling thread plus helpers outside
+/// it, so a rank's kernels still spread over the idle pool threads. The
+/// FabricSpec's ExecMode picks the clock:
+///   - HostClock (the default): nothing is charged; trace and telemetry
+///     stamp the host's steady clock, and predicted seconds stay 0.
+///   - VirtualTime: a LogGP-style latency/bandwidth clock advances a
+///     per-rank virtual clock on every send, receive and (optionally)
+///     charged flop, turning the run into a *predicted wall-clock* for the
+///     modeled machine. The paper's headline figures run at P = 512–4096 on
+///     Piz Daint; with fibers, those scales run on a laptop.
 ///
 /// Determinism: the simulation is a pure dataflow. Each blocking receive
 /// names its (src, tag) channel and FIFO order within a channel is
@@ -52,23 +55,23 @@ struct LinkModel {
   double gamma_s_per_flop = 0.0;     ///< compute cost; 0 = comm-only clock
 };
 
-/// How a Network executes its SPMD ranks.
+/// Which clock a Network's run keeps. Both run the ranks as fibers.
 enum class ExecMode {
-  Threaded,     ///< persistent rank team: one OS thread per rank
-  VirtualTime,  ///< cooperative fibers + LogGP virtual clock
+  HostClock,    ///< host steady clock; nothing simulated is charged
+  VirtualTime,  ///< LogGP virtual clock per rank
 };
 
-/// Execution-mode selection carried by the Network constructor (and by
+/// Clock selection carried by the Network constructor (and by
 /// factor::FactorConfig::fabric through every backend).
 struct FabricSpec {
-  ExecMode mode = ExecMode::Threaded;
+  ExecMode mode = ExecMode::HostClock;
   LinkModel link;
 };
 
-/// The fiber scheduler behind ExecMode::VirtualTime. Owned by the Network;
-/// everything here is internal to the fabric — user code selects the mode
-/// through FabricSpec and reads clocks through Network::virtual_makespan()
-/// / Comm::virtual_seconds().
+/// The fiber scheduler every Network runs its ranks on. Owned by the
+/// Network; everything here is internal to the fabric — user code selects
+/// the clock through FabricSpec and reads clocks through
+/// Network::virtual_makespan() / Comm::virtual_seconds().
 class VtRuntime {
  public:
   VtRuntime(Network& net, int nranks, LinkModel link);
@@ -78,8 +81,14 @@ class VtRuntime {
   VtRuntime& operator=(const VtRuntime&) = delete;
 
   /// Run `job(rank)` once per rank on cooperative fibers, multiplexed over
-  /// min(pool size, nranks) host threads (CONFLUX_VT_WORKERS overrides).
-  /// Rethrows the first rank exception after all fibers unwind.
+  /// min(pool size, nranks) host threads (CONFLUX_VT_WORKERS overrides):
+  /// the pool's threads when there are at least as many workers as pool
+  /// threads, else the caller and helpers outside the pool; the caller
+  /// alone when it is itself running a pool task.
+  /// Rethrows the first rank exception after all fibers unwind. When every
+  /// live rank parks with no runnable fiber left, each parked rank is
+  /// recorded in the Network's failure report and the run fails with a
+  /// ReceiveTimeout whose deadlock() is true.
   void run(const std::function<void(int)>& job);
 
   // --- called from inside a rank's fiber -----------------------------------
@@ -127,7 +136,7 @@ class VtRuntime {
 
   /// Per-rank virtual clocks in seconds, one double per rank, each written
   /// only by its rank's own fiber — the timestamp source TelemetryBoard and
-  /// TraceRecorder use in virtual-time mode.
+  /// TraceRecorder use under ExecMode::VirtualTime.
   [[nodiscard]] const double* clocks() const;
 
   /// Every rank currently parked in a blocking receive and the (src, tag)

@@ -126,7 +126,7 @@ class TelemetryBoard {
   void add_counter(int rank, const char* name, std::uint64_t delta = 1);
 
   /// Highest simultaneous queue depth observed across `rank`'s inbound
-  /// channels (flushed by Network::run_team after the join).
+  /// channels (flushed by Network::run after the join).
   void set_queue_hwm(int rank, int hwm);
 
   // --- post-join queries --------------------------------------------------

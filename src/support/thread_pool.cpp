@@ -111,7 +111,7 @@ void ThreadPool::parallel_for(int begin, int end,
   cv_.notify_all();
   // The submitting thread takes the first chunk, marked as a pool thread
   // while it does: a nested parallel_for inside it (e.g. a GEMM in a fiber
-  // that a virtual-time worker loop resumes here) must run inline, since
+  // that a rank scheduler's worker loop resumes here) must run inline, since
   // the workers may all be busy in this very parallel_for's chunks.
   const ThreadPool* const outer = g_current_pool;
   g_current_pool = this;

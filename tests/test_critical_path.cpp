@@ -117,37 +117,42 @@ TEST(CriticalPath, VirtualTimePathEndsAtPredictedMakespan) {
 TEST(CriticalPath, ShiftsThroughAnInjectedDelay) {
   // Same diamond, two runs: whichever middle rank sleeps 30 ms becomes the
   // binding constraint, so the extracted path must route through it and
-  // the makespan must absorb the delay.
+  // the makespan must absorb the delay. A sleeping rank holds its fiber
+  // worker, so the schedule keeps the fast branch ahead of the sleep even
+  // on one worker: ranks start in rank order, so the sink (rank 0) and
+  // both middle ranks park before the source (rank 3) sends; the source
+  // wakes the fast branch first; and the sink takes the slow branch first,
+  // so the fast branch's message is already queued when the sink gets to
+  // it.
   simnet::Network net(4);
   for (const int slow : {1, 2}) {
+    const int fast = slow == 1 ? 2 : 1;
     simnet::TraceRecorder rec;
     net.set_trace(&rec);
-    simnet::run_spmd(net, [slow](simnet::Comm& comm) {
+    simnet::run_spmd(net, [slow, fast](simnet::Comm& comm) {
       const int me = comm.rank();
-      if (me == 0) {
-        comm.send(1, 1, std::vector<double>{1.0});
-        comm.send(2, 2, std::vector<double>{2.0});
+      if (me == 3) {
+        comm.send(fast, fast, std::vector<double>{1.0});
+        comm.send(slow, slow, std::vector<double>{2.0});
       } else if (me == 1 || me == 2) {
-        (void)comm.recv_view(0, me);
+        (void)comm.recv_view(3, me);
         if (me == slow)
           std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        comm.send(3, 10 + me, std::vector<double>{3.0});
+        comm.send(0, 10 + me, std::vector<double>{3.0});
       } else {
-        (void)comm.recv_view(1, 11);
-        (void)comm.recv_view(2, 12);
+        (void)comm.recv_view(slow, 10 + slow);
+        (void)comm.recv_view(fast, 10 + fast);
       }
     });
     const CommGraph graph = CommGraph::build(rec);
     const CriticalPath path = extract_critical_path(graph);
-    const int fast = slow == 1 ? 2 : 1;
 
-    EXPECT_EQ(path.end_rank, 3);
+    EXPECT_EQ(path.end_rank, 0);
     EXPECT_GE(path.seconds, 0.030);
     EXPECT_TRUE(path_visits_rank(graph, path, slow)) << "slow=" << slow;
-    // The path enters rank 3 through the slow branch's send, not the fast
-    // branch's: the fast middle rank contributes no node past its receive
-    // of rank 0's seed... its send may appear only if it finished later,
-    // which the 30 ms sleep rules out.
+    // The path enters rank 0 through the slow branch's send, not the fast
+    // branch's: the sink's receive of the fast message follows its own
+    // earlier receive, which finished ~30 ms after the fast send.
     EXPECT_FALSE(path_visits_rank(graph, path, fast)) << "slow=" << slow;
     // The slow rank had (close to) no slack; the fast one had ~30 ms.
     EXPECT_LT(path.slack_seconds[static_cast<std::size_t>(slow)], 0.015);
@@ -156,6 +161,8 @@ TEST(CriticalPath, ShiftsThroughAnInjectedDelay) {
 }
 
 TEST(CriticalPath, TelemetrySlackUsesBusyTime) {
+  // The receiver is rank 0, so it parks before the sender's sleep begins
+  // even on one fiber worker (ranks start in rank order).
   simnet::Network net(2);
   simnet::TraceRecorder rec;
   telemetry::TelemetryBoard board;
@@ -164,21 +171,21 @@ TEST(CriticalPath, TelemetrySlackUsesBusyTime) {
   simnet::run_spmd(net, [&board](simnet::Comm& comm) {
     const telemetry::ScopedSpan span(&board, comm.rank(),
                                      telemetry::kSchurUpdate);
-    if (comm.rank() == 0) {
+    if (comm.rank() == 1) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      comm.send(1, 1, std::vector<double>{1.0});
+      comm.send(0, 1, std::vector<double>{1.0});
     } else {
-      (void)comm.recv_view(0, 1);
+      (void)comm.recv_view(1, 1);
     }
   });
   const CriticalPath path =
       extract_critical_path(CommGraph::build(rec), board);
   ASSERT_EQ(path.slack_seconds.size(), 2u);
-  // Rank 0 was busy (sleeping inside its span) for ~the whole makespan;
-  // rank 1 spent the window blocked in recv, so nearly all of its wall
+  // Rank 1 was busy (sleeping inside its span) for ~the whole makespan;
+  // rank 0 spent the window blocked in recv, so nearly all of its wall
   // time is slack under the busy-time definition.
-  EXPECT_LT(path.slack_seconds[0], 0.010);
-  EXPECT_GT(path.slack_seconds[1], 0.010);
+  EXPECT_LT(path.slack_seconds[1], 0.010);
+  EXPECT_GT(path.slack_seconds[0], 0.010);
 }
 
 }  // namespace

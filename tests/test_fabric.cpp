@@ -1,12 +1,11 @@
 // Tests for the zero-copy fabric: shared immutable payloads, the multicast
 // primitive and its accounting, the immutability/aliasing contract,
 // FIFO-per-channel ordering under concurrent interleaved-tag stress, and
-// the persistent rank-team lifecycle.
+// reuse of one network across runs, aborted ones included.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
-#include <thread>
 
 #include "simnet/collectives.hpp"
 #include "simnet/comm.hpp"
@@ -155,12 +154,10 @@ TEST(Multicast, GhostAccountingMatchesReal) {
 /// channels must each stay FIFO even though messages of different tags —
 /// and, where the two sources share a channel slot, of different sources —
 /// interleave arbitrarily in one mailbox.
-void interleaved_tag_stress(ExecMode mode, int p, int far) {
+void interleaved_tag_stress(int p, int far) {
   const int per_tag = 40;
   const Tag tags[] = {11, 22, 33};
-  FabricSpec spec;
-  spec.mode = mode;
-  Network net(p, spec);
+  Network net(p);
   run_spmd(net, [&](Comm& comm) {
     const int me = comm.rank();
     const int next = (me + 1) % p;
@@ -197,31 +194,15 @@ void interleaved_tag_stress(ExecMode mode, int p, int far) {
 }
 
 TEST(Fabric, FifoPerChannelUnderInterleavedTagStress) {
-  // Threaded, P = 16: every source has a channel slot of its own.
-  interleaved_tag_stress(ExecMode::Threaded, 16, 2);
-  // Virtual time, P = 80 > 64 channel slots: sources r and r + 64 share a
-  // slot, so receivers 65..79 find both streams (from me - 1 and me - 65)
-  // in one mailbox, and a receive must match the source as well as the tag.
-  interleaved_tag_stress(ExecMode::VirtualTime, 80, 65);
+  // P = 16: every source has a channel slot of its own.
+  interleaved_tag_stress(16, 2);
+  // P = 80 > 64 channel slots: sources r and r + 64 share a slot, so
+  // receivers 65..79 find both streams (from me - 1 and me - 65) in one
+  // mailbox, and a receive must match the source as well as the tag.
+  interleaved_tag_stress(80, 65);
 }
 
-TEST(RankTeam, ThreadsAreReusedAcrossRuns) {
-  const int p = 8;
-  Network net(p);
-  std::vector<std::thread::id> first(p), second(p);
-  run_spmd(net, [&](Comm& comm) {
-    first[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
-  });
-  run_spmd(net, [&](Comm& comm) {
-    second[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
-  });
-  for (int r = 0; r < p; ++r)
-    EXPECT_EQ(first[static_cast<std::size_t>(r)],
-              second[static_cast<std::size_t>(r)])
-        << "rank " << r << " ran on a fresh thread";
-}
-
-TEST(RankTeam, StatsAccumulateAcrossRuns) {
+TEST(NetworkReuse, StatsAccumulateAcrossRuns) {
   Network net(2);
   const auto body = [](Comm& comm) {
     if (comm.rank() == 0)
@@ -235,7 +216,7 @@ TEST(RankTeam, StatsAccumulateAcrossRuns) {
   EXPECT_EQ(net.stats().total().messages_sent, 2u);
 }
 
-TEST(RankTeam, RecoversAfterAbortedRun) {
+TEST(NetworkReuse, RecoversAfterAbortedRun) {
   Network net(3);
   EXPECT_THROW(run_spmd(net,
                         [](Comm& comm) {
@@ -309,12 +290,12 @@ TEST(Fabric, ManyToOneContention) {
             static_cast<std::uint64_t>(p - 1) * msgs);
 }
 
-TEST(RankTeam, SurvivesRepeatedRandomizedAborts) {
+TEST(NetworkReuse, SurvivesRepeatedRandomizedAborts) {
   // ConfChaos stress: hammer one network with runs that abort at an
-  // LCG-randomized (rank, step), in both execution modes, then prove the
-  // fabric is unpoisoned — a final clean run must move exactly the bytes a
-  // fresh network moves, bit-identically, and every abort must land in the
-  // aggregated failure report naming the aborting rank.
+  // LCG-randomized (rank, step), then prove the fabric is unpoisoned — a
+  // final clean run must move exactly the bytes a fresh network moves,
+  // bit-identically, and every abort must land in the aggregated failure
+  // report naming the aborting rank.
   const int p = 6;
   const int steps = 4;
   auto ring = [&](Comm& comm, int abort_rank, int abort_step) {
@@ -328,45 +309,40 @@ TEST(RankTeam, SurvivesRepeatedRandomizedAborts) {
                            make_tag(1, unsigned(s)));
     }
   };
-  for (const bool vtime : {false, true}) {
-    FabricSpec spec;
-    spec.mode = vtime ? ExecMode::VirtualTime : ExecMode::Threaded;
+  // Reference volume of one clean run, from a pristine network.
+  Network fresh(p);
+  run_spmd(fresh, [&](Comm& comm) { ring(comm, -1, -1); });
+  const CommVolume want = fresh.stats().total();
 
-    // Reference volume of one clean run, from a pristine network.
-    Network fresh(p, spec);
-    run_spmd(fresh, [&](Comm& comm) { ring(comm, -1, -1); });
-    const CommVolume want = fresh.stats().total();
-
-    Network net(p, spec);
-    std::uint64_t rng = vtime ? 0xC0FFEE : 0xB00;
-    for (int iter = 0; iter < 10; ++iter) {
-      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-      const int abort_rank = static_cast<int>((rng >> 33) % p);
-      const int abort_step = static_cast<int>((rng >> 13) % steps);
-      EXPECT_THROW(
-          run_spmd(net,
-                   [&](Comm& comm) { ring(comm, abort_rank, abort_step); }),
-          std::runtime_error);
-      EXPECT_TRUE(net.aborted());
-      // The aborting rank is named in the aggregated report.
-      bool named = false;
-      for (const auto& failure : net.failure_report())
-        if (failure.rank == abort_rank &&
-            failure.message.find("chaos abort") != std::string::npos)
-          named = true;
-      EXPECT_TRUE(named) << "iter " << iter << " rank " << abort_rank;
-    }
-
-    // StatsBoard accumulates across runs, so compare the clean run's delta.
-    const CommVolume before = net.stats().total();
-    run_spmd(net, [&](Comm& comm) { ring(comm, -1, -1); });
-    const CommVolume after = net.stats().total();
-    EXPECT_EQ(after.bytes_sent - before.bytes_sent, want.bytes_sent);
-    EXPECT_EQ(after.messages_sent - before.messages_sent, want.messages_sent);
-    EXPECT_EQ(after.bytes_received - before.bytes_received,
-              want.bytes_received);
-    EXPECT_FALSE(net.aborted());
+  Network net(p);
+  std::uint64_t rng = 0xC0FFEE;
+  for (int iter = 0; iter < 10; ++iter) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int abort_rank = static_cast<int>((rng >> 33) % p);
+    const int abort_step = static_cast<int>((rng >> 13) % steps);
+    EXPECT_THROW(
+        run_spmd(net,
+                 [&](Comm& comm) { ring(comm, abort_rank, abort_step); }),
+        std::runtime_error);
+    EXPECT_TRUE(net.aborted());
+    // The aborting rank is named in the aggregated report.
+    bool named = false;
+    for (const auto& failure : net.failure_report())
+      if (failure.rank == abort_rank &&
+          failure.message.find("chaos abort") != std::string::npos)
+        named = true;
+    EXPECT_TRUE(named) << "iter " << iter << " rank " << abort_rank;
   }
+
+  // StatsBoard accumulates across runs, so compare the clean run's delta.
+  const CommVolume before = net.stats().total();
+  run_spmd(net, [&](Comm& comm) { ring(comm, -1, -1); });
+  const CommVolume after = net.stats().total();
+  EXPECT_EQ(after.bytes_sent - before.bytes_sent, want.bytes_sent);
+  EXPECT_EQ(after.messages_sent - before.messages_sent, want.messages_sent);
+  EXPECT_EQ(after.bytes_received - before.bytes_received,
+            want.bytes_received);
+  EXPECT_FALSE(net.aborted());
 }
 
 }  // namespace

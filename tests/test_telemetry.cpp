@@ -32,7 +32,10 @@ std::atomic<std::uint64_t> g_allocations{0};
 // Counting global allocator so the disabled-mode test can prove ScopedSpan
 // with a null board allocates nothing on the hot path. new and delete are
 // replaced as a matched malloc/free pair; GCC's mismatch heuristic cannot
-// see that both replacements are active at once, hence the pragma.
+// see that both replacements are active at once, hence the pragma. The
+// nothrow new is replaced too: std::stable_sort's temporary buffer comes
+// from it and goes back through the sized delete, so under ASan a
+// sanitizer-owned nothrow new would pair with this free.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void* operator new(std::size_t size) {
@@ -40,8 +43,13 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace conflux {
@@ -212,26 +220,28 @@ TEST(Telemetry, DisabledSpansAllocateNothing) {
 }
 
 TEST(Telemetry, WaitSamplesAttributeBlockedTimeToSourceAndTag) {
+  // The receiver is rank 0: ranks start in rank order, so even on one
+  // fiber worker it parks before the sender's sleep begins.
   simnet::Network net(2);
   telemetry::TelemetryBoard board;
   net.set_telemetry(&board);
   simnet::run_spmd(net, [](simnet::Comm& comm) {
-    if (comm.rank() == 0) {
+    if (comm.rank() == 1) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      comm.send(1, 7, std::vector<double>(4));
+      comm.send(0, 7, std::vector<double>(4));
     } else {
-      (void)comm.recv_view(0, 7);
+      (void)comm.recv_view(1, 7);
     }
   });
-  const std::vector<telemetry::WaitSample>& waits = board.rank_waits(1);
+  const std::vector<telemetry::WaitSample>& waits = board.rank_waits(0);
   ASSERT_EQ(waits.size(), 1u);
-  EXPECT_EQ(waits[0].src, 0);
+  EXPECT_EQ(waits[0].src, 1);
   EXPECT_EQ(waits[0].tag, 7u);
   EXPECT_EQ(waits[0].bytes, 4 * sizeof(double));
-  // Rank 1 sat parked through most of the sender's 20 ms sleep.
+  // Rank 0 sat parked through most of the sender's 20 ms sleep.
   EXPECT_GE(waits[0].ns, 10u * 1000 * 1000);
-  EXPECT_GE(board.blocked_seconds(1), 0.010);
-  EXPECT_EQ(board.rank_waits(0).size(), 0u);
+  EXPECT_GE(board.blocked_seconds(0), 0.010);
+  EXPECT_EQ(board.rank_waits(1).size(), 0u);
 }
 
 TEST(Telemetry, QueueHighWaterMarkSeesReceiverBacklog) {

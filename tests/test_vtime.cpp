@@ -1,7 +1,7 @@
-// The virtual-time execution mode: cooperative-fiber scheduling at rank
-// counts far beyond the host's cores, LogGP clock semantics, bit-identical
+// The virtual-time clock: cooperative-fiber scheduling at rank counts far
+// beyond the host's cores, LogGP clock semantics, bit-identical
 // determinism across repeated runs and worker counts, CommVolume parity
-// with the threaded rank team, the make_tag wide-layout regression,
+// with the host clock, the make_tag wide-layout regression,
 // shared-channel-slot stress at P = 256, and numeric factorizations at the
 // default fiber-worker count.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "simnet/trace.hpp"
 #include "simnet/vtime.hpp"
 #include "support/telemetry.hpp"
+#include "support/thread_pool.hpp"
 
 namespace conflux::simnet {
 namespace {
@@ -139,10 +140,10 @@ TEST(VirtualTime, ChargeFlopsAdvancesTheClock) {
   Network net(2, virtual_fabric(1e-6, 1e-10, gamma));
   run_spmd(net, [&](Comm& comm) { comm.charge_flops(1e9); });
   EXPECT_DOUBLE_EQ(net.virtual_makespan(), 1e9 * gamma);
-  // Threaded mode: charge_flops is a no-op.
-  Network threaded(2);
-  run_spmd(threaded, [&](Comm& comm) { comm.charge_flops(1e9); });
-  EXPECT_DOUBLE_EQ(threaded.virtual_makespan(), 0.0);
+  // Host clock: charge_flops is a no-op.
+  Network host(2);
+  run_spmd(host, [&](Comm& comm) { comm.charge_flops(1e9); });
+  EXPECT_DOUBLE_EQ(host.virtual_makespan(), 0.0);
 }
 
 TEST(VirtualTime, DeadlockIsDetectedAndReported) {
@@ -233,34 +234,6 @@ TEST(VirtualTime, SharedSlotFanInMatchesEverySourceAndTag) {
   EXPECT_EQ(board.queue_hwm(1), 0);
 }
 
-TEST(ThreadedMode, SharedSlotQueueDepthIsPerDestination) {
-  // Same misattribution check for the threaded fabric, at a rank count
-  // small enough to run on OS threads but with slot sharing forced by
-  // fan-in volume: every rank sends 8 messages to rank 0 before it drains.
-  const int p = 16;
-  Network net(p);
-  telemetry::TelemetryBoard board;
-  net.set_telemetry(&board);
-  run_spmd(net, [&](Comm& comm) {
-    const int r = comm.rank();
-    const int kEach = 8;
-    if (r != 0) {
-      for (int i = 0; i < kEach; ++i)
-        comm.send(0, make_tag(6, i, r), std::vector<double>{1.0});
-      (void)comm.recv(0, make_tag(6, 99, r));  // hold until 0 saw them all
-    } else {
-      for (int src = 1; src < p; ++src)
-        for (int i = 0; i < kEach; ++i)
-          (void)comm.recv(src, make_tag(6, i, src));
-      for (int dst = 1; dst < p; ++dst)
-        comm.send(dst, make_tag(6, 99, dst), std::vector<double>{1.0});
-    }
-  });
-  // Messages to rank 0 only ever count against rank 0's depth.
-  EXPECT_GE(board.queue_hwm(0), 1);
-  for (int r = 1; r < p; ++r) EXPECT_LE(board.queue_hwm(r), 1) << "rank " << r;
-}
-
 // --- determinism (satellite test task) --------------------------------------
 
 struct RunResult {
@@ -328,9 +301,9 @@ TEST(VirtualTimeDeterminism, WorkerCountDoesNotChangeResults) {
   expect_bit_identical(base, traffic_mix_run(96), "default workers");
 }
 
-// --- threaded-mode parity (acceptance criterion) ----------------------------
+// --- clock parity -----------------------------------------------------------
 
-TEST(VirtualTime, CommVolumeMatchesThreadedModeBitForBit) {
+TEST(VirtualTime, CommVolumeMatchesHostClockBitForBit) {
   const int p = 32;
   const auto body = [p](Comm& comm) {
     const int r = comm.rank();
@@ -341,15 +314,18 @@ TEST(VirtualTime, CommVolumeMatchesThreadedModeBitForBit) {
     allreduce_sum(comm, all, v, make_tag(2, 1, 0));
   };
 
-  Network threaded(p);
-  run_spmd(threaded, body);
+  Network host(p);
+  run_spmd(host, body);
   Network vt(p, virtual_fabric());
   run_spmd(vt, body);
 
-  EXPECT_EQ(threaded.stats().total().bytes_sent, vt.stats().total().bytes_sent);
-  EXPECT_EQ(threaded.stats().total().messages_sent, vt.stats().total().messages_sent);
+  EXPECT_EQ(host.stats().total().bytes_sent, vt.stats().total().bytes_sent);
+  EXPECT_EQ(host.stats().total().messages_sent,
+            vt.stats().total().messages_sent);
+  EXPECT_EQ(host.virtual_makespan(), 0.0);
+  EXPECT_GT(vt.virtual_makespan(), 0.0);
   for (int r = 0; r < p; ++r) {
-    const CommVolume a = threaded.stats().rank_volume(r);
+    const CommVolume a = host.stats().rank_volume(r);
     const CommVolume b = vt.stats().rank_volume(r);
     EXPECT_EQ(a.bytes_sent, b.bytes_sent) << "rank " << r;
     EXPECT_EQ(a.bytes_received, b.bytes_received) << "rank " << r;
@@ -361,11 +337,13 @@ TEST(VirtualTime, CommVolumeMatchesThreadedModeBitForBit) {
 // --- numeric factorizations on the fiber workers ----------------------------
 
 TEST(VirtualTime, NumericFactorizationsFinishAtDefaultWorkerCount) {
-  // A fiber resumed by a worker loop on the thread that submitted the loops
-  // to the pool calls the optimized GEMM, whose parallel_for must then run
-  // inline: the pool's workers are all busy running the other worker
-  // loops. N = 256 makes the GEMMs large enough to split. On a 1-core host
-  // the pool runs everything inline and this passes trivially.
+  // With P at least the pool size, the pool's own threads run the worker
+  // loops, and a fiber that one of them (or the submitting thread) resumes
+  // calls the optimized GEMM, whose parallel_for must then run inline: the
+  // pool's workers are all busy running the other worker loops. With P
+  // below the pool size, the GEMM's chunks go to the idle pool threads.
+  // N = 256 makes the GEMMs large enough to split. On a 1-core host the
+  // pool runs everything inline and this passes trivially.
   const models::Machine m = models::machine_by_name("Piz Daint");
   const linalg::Matrix a =
       linalg::generate(256, linalg::MatrixKind::Uniform, 7);
@@ -380,6 +358,27 @@ TEST(VirtualTime, NumericFactorizationsFinishAtDefaultWorkerCount) {
     const lu::LuResult r = lu::make_algorithm(algo)->run(&a, cfg);
     EXPECT_GT(r.predicted_seconds, 0.0) << algo;
     EXPECT_LT(r.residual_eps, 100.0 * std::max(1.0, r.growth)) << algo;
+  }
+}
+
+TEST(RankScheduler, FewerRanksThanPoolThreadsLeaveThePoolToTheirKernels) {
+  // With P below the pool size the worker loops run outside the pool, so a
+  // rank's parallel_for spreads over the idle pool threads; with P at the
+  // pool size the pool's own threads run them and kernels run inline.
+  const int pool = support::global_pool().size();
+  if (pool < 3) GTEST_SKIP() << "needs a pool of at least 3 threads";
+  if (std::getenv("CONFLUX_VT_WORKERS") != nullptr)
+    GTEST_SKIP() << "CONFLUX_VT_WORKERS overrides the worker count";
+  for (const int p : {pool - 1, pool}) {
+    std::vector<char> on_pool(static_cast<std::size_t>(p), 0);
+    Network net(p);
+    run_spmd(net, [&](Comm& comm) {
+      on_pool[static_cast<std::size_t>(comm.rank())] =
+          support::global_pool().on_worker_thread() ? 1 : 0;
+    });
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(on_pool[static_cast<std::size_t>(r)], p == pool ? 1 : 0)
+          << "P = " << p << ", rank " << r;
   }
 }
 

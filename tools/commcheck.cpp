@@ -20,10 +20,10 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "simnet/trace.hpp"
 #include "verify/commcheck.hpp"
 
@@ -32,15 +32,6 @@ namespace {
 using conflux::verify::Backend;
 using conflux::verify::CheckConfig;
 using conflux::verify::CheckResult;
-
-std::vector<int> parse_int_list(const std::string& s) {
-  std::vector<int> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(std::stoi(item));
-  return out;
-}
 
 void print_usage(std::ostream& os) {
   os << "usage: commcheck [--all] [--family=LU|Cholesky] [--backend=NAME]\n"
@@ -174,13 +165,13 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--backend=", 0) == 0)
         backend = arg.substr(10);
       else if (arg.rfind("--n=", 0) == 0)
-        n_list = parse_int_list(arg.substr(4));
+        n_list = conflux::cli::parse_int_list(arg.substr(4), 1);
       else if (arg.rfind("--p=", 0) == 0)
-        p_list = parse_int_list(arg.substr(4));
+        p_list = conflux::cli::parse_int_list(arg.substr(4), 1);
       else if (arg.rfind("--layers=", 0) == 0)
-        layers = std::stoi(arg.substr(9));
+        layers = conflux::cli::parse_number(arg.substr(9), 0);
       else if (arg.rfind("--block=", 0) == 0)
-        block = std::stoi(arg.substr(8));
+        block = conflux::cli::parse_number(arg.substr(8), 0);
       else {
         std::cerr << "commcheck: unknown option '" << arg << "'\n";
         print_usage(std::cerr);

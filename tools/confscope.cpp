@@ -21,8 +21,8 @@
 ///   confscope ... --check-volume [--band=1.1]      gate measured per-phase
 ///                                                  volume against the model
 ///   confscope --chaos --n=128 --p=8                ConfChaos sweep: seeded
-///                                                  fault matrix x backend x
-///                                                  both execution modes
+///                                                  fault matrix x backend,
+///                                                  in virtual time
 ///
 /// Exit status: 0 clean, 1 when --check-volume finds a phase outside the
 /// band, --chaos finds a violation, or a run fails; 2 on usage errors.
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "cholesky/cholesky_common.hpp"
+#include "cli.hpp"
 #include "factor/retry.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
@@ -79,7 +80,6 @@ struct Options {
   bool chaos = false;
   std::uint64_t chaos_seed = 1;  ///< --chaos-seed= fault-matrix seed
   int attempts = 3;              ///< --attempts= retry budget per scenario
-  double deadline = 30.0;        ///< --deadline= watchdog for non-timeout runs
 };
 
 /// One backend's collected profile. The board is heap-held so the Chrome
@@ -115,9 +115,9 @@ void print_usage(std::ostream& os) {
         "  --layers=C     force the 2.5D replication depth (0 = auto)\n"
         "  --block=V      force the block size (0 = auto)\n"
         "  --numeric      numeric run instead of the default dry run\n"
-        "  --virtual      run on the virtual-time fabric (cooperative\n"
-        "                 fibers + LogGP clock): spans, waits, the trace\n"
-        "                 and the critical path are in *predicted* seconds\n"
+        "  --virtual      keep the LogGP virtual clock instead of the host\n"
+        "                 clock: spans, waits, the trace and the critical\n"
+        "                 path are in *predicted* seconds\n"
         "  --machine=NAME LogGP preset for --virtual (default Piz Daint;\n"
         "                 see models/machines.hpp)\n"
         "  --trace=FILE   write a merged Chrome-trace/Perfetto JSON file\n"
@@ -127,17 +127,15 @@ void print_usage(std::ostream& os) {
         "                 outside the model band (backends with a model)\n"
         "  --band=X       model band for --check-volume (default 1.1)\n"
         "  --chaos        ConfChaos sweep: run every selected backend in\n"
-        "                 both execution modes under a seeded fault matrix\n"
-        "                 (link delays, rank stalls, payload corruption,\n"
-        "                 receive-deadline expiry) and fail unless every\n"
-        "                 fault is contained: no hangs, no silent\n"
-        "                 corruption, recovered runs bit-identical in\n"
-        "                 volume to the fault-free baseline. --json=FILE\n"
-        "                 writes the recovery-latency report\n"
+        "                 virtual time (--machine) under a seeded fault\n"
+        "                 matrix (link delays, rank stalls, payload\n"
+        "                 corruption, virtual-clock deadline expiry) and\n"
+        "                 fail unless every fault is contained: no hangs,\n"
+        "                 no silent corruption, recovered runs\n"
+        "                 bit-identical in volume to the fault-free\n"
+        "                 baseline. --json=FILE writes the recovery report\n"
         "  --chaos-seed=S fault-matrix seed for --chaos (default 1)\n"
         "  --attempts=K   retry budget per chaos scenario (default 3)\n"
-        "  --deadline=T   watchdog receive deadline, in seconds, for chaos\n"
-        "                 runs that should NOT time out (default 30)\n"
         "  --list         print the registered (family, backend) table\n"
         "  --help         this text\n";
 }
@@ -405,22 +403,21 @@ void write_json(std::ostream& os, const std::vector<Profile>& profiles,
 }
 
 // ---------------------------------------------------------------------------
-// ConfChaos (--chaos): seeded fault matrix x backend x execution mode.
+// ConfChaos (--chaos): seeded fault matrix x backend, in virtual time.
 //
-// Per (backend, mode) a fault-free numeric baseline is run first, then four
+// Per backend a fault-free numeric baseline is run first, then four
 // scenarios, each of which must be *contained*:
 //   delay    link delays + jitter   -> run succeeds, volume bit-identical
 //   stall    rank stalls + slowdown -> run succeeds, volume bit-identical
 //   corrupt  payload bit-flips with integrity on -> typed PayloadCorrupted,
 //            retry recovers, recovered volume bit-identical, residual passes
-//   timeout  every message delayed past the receive deadline -> typed
+//   timeout  every message delayed past the virtual-clock cap -> typed
 //            ReceiveTimeout with located context (never a hang)
 // Any hang is caught by the CTest TIMEOUT; any other violation exits 1.
 // ---------------------------------------------------------------------------
 
 struct ChaosOutcome {
   std::string backend;   ///< "family/name"
-  std::string mode;      ///< "threaded" | "vtime"
   std::string scenario;  ///< delay | stall | corrupt | timeout
   bool ok = false;
   std::string detail;
@@ -482,192 +479,175 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
 
   for (const Backend& b : selected) {
     const conflux::linalg::Matrix& a = b.family == "LU" ? lu_a : chol_a;
-    for (const bool vtime : {false, true}) {
-      FactorConfig base;
-      base.n = opt.n;
-      base.p = opt.p;
-      base.block = opt.block;
-      base.force_layers = opt.layers;
-      base.mode = conflux::factor::Mode::Numeric;
-      base.verify = true;
-      if (vtime) {
-        base.fabric.mode = conflux::simnet::ExecMode::VirtualTime;
-        base.fabric.link.alpha_s = machine.alpha_s;
-        base.fabric.link.beta_s_per_byte = machine.beta_s_per_byte;
-        base.fabric.link.gamma_s_per_flop = machine.gamma_s_per_flop;
-        base.policy.virtual_deadline_s = 1e9;  // watchdog: absurd = bug
-      } else {
-        base.policy.deadline_s = opt.deadline;
-        base.policy.heartbeat_s = 0.02;
-      }
+    FactorConfig base;
+    base.n = opt.n;
+    base.p = opt.p;
+    base.block = opt.block;
+    base.force_layers = opt.layers;
+    base.mode = conflux::factor::Mode::Numeric;
+    base.verify = true;
+    base.fabric.mode = conflux::simnet::ExecMode::VirtualTime;
+    base.fabric.link.alpha_s = machine.alpha_s;
+    base.fabric.link.beta_s_per_byte = machine.beta_s_per_byte;
+    base.fabric.link.gamma_s_per_flop = machine.gamma_s_per_flop;
+    base.policy.virtual_deadline_s = 1e9;  // watchdog: absurd = bug
 
-      const std::string id = b.family + "/" + b.name;
-      const std::string mode = vtime ? "vtime" : "threaded";
-      FactorResult baseline;
+    const std::string id = b.family + "/" + b.name;
+    FactorResult baseline;
+    try {
+      baseline = chaos_run_once(b, a, base);
+    } catch (const std::exception& e) {
+      outcomes.push_back({id, "baseline", false,
+                          std::string("baseline failed: ") + e.what(), 1, 0, 0,
+                          {}});
+      continue;
+    }
+
+    // Inject-but-succeed scenarios: faults that must never change the
+    // dataflow. Delays and stalls are virtual-clock charges, so hefty
+    // magnitudes cost no host time.
+    struct Soft {
+      const char* name;
+      FaultSpec spec;
+    };
+    FaultSpec delay_spec;
+    delay_spec.seed = opt.chaos_seed;
+    delay_spec.faulty_links = 0.5;
+    delay_spec.delay_prob = 0.3;
+    delay_spec.delay_s = 1e-3;
+    delay_spec.jitter_s = 5e-4;
+    FaultSpec stall_spec;
+    stall_spec.seed = opt.chaos_seed + 1;
+    stall_spec.stall_prob = 0.2;
+    stall_spec.stall_s = 1e-2;
+    stall_spec.slow_ranks = 2;
+    stall_spec.slow_factor = 2.0;
+    for (const Soft& soft :
+         {Soft{"delay", delay_spec}, Soft{"stall", stall_spec}}) {
+      ChaosOutcome out;
+      out.backend = id;
+      out.scenario = soft.name;
+      FaultPlan plan(soft.spec);
+      FactorConfig cfg = base;
+      cfg.faults = &plan;
+      RetryPolicy rp;
+      rp.max_attempts = opt.attempts;
+      rp.real_sleep = false;
+      const double t0 = wall();
       try {
-        baseline = chaos_run_once(b, a, base);
+        const FactorResult r = run_with_retry(
+            [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
+        out.attempts = r.attempts;
+        out.backoff_s = r.backoff_seconds;
+        out.ok = chaos_volume_matches(r, baseline, &out.detail) &&
+                 r.residual < kChaosResidualTol;
+        if (out.ok && plan.counters().delayed + plan.counters().stalled == 0)
+          out.detail = "warning: no fault fired";
       } catch (const std::exception& e) {
-        outcomes.push_back({id, mode, "baseline", false,
-                            std::string("baseline failed: ") + e.what(), 1, 0,
-                            0, {}});
-        continue;
+        out.detail = e.what();
       }
+      out.wall_s = wall() - t0;
+      out.counters = plan.counters();
+      outcomes.push_back(out);
+    }
 
-      // Inject-but-succeed scenarios: faults that must never change the
-      // dataflow. Delay/stall magnitudes are kept tiny in threaded mode
-      // (they are real sleeps) and hefty in virtual time (they are free).
-      struct Soft {
-        const char* name;
+    // Corruption + integrity + retry. The probability targets ~1 flip per
+    // attempt (calibrated from the baseline's message count) and the seed
+    // scans forward until an attempt is actually poisoned — each seed's
+    // outcome is deterministic, so the sweep is too.
+    {
+      ChaosOutcome out;
+      out.backend = id;
+      out.scenario = "corrupt";
+      const double t0 = wall();
+      bool fired = false;
+      for (std::uint64_t seed = opt.chaos_seed;
+           seed < opt.chaos_seed + 32 && !out.ok; ++seed) {
         FaultSpec spec;
-      };
-      FaultSpec delay_spec;
-      delay_spec.seed = opt.chaos_seed;
-      delay_spec.faulty_links = 0.5;
-      delay_spec.delay_prob = 0.3;
-      delay_spec.delay_s = vtime ? 1e-3 : 1e-4;
-      delay_spec.jitter_s = vtime ? 5e-4 : 5e-5;
-      FaultSpec stall_spec;
-      stall_spec.seed = opt.chaos_seed + 1;
-      stall_spec.stall_prob = 0.2;
-      stall_spec.stall_s = vtime ? 1e-2 : 1e-4;
-      stall_spec.slow_ranks = 2;
-      stall_spec.slow_factor = 2.0;
-      for (const Soft& soft : {Soft{"delay", delay_spec},
-                               Soft{"stall", stall_spec}}) {
-        ChaosOutcome out;
-        out.backend = id;
-        out.mode = mode;
-        out.scenario = soft.name;
-        FaultPlan plan(soft.spec);
-        FactorConfig cfg = base;
-        cfg.faults = &plan;
-        RetryPolicy rp;
-        rp.max_attempts = opt.attempts;
-        rp.real_sleep = false;
-        const double t0 = wall();
-        try {
-          const FactorResult r = run_with_retry(
-              [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
-          out.attempts = r.attempts;
-          out.backoff_s = r.backoff_seconds;
-          out.ok = chaos_volume_matches(r, baseline, &out.detail) &&
-                   r.residual < kChaosResidualTol;
-          if (out.ok && plan.counters().delayed + plan.counters().stalled == 0)
-            out.detail = "warning: no fault fired";
-        } catch (const std::exception& e) {
-          out.detail = e.what();
-        }
-        out.wall_s = wall() - t0;
-        out.counters = plan.counters();
-        outcomes.push_back(out);
-      }
-
-      // Corruption + integrity + retry. The probability targets ~1 flip per
-      // attempt (calibrated from the baseline's message count) and the seed
-      // scans forward until an attempt is actually poisoned — each seed's
-      // outcome is deterministic, so the sweep is too.
-      {
-        ChaosOutcome out;
-        out.backend = id;
-        out.mode = mode;
-        out.scenario = "corrupt";
-        const double t0 = wall();
-        bool fired = false;
-        for (std::uint64_t seed = opt.chaos_seed;
-             seed < opt.chaos_seed + 32 && !out.ok; ++seed) {
-          FaultSpec spec;
-          spec.seed = seed;
-          spec.corrupt_prob =
-              1.0 / static_cast<double>(
-                        std::max<std::uint64_t>(1, baseline.total.messages_sent));
-          FaultPlan plan(spec);
-          FactorConfig cfg = base;
-          cfg.faults = &plan;
-          cfg.integrity = true;
-          RetryPolicy rp;
-          rp.max_attempts = opt.attempts;
-          rp.backoff_s = 0.001;
-          rp.real_sleep = false;
-          try {
-            const FactorResult r = run_with_retry(
-                [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
-            if (r.attempts > 1) {
-              fired = true;
-              out.attempts = r.attempts;
-              out.backoff_s = r.backoff_seconds;
-              out.counters = plan.counters();
-              out.ok = chaos_volume_matches(r, baseline, &out.detail) &&
-                       r.residual < kChaosResidualTol;
-              if (!out.ok && out.detail.empty())
-                out.detail = "recovered run failed the residual gate";
-            }
-          } catch (const conflux::simnet::PayloadCorrupted&) {
-            fired = true;  // detected every time but retries exhausted;
-                           // keep scanning for a recoverable seed
-          } catch (const std::exception& e) {
-            out.detail = std::string("unexpected failure type: ") + e.what();
-            break;
-          }
-        }
-        if (!out.ok && out.detail.empty())
-          out.detail = fired ? "corruption detected but never recovered"
-                             : "injection never fired (probability too low)";
-        out.wall_s = wall() - t0;
-        outcomes.push_back(out);
-      }
-
-      // Deadline expiry: every message delayed far past the receive
-      // deadline. The only acceptable outcome is the typed, located
-      // ReceiveTimeout — anything else is an escape (and a hang would trip
-      // the CTest TIMEOUT).
-      {
-        ChaosOutcome out;
-        out.backend = id;
-        out.mode = mode;
-        out.scenario = "timeout";
-        FaultSpec spec;
-        spec.seed = opt.chaos_seed + 2;
-        spec.delay_prob = 1.0;
-        spec.delay_s = vtime ? 10.0 : 1.0;
+        spec.seed = seed;
+        spec.corrupt_prob =
+            1.0 / static_cast<double>(
+                      std::max<std::uint64_t>(1, baseline.total.messages_sent));
         FaultPlan plan(spec);
         FactorConfig cfg = base;
         cfg.faults = &plan;
-        if (vtime)
-          cfg.policy.virtual_deadline_s = 1.0;
-        else {
-          cfg.policy.deadline_s = 0.25;
-          cfg.policy.heartbeat_s = 0.02;
-        }
-        const double t0 = wall();
+        cfg.integrity = true;
+        RetryPolicy rp;
+        rp.max_attempts = opt.attempts;
+        rp.backoff_s = 0.001;
+        rp.real_sleep = false;
         try {
-          (void)chaos_run_once(b, a, cfg);
-          out.detail = "deadline never fired";
-        } catch (const conflux::simnet::ReceiveTimeout& e) {
-          if (e.deadlock())
-            out.detail = "misclassified as deadlock";
-          else if (e.context().rank < 0)
-            out.detail = "timeout lost its context";
-          else
-            out.ok = true;
+          const FactorResult r = run_with_retry(
+              [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
+          if (r.attempts > 1) {
+            fired = true;
+            out.attempts = r.attempts;
+            out.backoff_s = r.backoff_seconds;
+            out.counters = plan.counters();
+            out.ok = chaos_volume_matches(r, baseline, &out.detail) &&
+                     r.residual < kChaosResidualTol;
+            if (!out.ok && out.detail.empty())
+              out.detail = "recovered run failed the residual gate";
+          }
+        } catch (const conflux::simnet::PayloadCorrupted&) {
+          fired = true;  // detected every time but retries exhausted;
+                         // keep scanning for a recoverable seed
         } catch (const std::exception& e) {
-          out.detail = std::string("untyped failure: ") + e.what();
+          out.detail = std::string("unexpected failure type: ") + e.what();
+          break;
         }
-        out.wall_s = wall() - t0;
-        out.counters = plan.counters();
-        outcomes.push_back(out);
       }
+      if (!out.ok && out.detail.empty())
+        out.detail = fired ? "corruption detected but never recovered"
+                           : "injection never fired (probability too low)";
+      out.wall_s = wall() - t0;
+      outcomes.push_back(out);
+    }
+
+    // Deadline expiry: every message delayed far past the virtual-clock
+    // cap. The only acceptable outcome is the typed, located ReceiveTimeout
+    // — anything else is an escape (and a hang would trip the CTest
+    // TIMEOUT).
+    {
+      ChaosOutcome out;
+      out.backend = id;
+      out.scenario = "timeout";
+      FaultSpec spec;
+      spec.seed = opt.chaos_seed + 2;
+      spec.delay_prob = 1.0;
+      spec.delay_s = 10.0;
+      FaultPlan plan(spec);
+      FactorConfig cfg = base;
+      cfg.faults = &plan;
+      cfg.policy.virtual_deadline_s = 1.0;
+      const double t0 = wall();
+      try {
+        (void)chaos_run_once(b, a, cfg);
+        out.detail = "deadline never fired";
+      } catch (const conflux::simnet::ReceiveTimeout& e) {
+        if (e.deadlock())
+          out.detail = "misclassified as deadlock";
+        else if (e.context().rank < 0)
+          out.detail = "timeout lost its context";
+        else
+          out.ok = true;
+      } catch (const std::exception& e) {
+        out.detail = std::string("untyped failure: ") + e.what();
+      }
+      out.wall_s = wall() - t0;
+      out.counters = plan.counters();
+      outcomes.push_back(out);
     }
   }
 
-  conflux::Table table(
-      {"backend", "mode", "scenario", "result", "attempts", "backoff_s",
-       "wall_s", "inj", "detail"});
+  conflux::Table table({"backend", "scenario", "result", "attempts",
+                        "backoff_s", "wall_s", "inj", "detail"});
   bool all_ok = true;
   for (const ChaosOutcome& out : outcomes) {
     all_ok = all_ok && out.ok;
     const std::uint64_t injected =
         out.counters.delayed + out.counters.stalled + out.counters.corrupted;
-    table.add_row({out.backend, out.mode, out.scenario,
+    table.add_row({out.backend, out.scenario,
                    out.ok ? "ok" : "FAIL", std::to_string(out.attempts),
                    conflux::fmt(out.backoff_s, 4), conflux::fmt(out.wall_s, 3),
                    std::to_string(injected), out.detail});
@@ -686,13 +666,13 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
     w.kv("n", opt.n);
     w.kv("p", opt.p);
     w.kv("seed", opt.chaos_seed);
+    w.kv("machine", opt.machine);
     w.kv("attempts_budget", opt.attempts);
     w.key("scenarios");
     w.begin_array();
     for (const ChaosOutcome& out : outcomes) {
       w.begin_object();
       w.kv("backend", out.backend);
-      w.kv("mode", out.mode);
       w.kv("scenario", out.scenario);
       w.kv("ok", out.ok);
       w.kv("attempts", out.attempts);
@@ -748,21 +728,20 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--machine=", 0) == 0)
         opt.machine = arg.substr(10);
       else if (arg.rfind("--n=", 0) == 0)
-        opt.n = std::stoi(arg.substr(4));
+        opt.n = conflux::cli::parse_number(arg.substr(4), 1);
       else if (arg.rfind("--p=", 0) == 0)
-        opt.p = std::stoi(arg.substr(4));
+        opt.p = conflux::cli::parse_number(arg.substr(4), 1);
       else if (arg.rfind("--layers=", 0) == 0)
-        opt.layers = std::stoi(arg.substr(9));
+        opt.layers = conflux::cli::parse_number(arg.substr(9), 0);
       else if (arg.rfind("--block=", 0) == 0)
-        opt.block = std::stoi(arg.substr(8));
+        opt.block = conflux::cli::parse_number(arg.substr(8), 0);
       else if (arg.rfind("--band=", 0) == 0)
-        opt.band = std::stod(arg.substr(7));
+        opt.band = conflux::cli::parse_number(arg.substr(7), 1.0);
       else if (arg.rfind("--chaos-seed=", 0) == 0)
-        opt.chaos_seed = std::stoull(arg.substr(13));
+        opt.chaos_seed =
+            conflux::cli::parse_number<std::uint64_t>(arg.substr(13), 0);
       else if (arg.rfind("--attempts=", 0) == 0)
-        opt.attempts = std::stoi(arg.substr(11));
-      else if (arg.rfind("--deadline=", 0) == 0)
-        opt.deadline = std::stod(arg.substr(11));
+        opt.attempts = conflux::cli::parse_number(arg.substr(11), 1);
       else if (arg.rfind("--trace=", 0) == 0)
         opt.trace_path = arg.substr(8);
       else if (arg.rfind("--json=", 0) == 0)

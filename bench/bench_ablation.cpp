@@ -14,36 +14,31 @@
 
 #include "bench/bench_common.hpp"
 #include "linalg/generate.hpp"
+#include "lu/lu_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace conflux;
   using namespace conflux::bench;
 
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json")
-      json_path = "BENCH_pivoting.json";
-    else if (arg.rfind("--json=", 0) == 0)
-      json_path = arg.substr(7);
-  }
+  const std::string json_path =
+      parse_bench_args(argc, argv, "BENCH_pivoting.json", /*json_only=*/true)
+          .json_path;
 
   const bool full = bench_scale() == BenchScale::Full;
   const int n = full ? 4096 : 1024;
   const int p = 64;
+  const verify::Backend conflux_lu = verify::find_backend("COnfLUX");
+  const verify::Backend libsci = verify::find_backend("LibSci");
+  constexpr factor::Mode kDry = factor::Mode::DryRun;
 
   std::cout << "== Ablation 1: replication depth c (N = " << n
             << ", P = " << p << ") ==\n";
   Table crep({"c", "grid", "total GB", "vs best"});
   double best = 1e300;
-  std::vector<std::pair<int, lu::LuResult>> rows;
+  std::vector<std::pair<int, factor::FactorResult>> rows;
   for (int c : {1, 2, 4, 8, 16}) {
-    lu::LuConfig cfg;
-    cfg.n = n;
-    cfg.p = p;
-    cfg.mode = lu::Mode::DryRun;
-    cfg.force_layers = c;
-    const auto res = lu::make_algorithm("COnfLUX")->run(nullptr, cfg);
+    const auto res = conflux_lu.run(
+        nullptr, {.n = n, .p = p, .mode = kDry, .force_layers = c});
     best = std::min(best, res.total_bytes());
     rows.emplace_back(c, res);
   }
@@ -59,12 +54,8 @@ int main(int argc, char** argv) {
   Table vtab({"v", "total GB", "messages", "note"});
   for (int v : {16, 32, 64, 128, 256}) {
     if (n % v != 0) continue;
-    lu::LuConfig cfg;
-    cfg.n = n;
-    cfg.p = p;
-    cfg.mode = lu::Mode::DryRun;
-    cfg.block = v;
-    const auto res = lu::make_algorithm("COnfLUX")->run(nullptr, cfg);
+    const auto res =
+        conflux_lu.run(nullptr, {.n = n, .p = p, .block = v, .mode = kDry});
     vtab.add_row({std::to_string(v), gb(res.total_bytes()),
                   std::to_string(res.total.messages_sent),
                   v <= 32 ? "volume-lean, latency-heavy"
@@ -78,18 +69,15 @@ int main(int argc, char** argv) {
   Table gtab({"P", "impl", "per-node MB", "grid", "idle"});
   for (int pa : full ? std::vector<int>{60, 61, 96} : std::vector<int>{13, 24}) {
     {
-      lu::LuConfig cfg;
-      cfg.n = n;
-      cfg.p = pa;
-      cfg.mode = lu::Mode::DryRun;
-      cfg.grid_optimization = true;
-      const auto res = lu::make_algorithm("COnfLUX")->run(nullptr, cfg);
+      const auto res = conflux_lu.run(
+          nullptr,
+          {.n = n, .p = pa, .mode = kDry, .grid_optimization = true});
       gtab.add_row({std::to_string(pa), "COnfLUX(opt)",
                     fmt(res.bytes_per_rank() / 1e6, 4), res.grid,
                     std::to_string(pa - res.ranks_used)});
     }
     {
-      const auto res = run_dry("LibSci", n, pa);
+      const auto res = run_dry(libsci, n, pa);
       gtab.add_row({std::to_string(pa), "LibSci(greedy)",
                     fmt(res.bytes_per_rank() / 1e6, 4), res.grid, "0"});
     }
@@ -103,8 +91,8 @@ int main(int argc, char** argv) {
                "replication (COnfLUX vs CANDMC proxy) ==\n";
   Table stab({"N", "P", "COnfLUX GB", "CANDMC GB", "penalty"});
   for (int pa : {16, 64}) {
-    const auto cx = run_dry("COnfLUX", n, pa);
-    const auto cd = run_dry("CANDMC", n, pa);
+    const auto cx = run_dry(conflux_lu, n, pa);
+    const auto cd = run_dry(verify::find_backend("CANDMC"), n, pa);
     stab.add_row({std::to_string(n), std::to_string(pa),
                   gb(cx.total_bytes()), gb(cd.total_bytes()),
                   fmt(cd.total_bytes() / cx.total_bytes(), 3) + "x"});
@@ -118,12 +106,8 @@ int main(int argc, char** argv) {
   Table ntab({"nb", "total GB", "messages"});
   for (int nb : {16, 32, 64, 128}) {
     if (n % nb != 0) continue;
-    lu::LuConfig cfg;
-    cfg.n = n;
-    cfg.p = p;
-    cfg.mode = lu::Mode::DryRun;
-    cfg.block = nb;
-    const auto res = lu::make_algorithm("LibSci")->run(nullptr, cfg);
+    const auto res =
+        libsci.run(nullptr, {.n = n, .p = p, .block = nb, .mode = kDry});
     ntab.add_row({std::to_string(nb), gb(res.total_bytes()),
                   std::to_string(res.total.messages_sent)});
   }
@@ -137,8 +121,17 @@ int main(int argc, char** argv) {
   // reduction-tree tournament on every adversarial family. Numeric runs
   // give growth + residual; dry runs at the sweep grids give the volumes.
   const std::vector<std::string> strategies = {"LibSci", "COnfLUX", "CALU"};
-  std::ostringstream numerics_json;
-  std::ostringstream volumes_json;
+  std::ostringstream json;  // the --json file, written at the end
+  support::JsonWriter w(json);
+  w.begin_object();
+  w.kv("bench", "pivoting");
+  w.kv("scale", full ? "full" : "small");
+  w.key("strategies");
+  w.begin_array();
+  for (const std::string& algo : strategies) w.value(algo);
+  w.end_array();
+  w.key("numerics");
+  w.begin_array();
 
   const int adv_n = pick(256, 128);
   const int adv_p = 8;
@@ -146,24 +139,23 @@ int main(int argc, char** argv) {
   for (const std::string& algo : strategies) {
     for (linalg::MatrixKind kind : linalg::adversarial_kinds()) {
       const linalg::Matrix a = linalg::generate(adv_n, kind, 131);
-      lu::LuConfig cfg;
-      cfg.n = adv_n;
-      cfg.p = adv_p;
-      cfg.mode = lu::Mode::Numeric;
-      cfg.verify = true;
-      const auto res = lu::make_algorithm(algo)->run(&a, cfg);
+      const auto res = lu::make_algorithm(algo)->run(
+          &a, {.n = adv_n, .p = adv_p, .mode = factor::Mode::Numeric});
       ptab.add_row({algo, linalg::to_string(kind), fmt(res.growth, 3),
                     fmt(res.residual_eps, 2),
                     std::to_string(res.pivot_stats.off_natural)});
-      if (numerics_json.tellp() > 0) numerics_json << ",";
-      numerics_json << "\n    {\"strategy\": \"" << algo << "\", \"kind\": \""
-                    << linalg::to_string(kind) << "\", \"n\": " << adv_n
-                    << ", \"p\": " << adv_p << ", \"growth\": " << res.growth
-                    << ", \"residual_eps\": " << res.residual_eps
-                    << ", \"off_natural\": " << res.pivot_stats.off_natural
-                    << "}";
+      w.begin_object();
+      w.kv("strategy", algo);
+      w.kv("kind", linalg::to_string(kind));
+      w.kv("n", adv_n);
+      w.kv("p", adv_p);
+      w.kv("growth", res.growth);
+      w.kv("residual_eps", res.residual_eps);
+      w.kv("off_natural", res.pivot_stats.off_natural);
+      w.end_object();
     }
   }
+  w.end_array();
   ptab.print(std::cout, 2);
   std::cout << "  (Wilkinson defeats every row-pivoting strategy — partial "
                "and tournament alike hit 2^(n-1); on the other families all "
@@ -173,42 +165,40 @@ int main(int argc, char** argv) {
   const int piv_n = full ? 4096 : 1024;
   Table wtab({"N", "P", "c", "LibSci GB", "COnfLUX GB", "CALU GB",
               "CALU/COnfLUX"});
+  w.key("volumes");
+  w.begin_array();
   for (const auto& [pa, c] :
        std::vector<std::pair<int, int>>{{16, 0}, {64, 0}, {64, 4}}) {
-    lu::LuConfig cfg;
-    cfg.n = piv_n;
-    cfg.p = pa;
-    cfg.mode = lu::Mode::DryRun;
-    cfg.force_layers = c;
-    const auto libsci = lu::make_algorithm("LibSci")->run(nullptr, cfg);
-    const auto conflux = lu::make_algorithm("COnfLUX")->run(nullptr, cfg);
-    const auto calu = lu::make_algorithm("CALU")->run(nullptr, cfg);
+    const factor::FactorConfig cfg{
+        .n = piv_n, .p = pa, .mode = kDry, .force_layers = c};
+    const auto lib = libsci.run(nullptr, cfg);
+    const auto conflux = conflux_lu.run(nullptr, cfg);
+    const auto calu = verify::find_backend("CALU").run(nullptr, cfg);
     const double ratio = calu.total_bytes() / conflux.total_bytes();
-    wtab.add_row({std::to_string(piv_n), std::to_string(pa),
-                  c == 0 ? "auto" : std::to_string(c),
-                  gb(libsci.total_bytes()), gb(conflux.total_bytes()),
+    const std::string layers = c == 0 ? "auto" : std::to_string(c);
+    wtab.add_row({std::to_string(piv_n), std::to_string(pa), layers,
+                  gb(lib.total_bytes()), gb(conflux.total_bytes()),
                   gb(calu.total_bytes()), fmt(ratio, 4) + "x"});
-    if (volumes_json.tellp() > 0) volumes_json << ",";
-    volumes_json << "\n    {\"n\": " << piv_n << ", \"p\": " << pa
-                 << ", \"layers\": \"" << (c == 0 ? "auto" : std::to_string(c))
-                 << "\", \"grid\": \"" << conflux.grid
-                 << "\", \"libsci_bytes\": " << libsci.total_bytes()
-                 << ", \"conflux_bytes\": " << conflux.total_bytes()
-                 << ", \"calu_bytes\": " << calu.total_bytes()
-                 << ", \"calu_over_conflux\": " << ratio << "}";
+    w.begin_object();
+    w.kv("n", piv_n);
+    w.kv("p", pa);
+    w.kv("layers", layers);
+    w.kv("grid", conflux.grid);
+    w.kv("libsci_bytes", lib.total_bytes());
+    w.kv("conflux_bytes", conflux.total_bytes());
+    w.kv("calu_bytes", calu.total_bytes());
+    w.kv("calu_over_conflux", ratio);
+    w.end_object();
   }
+  w.end_array();
+  w.end_object();
   wtab.print(std::cout, 2);
   std::cout << "  (The reduction tree sends Px-1 candidate blocks per panel "
                "vs the butterfly's ~Px log2 Px: CALU tracks COnfLUX from "
                "below, always within the 1.1x acceptance band.)\n";
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"pivoting\",\n  \"scale\": \""
-        << (full ? "full" : "small")
-        << "\",\n  \"strategies\": [\"LibSci\", \"COnfLUX\", \"CALU\"],"
-        << "\n  \"numerics\": [" << numerics_json.str()
-        << "\n  ],\n  \"volumes\": [" << volumes_json.str() << "\n  ]\n}\n";
+    std::ofstream(json_path) << json.str() << "\n";
     std::cout << "\nwrote " << json_path << "\n";
   }
   return 0;

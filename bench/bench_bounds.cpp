@@ -63,7 +63,8 @@ int main() {
     const auto inst = models::max_replication_instance(nn, p);
     const double bound_bytes =
         daap::lu_bound_parallel(nn, inst.m_elements, p) * p * 8.0;
-    const double measured = run_dry("COnfLUX", nn, p).total_bytes();
+    const double measured =
+        run_dry(verify::find_backend("COnfLUX"), nn, p).total_bytes();
     par.add_row({std::to_string(nn), std::to_string(p),
                  fmt(inst.m_elements, 4), gb(bound_bytes), gb(measured),
                  fmt(measured / bound_bytes, 3) + "x"});

@@ -7,8 +7,6 @@
 ///
 /// Set CONFLUX_BENCH_SCALE=small for a quick reduced-size run.
 #include "bench/bench_common.hpp"
-#include "cholesky/cholesky_common.hpp"
-#include "daap/kernels.hpp"
 
 int main() {
   using namespace conflux;
@@ -32,20 +30,15 @@ int main() {
                  "sim s"});
     for (int p : ps) {
       const models::Instance inst = models::max_replication_instance(n, p);
-      const double bound_bytes =
-          models::cholesky_lower_bound_elements_per_rank(inst) * p * 8.0;
-      const double lu_bytes = run_dry("COnfLUX", n, p).total_bytes();
-      for (const auto& algo : cholesky::all_cholesky_algorithms()) {
-        cholesky::CholConfig cfg;
-        cfg.n = n;
-        cfg.p = p;
-        cfg.mode = cholesky::Mode::DryRun;
-        const cholesky::CholResult res = algo->run(nullptr, cfg);
+      const double lu_bytes =
+          run_dry(verify::find_backend("COnfLUX"), n, p).total_bytes();
+      for (const verify::Backend& b : verify::select_backends("Cholesky", {})) {
+        const factor::FactorResult res = run_dry(b, n, p);
         const double measured = res.total_bytes();
-        double modeled = 0;
-        for (const auto& m : models::cholesky_models())
-          if (m->name() == algo->name()) modeled = m->total_bytes(inst);
-        table.add_row({std::to_string(p), algo->name(), gb(measured),
+        const double modeled = model_bytes(b, n, p);
+        const double bound_bytes =
+            b.lower_bound_elements_per_rank(inst) * p * 8.0;
+        table.add_row({std::to_string(p), b.name, gb(measured),
                        gb(modeled), fmt(100.0 * modeled / measured, 3) + "%",
                        gb(bound_bytes), fmt(measured / bound_bytes, 2) + "x",
                        gb(lu_bytes), res.grid, std::to_string(res.block),

@@ -1,7 +1,8 @@
 /// \file bench_common.hpp
-/// Shared helpers for the reproduction harness: dry-run execution, model
-/// lookup, the paper's reference values for side-by-side printing, and the
-/// common `--json` / `--trace` output machinery every bench shares.
+/// Shared helpers for the reproduction harness: dry runs of registered
+/// backends (verify/commcheck.hpp), the paper's reference values for
+/// side-by-side printing, and the common `--json` / `--trace` output
+/// machinery every bench shares.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "lu/lu_common.hpp"
 #include "models/cost_model.hpp"
 #include "models/machines.hpp"
 #include "models/predictions.hpp"
@@ -23,39 +23,22 @@
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
+#include "tools/cli.hpp"
+#include "verify/commcheck.hpp"
 
 namespace conflux::bench {
 
-/// Run one dry-run configuration and return the result. Pass a telemetry
-/// board (see BenchTrace) to profile the run with ConfScope spans.
-inline lu::LuResult run_dry(const std::string& algo, int n, int p,
-                            telemetry::TelemetryBoard* tel = nullptr) {
-  lu::LuConfig cfg;
-  cfg.n = n;
-  cfg.p = p;
-  cfg.mode = lu::Mode::DryRun;
-  cfg.telemetry = tel;
-  return lu::make_algorithm(algo)->run(nullptr, cfg);
-}
-
-/// Run one dry-run configuration on the virtual-time fabric: cooperative
-/// fibers instead of one thread per rank (so P = 512-4096 fits on a
-/// laptop-class host) and a LogGP clock parameterized by `machine`'s
-/// alpha/beta/gamma. The result's predicted_seconds carries the modeled
-/// wall clock.
-inline lu::LuResult run_dry_virtual(const std::string& algo, int n, int p,
-                                    const models::Machine& machine,
-                                    telemetry::TelemetryBoard* tel = nullptr) {
-  lu::LuConfig cfg;
-  cfg.n = n;
-  cfg.p = p;
-  cfg.mode = lu::Mode::DryRun;
-  cfg.telemetry = tel;
-  cfg.fabric.mode = simnet::ExecMode::VirtualTime;
-  cfg.fabric.link.alpha_s = machine.alpha_s;
-  cfg.fabric.link.beta_s_per_byte = machine.beta_s_per_byte;
-  cfg.fabric.link.gamma_s_per_flop = machine.gamma_s_per_flop;
-  return lu::make_algorithm(algo)->run(nullptr, cfg);
+/// Dry-run registered backend `b` at (n, p) on `fabric` (the host clock by
+/// default; verify::virtual_fabric for a predicted wall clock). Pass a
+/// telemetry board (see BenchTrace) to profile the run with ConfScope spans.
+inline factor::FactorResult run_dry(const verify::Backend& b, int n, int p,
+                                    telemetry::TelemetryBoard* tel = nullptr,
+                                    const simnet::FabricSpec& fabric = {}) {
+  return b.run(nullptr, {.n = n,
+                         .p = p,
+                         .mode = factor::Mode::DryRun,
+                         .fabric = fabric,
+                         .telemetry = tel});
 }
 
 /// Common bench CLI flags, shared by every bench that produces artifacts:
@@ -73,46 +56,40 @@ struct BenchArgs {
   std::vector<int> ps;     ///< -p override for the --virtual sweep
 };
 
+/// Parse the flags above; a `json_only` bench takes `--json[=path]` alone.
+/// An unknown argument, a `-p` without a valid list or an unknown
+/// `--machine` preset is a usage error (exit 2).
 inline BenchArgs parse_bench_args(int argc, char** argv,
-                                  const std::string& default_json) {
+                                  const std::string& default_json,
+                                  bool json_only = false) {
   BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      args.json_path = default_json;
-      args.json_defaulted = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      args.json_path = arg.substr(7);
-      args.json_defaulted = false;
-    } else if (arg.rfind("--trace=", 0) == 0)
-      args.trace_path = arg.substr(8);
-    else if (arg == "--virtual")
-      args.virtual_mode = true;
-    else if (arg.rfind("--machine=", 0) == 0)
-      args.machine = arg.substr(10);
-    else if (arg == "-p" && i + 1 < argc) {
-      const std::string list = argv[++i];
-      for (std::size_t pos = 0; pos <= list.size();) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        const std::string tok = list.substr(pos, comma - pos);
-        int p = 0;
-        try {
-          std::size_t used = 0;
-          p = std::stoi(tok, &used);
-          if (used != tok.size()) p = 0;
-        } catch (const std::exception&) {
-          p = 0;
-        }
-        if (p < 1) {
-          std::cerr << "bad -p list '" << list
-                    << "': expected comma-separated integers >= 1\n";
-          std::exit(2);
-        }
-        args.ps.push_back(p);
-        pos = comma + 1;
-      }
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--json") {
+        args.json_path = default_json;
+        args.json_defaulted = true;
+      } else if (arg.rfind("--json=", 0) == 0) {
+        args.json_path = arg.substr(7);
+        args.json_defaulted = false;
+      } else if (!json_only && arg.rfind("--trace=", 0) == 0)
+        args.trace_path = arg.substr(8);
+      else if (!json_only && arg == "--virtual")
+        args.virtual_mode = true;
+      else if (!json_only && arg.rfind("--machine=", 0) == 0)
+        args.machine = models::machine_by_name(arg.substr(10)).name;
+      else if (!json_only && arg == "-p") {
+        if (++i == argc) throw std::invalid_argument("-p needs a list");
+        args.ps = cli::parse_int_list(argv[i], 1);
+      } else
+        throw std::invalid_argument("unknown argument '" + arg + "'");
     }
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\nusage: " << argv[0]
+              << (json_only ? " [--json[=FILE]]\n"
+                            : " [--json[=FILE]] [--trace=FILE] [--virtual] "
+                              "[--machine=NAME] [-p P[,P...]]\n");
+    std::exit(2);
   }
   return args;
 }
@@ -205,15 +182,14 @@ class BenchTrace {
   int pid_ = 0;
 };
 
-/// Model prediction in bytes for one implementation.
-inline double model_bytes(const std::string& algo, double n, double p,
+/// Volume-model prediction in bytes for backend `b` under the
+/// max-replication memory rule; `leading_only` keeps the leading term.
+inline double model_bytes(const verify::Backend& b, double n, double p,
                           bool leading_only = false) {
   const models::Instance inst = models::max_replication_instance(n, p);
-  for (const auto& m : models::standard_models())
-    if (m->name() == algo)
-      return leading_only ? m->leading_elements_per_rank(inst) * p * 8.0
-                          : m->total_bytes(inst);
-  return 0.0;
+  const auto m = b.volume_model();
+  return leading_only ? m->leading_elements_per_rank(inst) * p * 8.0
+                      : m->total_bytes(inst);
 }
 
 /// Table 2's published measured/modeled totals in GB, keyed by
@@ -245,10 +221,11 @@ inline double paper_table2_gb(int n, int p, const std::string& algo,
   return modeled ? it->second.second : it->second.first;
 }
 
-inline const std::vector<std::string>& algo_names() {
-  static const std::vector<std::string> kNames = {"LibSci", "SLATE", "CANDMC",
-                                                  "COnfLUX"};
-  return kNames;
+/// The four LU backends of Table 2 and Figs. 6-7, in table order.
+inline const std::vector<verify::Backend>& table2_backends() {
+  static const std::vector<verify::Backend> kBackends =
+      verify::select_backends("LU", {"LibSci", "SLATE", "CANDMC", "COnfLUX"});
+  return kBackends;
 }
 
 /// Scale-dependent parameter pick.
@@ -277,25 +254,19 @@ inline std::vector<BenchPoint> run_virtual_sweep(
       {"P", "N", "impl", "predicted s", "MB/node", "host s", "grid"});
   std::vector<BenchPoint> points;
   for (const auto& [n, p] : nps) {
-    for (const std::string& algo : algo_names()) {
+    for (const verify::Backend& b : table2_backends()) {
       Stopwatch sw;
-      const lu::LuResult res = run_dry_virtual(algo, n, p, m, trace.board());
+      const factor::FactorResult res =
+          run_dry(b, n, p, trace.board(), verify::virtual_fabric(m));
       const double host = sw.seconds();
-      trace.add(algo + "/n" + std::to_string(n) + "/p" + std::to_string(p));
-      table.add_row({std::to_string(p), std::to_string(n), algo,
+      trace.add(b.name + "/n" + std::to_string(n) + "/p" + std::to_string(p));
+      table.add_row({std::to_string(p), std::to_string(n), b.name,
                      fmt(res.predicted_seconds, 4),
                      fmt(res.bytes_per_rank() / 1e6, 4), fmt(host, 4),
                      res.grid});
-      BenchPoint pt{p,
-                    n,
-                    algo,
-                    host,
-                    res.bytes_per_rank(),
-                    res.total_bytes(),
-                    res.total.messages_sent,
-                    res.grid,
-                    res.predicted_seconds};
-      points.push_back(pt);
+      points.push_back({p, n, b.name, host, res.bytes_per_rank(),
+                        res.total_bytes(), res.total.messages_sent, res.grid,
+                        res.predicted_seconds});
     }
   }
   table.print(std::cout, 2);

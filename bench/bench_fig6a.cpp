@@ -55,17 +55,17 @@ int main(int argc, char** argv) {
   Table table({"P", "impl", "measured MB/node", "model MB/node",
                "leading MB/node", "seconds", "grid"});
   for (int p : ps) {
-    for (const std::string& algo : algo_names()) {
+    for (const verify::Backend& b : table2_backends()) {
       Stopwatch sw;
-      const lu::LuResult res = run_dry(algo, n, p, trace.board());
+      const factor::FactorResult res = run_dry(b, n, p, trace.board());
       const double seconds = sw.seconds();
-      trace.add(algo + "/p" + std::to_string(p));
+      trace.add(b.name + "/p" + std::to_string(p));
       table.add_row(
-          {std::to_string(p), algo, fmt(res.bytes_per_rank() / 1e6, 4),
-           fmt(model_bytes(algo, n, p) / p / 1e6, 4),
-           fmt(model_bytes(algo, n, p, true) / p / 1e6, 4), fmt(seconds, 4),
+          {std::to_string(p), b.name, fmt(res.bytes_per_rank() / 1e6, 4),
+           fmt(model_bytes(b, n, p) / p / 1e6, 4),
+           fmt(model_bytes(b, n, p, true) / p / 1e6, 4), fmt(seconds, 4),
            res.grid});
-      points.push_back({p, n, algo, seconds, res.bytes_per_rank(),
+      points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
                         res.total_bytes(), res.total.messages_sent,
                         res.grid});
     }
@@ -80,12 +80,11 @@ int main(int argc, char** argv) {
   for (int p : awkward) {
     int p2 = 1;
     while (p2 * 2 <= p) p2 *= 2;
-    for (const std::string& algo : {std::string("LibSci"),
-                                    std::string("SLATE"),
-                                    std::string("COnfLUX")}) {
-      const lu::LuResult res = run_dry(algo, n, p);
-      const lu::LuResult ref = run_dry(algo, n, p2);
-      inset.add_row({std::to_string(p), algo,
+    for (const verify::Backend& b :
+         verify::select_backends("LU", {"LibSci", "SLATE", "COnfLUX"})) {
+      const factor::FactorResult res = run_dry(b, n, p);
+      const factor::FactorResult ref = run_dry(b, n, p2);
+      inset.add_row({std::to_string(p), b.name,
                      fmt(res.bytes_per_rank() / 1e6, 4),
                      fmt(res.bytes_per_rank() / ref.bytes_per_rank(), 3) +
                          "x",

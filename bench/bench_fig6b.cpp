@@ -54,18 +54,17 @@ int main(int argc, char** argv) {
   std::vector<BenchPoint> points;
   for (int p : ps) {
     const int n = weak_n(n0, p);
-    for (const std::string& algo : algo_names()) {
+    for (const verify::Backend& b : table2_backends()) {
       Stopwatch sw;
-      const lu::LuResult res = run_dry(algo, n, p, trace.board());
+      const factor::FactorResult res = run_dry(b, n, p, trace.board());
       const double seconds = sw.seconds();
-      trace.add(algo + "/p" + std::to_string(p));
+      trace.add(b.name + "/p" + std::to_string(p));
       const double per_node = res.bytes_per_rank() / 1e6;
-      if (first.find(algo) == first.end()) first[algo] = per_node;
-      table.add_row({std::to_string(p), std::to_string(n), algo,
-                     fmt(per_node, 4),
-                     fmt(model_bytes(algo, n, p) / p / 1e6, 4),
-                     fmt(per_node / first[algo], 3) + "x"});
-      points.push_back({p, n, algo, seconds, res.bytes_per_rank(),
+      if (first.find(b.name) == first.end()) first[b.name] = per_node;
+      table.add_row({std::to_string(p), std::to_string(n), b.name,
+                     fmt(per_node, 4), fmt(model_bytes(b, n, p) / p / 1e6, 4),
+                     fmt(per_node / first[b.name], 3) + "x"});
+      points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
                         res.total_bytes(), res.total.messages_sent,
                         res.grid});
     }

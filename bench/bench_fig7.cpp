@@ -63,13 +63,14 @@ int main(int argc, char** argv) {
     for (int p : ps) {
       if (full && n == 8192 && p == 1024) continue;  // heaviest cell: skip
       std::vector<NamedVolume> entries;
-      for (const std::string& algo : algo_names()) {
+      for (const verify::Backend& b : table2_backends()) {
         Stopwatch sw;
-        const lu::LuResult res = run_dry(algo, n, p, trace.board());
+        const factor::FactorResult res = run_dry(b, n, p, trace.board());
         const double seconds = sw.seconds();
-        trace.add(algo + "/n" + std::to_string(n) + "/p" + std::to_string(p));
-        entries.push_back({algo, res.total_bytes()});
-        points.push_back({p, n, algo, seconds, res.bytes_per_rank(),
+        trace.add(b.name + "/n" + std::to_string(n) + "/p" +
+                  std::to_string(p));
+        entries.push_back({b.name, res.total_bytes()});
+        points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
                           res.total_bytes(), res.total.messages_sent,
                           res.grid});
       }

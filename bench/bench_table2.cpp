@@ -25,13 +25,13 @@ int main() {
     Table table({"P", "impl", "measured GB", "modeled GB", "pred %",
                  "paper meas", "paper model", "grid", "block", "sim s"});
     for (int p : ps) {
-      for (const std::string& algo : algo_names()) {
-        const lu::LuResult res = run_dry(algo, n, p);
+      for (const verify::Backend& b : table2_backends()) {
+        const factor::FactorResult res = run_dry(b, n, p);
         const double measured = res.total_bytes();
-        const double modeled = model_bytes(algo, n, p);
-        const double paper_m = paper_table2_gb(n, p, algo, false);
-        const double paper_mod = paper_table2_gb(n, p, algo, true);
-        table.add_row({std::to_string(p), algo, gb(measured), gb(modeled),
+        const double modeled = model_bytes(b, n, p);
+        const double paper_m = paper_table2_gb(n, p, b.name, false);
+        const double paper_mod = paper_table2_gb(n, p, b.name, true);
+        table.add_row({std::to_string(p), b.name, gb(measured), gb(modeled),
                        fmt(100.0 * modeled / measured, 3) + "%",
                        paper_m > 0 ? gb(paper_m * 1e9) : "-",
                        paper_mod > 0 ? gb(paper_mod * 1e9) : "-", res.grid,

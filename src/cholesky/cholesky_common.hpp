@@ -25,17 +25,10 @@ namespace conflux::cholesky {
 /// Numeric-vs-DryRun execution mode, shared across factorization families.
 using factor::Mode;
 
-/// A distributed-Cholesky problem configuration. All fields are inherited
-/// from the family-neutral FactorConfig (factor/factorization.hpp); the
-/// `seed` field is unused here (no synthetic pivots to draw).
-struct CholConfig : factor::FactorConfig {
-  /// Copy of this configuration with a different execution mode.
-  [[nodiscard]] CholConfig with_mode(Mode m) const {
-    CholConfig copy = *this;
-    copy.mode = m;
-    return copy;
-  }
-};
+/// A distributed-Cholesky problem configuration: the family-neutral
+/// FactorConfig (factor/factorization.hpp); its `seed` field is unused here
+/// (no synthetic pivots to draw).
+using CholConfig = factor::FactorConfig;
 
 /// Result of one Cholesky factorization run. The communication metrics,
 /// grid description, residual and wall time are the shared FactorResult

@@ -53,6 +53,12 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
               (*params.a)(me.my_rows[i], me.my_cols[j]);
   }
 
+  // Every collective below runs over my own process row or column (the
+  // diagonal broadcast runs only where me.pc == pck), so both groups are
+  // built once, not per step.
+  const Group my_row = factor::row_group(g, me.pr, 0);
+  const Group my_col = factor::col_group(g, me.pc, 0);
+
   const int steps = n / nb;
   for (int s = 0; s < steps; ++s) {
     const int k0 = s * nb;
@@ -78,7 +84,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
             buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
       }
       const simnet::BufferView got = simnet::bcast(
-          comm, factor::col_group(g, pck, 0), prk,
+          comm, my_col, prk,
           simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
           make_tag(20, ts, 0));
       if (numeric) std::copy(got.data(), got.data() + count, l00.data());
@@ -109,7 +115,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
                 me.loc(mrow0 + il, me.lcol(k0) + q);
       }
       const simnet::BufferView got = simnet::bcast(
-          comm, factor::row_group(g, me.pr, 0), pck,
+          comm, my_row, pck,
           simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
           make_tag(24, ts, 0));
       if (numeric) {
@@ -130,7 +136,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
-      const Group cg = factor::col_group(g, me.pc, 0);
       for (int pr = 0; pr < g.rows(); ++pr) {
         // Trailing columns of this process column whose L10 row lives on
         // process row pr — identical index arithmetic on every rank.
@@ -152,7 +157,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
           }
         }
         const simnet::BufferView got = simnet::bcast(
-            comm, cg, pr, simnet::payload_or_ghost(std::move(buf)),
+            comm, my_col, pr, simnet::payload_or_ghost(std::move(buf)),
             count * sizeof(double),
             make_tag(25, ts, static_cast<std::uint32_t>(pr)));
         if (!numeric) continue;

@@ -78,7 +78,7 @@ struct FactorConfig {
   /// VirtualTime keeps a LogGP clock per rank, which is what lets the
   /// benches run P = 512–4096 on a laptop-class host and report a
   /// *predicted* wall clock (FactorResult::predicted_seconds).
-  simnet::FabricSpec fabric;
+  simnet::FabricSpec fabric{};
 
   /// Optional ConfScope telemetry (support/telemetry.hpp), mirroring the
   /// `trace` hook: when set, the run's Network attaches this board, the
@@ -106,7 +106,7 @@ struct FactorConfig {
   /// Containment policy for the run's fabric: the virtual-clock cap
   /// (VirtualTime). All-zero (the default) sets no cap; a deadlock fails
   /// the run under either clock.
-  simnet::RunPolicy policy;
+  simnet::RunPolicy policy{};
 };
 
 /// The common part of one factorization run's result. Derived result types

@@ -23,11 +23,6 @@ struct PivotStats {
   int max_displacement = 0;  ///< max |permutation[i] - i|
   double min_abs_u_diag = 0;  ///< smallest |U(i,i)| — distance to breakdown
   double max_abs_u_diag = 0;  ///< largest |U(i,i)| — growth's diagonal face
-
-  /// Fraction of positions where the strategy deviated from natural order.
-  [[nodiscard]] double off_natural_fraction() const {
-    return rows > 0 ? static_cast<double>(off_natural) / rows : 0.0;
-  }
 };
 
 /// Compute pivot statistics from a run's row permutation and the diagonal

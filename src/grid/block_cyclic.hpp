@@ -49,13 +49,6 @@ class BlockCyclic1D {
   /// Local tile slot of tile t on its owner (t / p).
   [[nodiscard]] int local_tile(int t) const { return t / p_; }
 
-  /// Number of tiles owned by rank r.
-  [[nodiscard]] int tiles_of_owner(int r) const {
-    CONFLUX_EXPECTS(r >= 0 && r < p_);
-    const int full = tiles();
-    return (full - r + p_ - 1) / p_;
-  }
-
   /// Number of global indices owned by rank r.
   [[nodiscard]] int extent_of_owner(int r) const {
     int count = 0;

@@ -30,19 +30,10 @@ namespace conflux::lu {
 /// the pivot-placement noise band (tests pin it at a few percent).
 using factor::Mode;
 
-/// A distributed-LU problem configuration. All fields are inherited from
-/// the family-neutral FactorConfig; see factor/factorization.hpp for their
-/// meaning (n, p, block, mem_elements, mode, seed, and the ablation knobs
-/// grid_optimization / force_layers / verify / keep_factors).
-struct LuConfig : factor::FactorConfig {
-  /// Copy of this configuration with a different execution mode — the
-  /// idiom tests use to run the same problem numerically and dry.
-  [[nodiscard]] LuConfig with_mode(Mode m) const {
-    LuConfig copy = *this;
-    copy.mode = m;
-    return copy;
-  }
-};
+/// A distributed-LU problem configuration: the family-neutral FactorConfig
+/// (factor/factorization.hpp), so one config runs a backend of either
+/// family.
+using LuConfig = factor::FactorConfig;
 
 /// Result of one LU factorization run. The communication metrics, grid
 /// description, residual and wall time are the shared FactorResult fields;

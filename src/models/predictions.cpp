@@ -33,13 +33,10 @@ Reduction reduction_vs_second_best(const std::vector<NamedVolume>& entries,
   return {second.total_bytes / our_bytes, second.name};
 }
 
-namespace {
-
-std::vector<NamedVolume> predict_with(
-    const std::vector<std::unique_ptr<CostModel>>& models,
-    const Instance& inst, bool leading_only) {
+std::vector<NamedVolume> predict_all(const Instance& inst,
+                                     bool leading_only) {
   std::vector<NamedVolume> out;
-  for (const auto& model : models) {
+  for (const auto& model : standard_models()) {
     const double bytes =
         leading_only
             ? model->leading_elements_per_rank(inst) * inst.p * 8.0
@@ -47,18 +44,6 @@ std::vector<NamedVolume> predict_with(
     out.push_back({model->name(), bytes});
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<NamedVolume> predict_all(const Instance& inst,
-                                     bool leading_only) {
-  return predict_with(standard_models(), inst, leading_only);
-}
-
-std::vector<NamedVolume> predict_all_cholesky(const Instance& inst,
-                                              bool leading_only) {
-  return predict_with(cholesky_models(), inst, leading_only);
 }
 
 double crossover_ranks(const CostModel& a, const CostModel& b, double n,

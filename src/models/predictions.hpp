@@ -43,11 +43,6 @@ struct Reduction {
 [[nodiscard]] std::vector<NamedVolume> predict_all(const Instance& inst,
                                                    bool leading_only = false);
 
-/// As predict_all, for the Cholesky family (ScaLAPACK 2D baseline vs
-/// COnfCHOX) — the model side of bench_cholesky's measured/modeled table.
-[[nodiscard]] std::vector<NamedVolume> predict_all_cholesky(
-    const Instance& inst, bool leading_only = false);
-
 /// Smallest power-of-two P (scanned geometrically up to `p_max`) at which
 /// `a` predicts less volume than `b` for matrix size n under the
 /// max-replication memory rule; returns -1 if no crossover below p_max.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "cholesky/cholesky_common.hpp"
@@ -44,20 +45,76 @@ class MisuseCollector {
   simnet::BufferMisuseHandler previous_;
 };
 
-/// True for the 2.5D backends whose schedule shape depends on the
-/// replication depth (the others ignore force_layers).
-bool has_layers(const Backend& b) {
-  return b.name == "COnfLUX" || b.name == "CANDMC" || b.name == "COnfCHOX" ||
-         b.name == "CALU";
-}
-
 }  // namespace
 
+factor::FactorResult Backend::run(const linalg::Matrix* a,
+                                  const factor::FactorConfig& cfg) const {
+  if (family == "LU") return lu::make_algorithm(name)->run(a, cfg);
+  CONFLUX_EXPECTS_MSG(family == "Cholesky",
+                      "unknown family '" << family << '\'');
+  return cholesky::make_cholesky_algorithm(name)->run(a, cfg);
+}
+
+linalg::MatrixKind Backend::input_kind() const {
+  return family == "LU" ? linalg::MatrixKind::DiagDominant
+                        : linalg::MatrixKind::Spd;
+}
+
+double Backend::lower_bound_elements_per_rank(
+    const models::Instance& inst) const {
+  return family == "LU" ? models::lu_lower_bound_elements_per_rank(inst)
+                        : models::cholesky_lower_bound_elements_per_rank(inst);
+}
+
+std::unique_ptr<models::CostModel> Backend::volume_model() const {
+  // CALU's model stays out of standard_models(), which is Table 2's four.
+  if (name == "CALU") return std::make_unique<models::CaluModel>();
+  for (auto& m : family == "LU" ? models::standard_models()
+                                : models::cholesky_models())
+    if (m->name() == name) return std::move(m);
+  CONFLUX_EXPECTS_MSG(false, "no volume model for '" << name << '\'');
+  return nullptr;
+}
+
 std::vector<Backend> registered_backends() {
-  return {{"LU", "LibSci"},        {"LU", "SLATE"},
-          {"LU", "CANDMC"},        {"LU", "COnfLUX"},
-          {"LU", "CALU"},          {"Cholesky", "ScaLAPACK"},
-          {"Cholesky", "COnfCHOX"}};
+  return {{"LU", "LibSci"},           {"LU", "SLATE"},
+          {"LU", "CANDMC", true},     {"LU", "COnfLUX", true},
+          {"LU", "CALU", true},       {"Cholesky", "ScaLAPACK"},
+          {"Cholesky", "COnfCHOX", true}};
+}
+
+std::vector<Backend> select_backends(const std::string& family,
+                                     const std::vector<std::string>& names) {
+  const std::vector<Backend> all = registered_backends();
+  if (!family.empty() &&
+      std::none_of(all.begin(), all.end(),
+                   [&](const Backend& b) { return b.family == family; }))
+    throw std::invalid_argument("unknown family '" + family + "'");
+  std::vector<Backend> out;
+  for (const Backend& b : all)
+    if ((family.empty() || b.family == family) &&
+        (names.empty() ||
+         std::find(names.begin(), names.end(), b.name) != names.end()))
+      out.push_back(b);
+  for (const std::string& name : names)
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const Backend& b) { return b.name == name; }))
+      throw std::invalid_argument("no registered " + family +
+                                  (family.empty() ? "" : " ") + "backend '" +
+                                  name + "'");
+  return out;
+}
+
+Backend find_backend(const std::string& name) {
+  return select_backends("", {name}).front();
+}
+
+simnet::FabricSpec virtual_fabric(const models::Machine& machine) {
+  simnet::FabricSpec fabric;
+  fabric.mode = simnet::ExecMode::VirtualTime;
+  fabric.link = {machine.alpha_s, machine.beta_s_per_byte,
+                 machine.gamma_s_per_flop};
+  return fabric;
 }
 
 std::string CheckResult::describe() const {
@@ -79,36 +136,19 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   simnet::TraceRecorder trace;
   MisuseCollector misuse;
 
-  factor::FactorConfig base;
-  base.n = config.n;
-  base.p = config.p;
-  base.block = config.block;
-  base.mode = factor::Mode::DryRun;
-  base.seed = config.seed;
-  base.grid_optimization = config.grid_optimization;
-  base.force_layers = config.force_layers;
-  base.verify = false;
-  base.trace = &trace;
-
-  double bound_elements_per_rank = 0;
-  const models::Instance inst =
-      models::max_replication_instance(config.n, config.p);
-  if (backend.family == "LU") {
-    lu::LuConfig cfg;
-    static_cast<factor::FactorConfig&>(cfg) = base;
-    out.run = lu::make_algorithm(backend.name)->run(nullptr, cfg);
-    bound_elements_per_rank = models::lu_lower_bound_elements_per_rank(inst);
-  } else if (backend.family == "Cholesky") {
-    cholesky::CholConfig cfg;
-    static_cast<factor::FactorConfig&>(cfg) = base;
-    out.run = cholesky::make_cholesky_algorithm(backend.name)->run(nullptr,
-                                                                   cfg);
-    bound_elements_per_rank =
-        models::cholesky_lower_bound_elements_per_rank(inst);
-  } else {
-    CONFLUX_EXPECTS_MSG(false,
-                        "unknown family '" << backend.family << '\'');
-  }
+  factor::FactorConfig cfg;
+  cfg.n = config.n;
+  cfg.p = config.p;
+  cfg.block = config.block;
+  cfg.mode = factor::Mode::DryRun;
+  cfg.seed = config.seed;
+  cfg.grid_optimization = config.grid_optimization;
+  cfg.force_layers = config.force_layers;
+  cfg.verify = false;
+  cfg.trace = &trace;
+  out.run = backend.run(nullptr, cfg);
+  const double bound_elements_per_rank = backend.lower_bound_elements_per_rank(
+      models::max_replication_instance(config.n, config.p));
 
   // The DAAP bound counts elements each rank must load into its memory; in
   // a distributed run every rank starts with its N^2/P share of the operand
@@ -138,13 +178,13 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   return out;
 }
 
-std::vector<CheckResult> sweep(const std::vector<int>& p_list,
+std::vector<CheckResult> sweep(const std::vector<Backend>& backends,
+                               const std::vector<int>& p_list,
                                const std::vector<int>& n_list) {
   std::vector<CheckResult> results;
-  for (const Backend& backend : registered_backends()) {
+  for (const Backend& backend : backends) {
     const std::vector<int> layer_choices =
-        has_layers(backend) ? std::vector<int>{0, 1, 2}
-                            : std::vector<int>{0};
+        backend.layered ? std::vector<int>{0, 1, 2} : std::vector<int>{0};
     for (int n : n_list)
       for (int p : p_list)
         for (int c : layer_choices) {

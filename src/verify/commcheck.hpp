@@ -1,34 +1,71 @@
 /// \file commcheck.hpp
-/// CommCheck: the static communication-schedule verifier. Drives a dry run
-/// of a registered (family, backend) with a TraceRecorder attached (no
-/// numeric flops execute — ghost messages carry byte counts only), lifts
-/// the recorded streams into the CommGraph IR, and proves the schedule
-/// clean with the passes.hpp analyses plus the buffer-ownership lint
-/// collected through the trace.hpp debug hooks.
+/// The backend registry and CommCheck, the static schedule verifier.
 ///
-/// This is the gate every future factorization family must pass: a backend
-/// registered here is swept by tools/commcheck (and the commcheck CTest
-/// suite / CI job) across (P, grid) configurations before any of its
+/// The registry is the one description of every factorization backend:
+/// family, name, 2.5D replication, how to run it, and the numeric input,
+/// lower bound and volume model it is compared against. The tools, the
+/// figure benches and the tests select backends here (select_backends).
+///
+/// CommCheck dry-runs a registered backend with a TraceRecorder attached
+/// (ghost messages carry byte counts only), lifts the recorded streams into
+/// the CommGraph IR, and proves the schedule clean with the passes.hpp
+/// analyses plus the buffer-ownership lint of the trace.hpp debug hooks.
+/// tools/commcheck (and the commcheck CTest suite / CI job) sweeps every
+/// registered backend across (P, grid) configurations before any of its
 /// figures count.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "factor/factorization.hpp"
+#include "linalg/generate.hpp"
+#include "models/cost_model.hpp"
+#include "models/machines.hpp"
 #include "verify/passes.hpp"
 
 namespace conflux::verify {
 
-/// A registered (family, backend) pair.
+/// A registered backend. Every member function dispatches on `family`, so
+/// one FactorConfig runs a backend of either family.
 struct Backend {
-  std::string family;  ///< "LU" or "Cholesky"
-  std::string name;    ///< table name ("COnfLUX", "LibSci", ...)
+  std::string family;    ///< "LU" or "Cholesky"
+  std::string name;      ///< table name ("COnfLUX", "LibSci", ...)
+  bool layered = false;  ///< 2.5D: the schedule depends on the replication
+                         ///< depth (FactorConfig::force_layers)
+
+  /// Factor `a` under `cfg` (`a` may be null in DryRun mode). The result
+  /// drops the family-specific fields of LuResult / CholResult.
+  [[nodiscard]] factor::FactorResult run(const linalg::Matrix* a,
+                                         const factor::FactorConfig& cfg) const;
+  /// The input a numeric run factors: diagonally dominant for LU, SPD for
+  /// Cholesky.
+  [[nodiscard]] linalg::MatrixKind input_kind() const;
+  /// The family's I/O lower bound, in elements per rank.
+  [[nodiscard]] double lower_bound_elements_per_rank(
+      const models::Instance& inst) const;
+  /// The backend's total-volume model (models/cost_model.hpp).
+  [[nodiscard]] std::unique_ptr<models::CostModel> volume_model() const;
 };
 
 /// Every registered backend, families in paper order.
 [[nodiscard]] std::vector<Backend> registered_backends();
+
+/// The registered backends of `family` (empty = every family) whose name is
+/// in `names` (empty = every name), in registry order. Throws
+/// std::invalid_argument for a family or name the registry does not have,
+/// so a typo is a usage error rather than an empty selection.
+[[nodiscard]] std::vector<Backend> select_backends(
+    const std::string& family, const std::vector<std::string>& names);
+
+/// The registered backend called `name`; throws like select_backends.
+[[nodiscard]] Backend find_backend(const std::string& name);
+
+/// The virtual-time fabric with `machine`'s LogGP link (alpha, beta,
+/// gamma): set it as FactorConfig::fabric to get a predicted wall clock.
+[[nodiscard]] simnet::FabricSpec virtual_fabric(const models::Machine& machine);
 
 /// One schedule shape to verify.
 struct CheckConfig {
@@ -59,10 +96,12 @@ struct CheckResult {
 [[nodiscard]] CheckResult check_schedule(const Backend& backend,
                                          const CheckConfig& config);
 
-/// The default sweep tools/commcheck --all runs: every registered backend
-/// over the given P list crossed with replication depths {auto, 1, 2}
-/// (grids beyond the backend's reach degrade gracefully to what it picks).
+/// The sweep tools/commcheck --all runs: each of `backends` over the given
+/// N and P lists crossed with replication depths {auto, 1, 2} where the
+/// backend is layered (grids beyond its reach degrade gracefully to what it
+/// picks).
 [[nodiscard]] std::vector<CheckResult> sweep(
-    const std::vector<int>& p_list, const std::vector<int>& n_list);
+    const std::vector<Backend>& backends, const std::vector<int>& p_list,
+    const std::vector<int>& n_list);
 
 }  // namespace conflux::verify

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -385,8 +386,7 @@ TEST(CommCheck, EveryRegisteredBackendVerifiesClean) {
 TEST(CommCheck, ForcedReplicationDepthsVerifyClean) {
   for (const char* name : {"COnfLUX", "CALU", "COnfCHOX"})
     for (int c : {1, 2}) {
-      Backend backend{name == std::string("COnfCHOX") ? "Cholesky" : "LU",
-                      name};
+      const Backend backend = find_backend(name);
       CheckConfig config;
       config.n = 128;
       config.p = 8;
@@ -425,17 +425,16 @@ TEST(CommCheck, NumericRunsVerifyCleanToo) {
   // And the schedule matches the dry run's graph event-for-event (the
   // Numeric/DryRun duality the volume tests assert in bytes, here in full
   // schedule shape).
-  Backend backend{"Cholesky", "COnfCHOX"};
   CheckConfig config;
   config.n = 64;
   config.p = 4;
-  const CheckResult dry = check_schedule(backend, config);
+  const CheckResult dry = check_schedule(find_backend("COnfCHOX"), config);
   EXPECT_TRUE(dry.ok()) << dry.describe();
   EXPECT_EQ(dry.events, rec.size());
 }
 
 TEST(CommCheck, SweepCoversEveryBackend) {
-  const auto results = sweep({4, 8, 9}, {128});
+  const auto results = sweep(registered_backends(), {4, 8, 9}, {128});
   // 5 LU + 2 Cholesky backends over three P; the 2.5D ones run layers
   // {auto, 1, 2}.
   EXPECT_EQ(results.size(), 3 * (4u * 3 + 3u * 1));
@@ -518,6 +517,88 @@ TEST(CommCheck, SweepCoversEveryBackend) {
 TEST(CommCheck, UnknownFamilyIsRejected) {
   EXPECT_THROW((void)check_schedule({"QR", "Householder"}, {}),
                ContractViolation);
+}
+
+// ---- the backend registry -------------------------------------------------
+
+/// A dry run of `b` at N = 128, P = 8 with the replication depth forced.
+factor::FactorResult dry_run_with_layers(const Backend& b, int layers) {
+  factor::FactorConfig cfg;
+  cfg.n = 128;
+  cfg.p = 8;
+  cfg.mode = factor::Mode::DryRun;
+  cfg.force_layers = layers;
+  return b.run(nullptr, cfg);
+}
+
+TEST(Registry, LayeredMatchesWhatTheEngineDoes) {
+  // `layered` is pinned to engine behaviour, not to a list: forcing depth 1
+  // and 2 changes the grid exactly for the backends that replicate.
+  for (const Backend& b : registered_backends()) {
+    const std::string grid1 = dry_run_with_layers(b, 1).grid;
+    const std::string grid2 = dry_run_with_layers(b, 2).grid;
+    EXPECT_EQ(grid1 != grid2, b.layered)
+        << b.family << "/" << b.name << ": " << grid1 << " vs " << grid2;
+  }
+  std::vector<std::string> layered;
+  for (const Backend& b : registered_backends())
+    if (b.layered) layered.push_back(b.name);
+  EXPECT_EQ(layered, (std::vector<std::string>{"CANDMC", "COnfLUX", "CALU",
+                                                "COnfCHOX"}));
+}
+
+TEST(Registry, RunMatchesTheFamilyFactory) {
+  // Every backend of both family factories is registered under its family,
+  // and Backend::run reports the factory's CommVolume bit for bit.
+  factor::FactorConfig cfg;
+  cfg.n = 128;
+  cfg.p = 8;
+  cfg.mode = factor::Mode::DryRun;
+  const auto expect_same = [&](const factor::FactorResult& want,
+                               const std::string& family,
+                               const std::string& name) {
+    const Backend b = find_backend(name);
+    EXPECT_EQ(b.family, family) << name;
+    const factor::FactorResult got = b.run(nullptr, cfg);
+    EXPECT_EQ(got.total.bytes_sent, want.total.bytes_sent) << name;
+    EXPECT_EQ(got.total.messages_sent, want.total.messages_sent) << name;
+    EXPECT_EQ(got.total.bytes_received, want.total.bytes_received) << name;
+    EXPECT_EQ(got.total.messages_received, want.total.messages_received)
+        << name;
+    EXPECT_EQ(got.max_rank_bytes, want.max_rank_bytes) << name;
+    EXPECT_EQ(got.grid, want.grid) << name;
+  };
+  std::size_t factories = 0;
+  for (const auto& algo : lu::all_algorithms()) {
+    expect_same(algo->run(nullptr, cfg), "LU", algo->name());
+    ++factories;
+  }
+  for (const auto& algo : cholesky::all_cholesky_algorithms()) {
+    expect_same(algo->run(nullptr, cfg), "Cholesky", algo->name());
+    ++factories;
+  }
+  EXPECT_EQ(factories, registered_backends().size());
+}
+
+TEST(Registry, SelectionRejectsUnknownNamesAndFamilies) {
+  EXPECT_THROW((void)select_backends("Cholsky", {}), std::invalid_argument);
+  EXPECT_THROW((void)select_backends("", {"COnfLUX", "COnfLUKS"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)select_backends("LU", {"COnfCHOX"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)find_backend("Householder"), std::invalid_argument);
+
+  // Empty names select the whole family in registry order; named backends
+  // come back in registry order, not in the order asked for.
+  std::vector<std::string> names;
+  for (const Backend& b : select_backends("Cholesky", {}))
+    names.push_back(b.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"ScaLAPACK", "COnfCHOX"}));
+  names.clear();
+  for (const Backend& b : select_backends("", {"CALU", "LibSci"}))
+    names.push_back(b.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"LibSci", "CALU"}));
+  EXPECT_EQ(select_backends("", {}).size(), registered_backends().size());
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ TEST_P(CaluDryParity, DryEqualsNumericVolume) {
   cfg.p = p;
   cfg.mode = Mode::Numeric;
   const LuResult numeric = make_algorithm("CALU")->run(&a, cfg);
-  const LuResult dry =
-      make_algorithm("CALU")->run(nullptr, cfg.with_mode(Mode::DryRun));
+  cfg.mode = Mode::DryRun;
+  const LuResult dry = make_algorithm("CALU")->run(nullptr, cfg);
   const double ratio = dry.total_bytes() / numeric.total_bytes();
   EXPECT_GT(ratio, 0.93) << "n=" << n << " p=" << p;
   EXPECT_LT(ratio, 1.07) << "n=" << n << " p=" << p;

@@ -16,9 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "cholesky/cholesky_common.hpp"
 #include "factor/factorization.hpp"
-#include "lu/lu_common.hpp"
 #include "simnet/comm.hpp"
 #include "simnet/network.hpp"
 #include "simnet/spmd.hpp"
@@ -159,20 +157,13 @@ class JsonChecker {
 factor::FactorResult run_with_board(const verify::Backend& backend,
                                     telemetry::TelemetryBoard* board, int n,
                                     int p) {
-  factor::FactorConfig base;
-  base.n = n;
-  base.p = p;
-  base.mode = factor::Mode::DryRun;
-  base.verify = false;
-  base.telemetry = board;
-  if (backend.family == "LU") {
-    lu::LuConfig cfg;
-    static_cast<factor::FactorConfig&>(cfg) = base;
-    return lu::make_algorithm(backend.name)->run(nullptr, cfg);
-  }
-  cholesky::CholConfig cfg;
-  static_cast<factor::FactorConfig&>(cfg) = base;
-  return cholesky::make_cholesky_algorithm(backend.name)->run(nullptr, cfg);
+  factor::FactorConfig cfg;
+  cfg.n = n;
+  cfg.p = p;
+  cfg.mode = factor::Mode::DryRun;
+  cfg.verify = false;
+  cfg.telemetry = board;
+  return backend.run(nullptr, cfg);
 }
 
 TEST(Telemetry, SpansBalancedAndBytesAttributedOnEveryBackend) {

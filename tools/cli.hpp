@@ -1,8 +1,9 @@
 /// \file cli.hpp
-/// Strict number parsing shared by the command-line tools: the whole token
-/// must be a number and within range, or the parse throws
-/// std::invalid_argument, which each tool reports as a usage error (exit 2).
-/// `std::stoi` would accept "128x" as 128.
+/// Strict argument parsing shared by the command-line tools and the figure
+/// benches: a number must be whole and within range, and a list must have
+/// no empty item, or the parse throws std::invalid_argument, which each
+/// program reports as a usage error (exit 2). `std::stoi` would accept
+/// "128x" as 128.
 #pragma once
 
 #include <charconv>
@@ -26,14 +27,26 @@ template <typename T>
   return value;
 }
 
+/// A comma-separated list of non-empty names ("COnfLUX,CALU").
+[[nodiscard]] inline std::vector<std::string> parse_name_list(
+    const std::string& s) {
+  std::vector<std::string> out;
+  std::stringstream ss(s);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) throw std::invalid_argument("empty item in '" + s + "'");
+    out.push_back(item);
+  }
+  if (out.empty()) throw std::invalid_argument("empty list");
+  return out;
+}
+
 /// A comma-separated list of integers, each parsed by parse_number.
 [[nodiscard]] inline std::vector<int> parse_int_list(const std::string& s,
                                                      int min) {
   std::vector<int> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(parse_number(item, min));
-  if (out.empty()) throw std::invalid_argument("empty list");
+  for (const std::string& item : parse_name_list(s))
+    out.push_back(parse_number(item, min));
   return out;
 }
 

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -190,33 +191,23 @@ int main(int argc, char** argv) {
   }
   if (!seed_defect.empty()) return run_seeded_defect(seed_defect);
 
+  std::vector<Backend> selected;
+  try {
+    selected = conflux::verify::select_backends(
+        family, backend.empty() ? std::vector<std::string>{}
+                                : std::vector<std::string>{backend});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "commcheck: " << e.what() << " (try --list)\n";
+    return 2;
+  }
+
   try {
     if (all || (family.empty() && backend.empty())) {
       if (p_list.empty()) p_list = {4, 8, 9};
       if (n_list.empty()) n_list = {128, 256};
-      std::vector<CheckResult> results;
-      for (const CheckResult& r :
-           conflux::verify::sweep(p_list, n_list)) {
-        if (!family.empty() && r.backend.family != family) continue;
-        if (!backend.empty() && r.backend.name != backend) continue;
-        results.push_back(r);
-      }
-      return report(results, verbose);
+      return report(conflux::verify::sweep(selected, p_list, n_list), verbose);
     }
 
-    // Single-backend mode: resolve the (family, backend) pair from the
-    // registry so typos fail loudly instead of silently checking nothing.
-    std::vector<Backend> selected;
-    for (const Backend& b : conflux::verify::registered_backends()) {
-      if (!family.empty() && b.family != family) continue;
-      if (!backend.empty() && b.name != backend) continue;
-      selected.push_back(b);
-    }
-    if (selected.empty()) {
-      std::cerr << "commcheck: no registered backend matches family='"
-                << family << "' backend='" << backend << "' (try --list)\n";
-      return 2;
-    }
     if (n_list.empty()) n_list = {128};
     if (p_list.empty()) p_list = {8};
     std::vector<CheckResult> results;

@@ -35,16 +35,13 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "cholesky/cholesky_common.hpp"
 #include "cli.hpp"
 #include "factor/retry.hpp"
 #include "linalg/generate.hpp"
-#include "lu/lu_common.hpp"
-#include "models/cost_model.hpp"
 #include "models/machines.hpp"
 #include "models/phase_model.hpp"
 #include "simnet/trace.hpp"
@@ -91,7 +88,7 @@ struct Profile {
   std::map<std::string, conflux::telemetry::PhaseTotal> phases;
   conflux::verify::CriticalPath path;
   std::vector<conflux::models::PhaseVolume> model;  ///< empty if no model
-  double model_total_bytes = 0;                     ///< 0 if no total model
+  double model_total_bytes = 0;                     ///< volume model, bytes
 };
 
 void print_usage(std::ostream& os) {
@@ -140,30 +137,6 @@ void print_usage(std::ostream& os) {
         "  --help         this text\n";
 }
 
-std::vector<std::string> parse_name_list(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-/// Total-volume model for one backend name, or null when none applies.
-std::unique_ptr<conflux::models::CostModel> total_model_for(
-    const Backend& b) {
-  using namespace conflux::models;
-  if (b.family == "LU") {
-    if (b.name == "CALU") return std::make_unique<CaluModel>();
-    for (auto& m : standard_models())
-      if (m->name() == b.name) return std::move(m);
-    return nullptr;
-  }
-  for (auto& m : cholesky_models())
-    if (m->name() == b.name) return std::move(m);
-  return nullptr;
-}
-
 /// Run one backend with telemetry + trace attached and collect its profile.
 Profile profile_backend(const Backend& backend, const Options& opt) {
   Profile out;
@@ -171,43 +144,22 @@ Profile profile_backend(const Backend& backend, const Options& opt) {
   out.board = std::make_unique<conflux::telemetry::TelemetryBoard>();
 
   conflux::simnet::TraceRecorder trace;
-  conflux::factor::FactorConfig base;
-  base.n = opt.n;
-  base.p = opt.p;
-  base.block = opt.block;
-  base.force_layers = opt.layers;
-  base.mode = opt.numeric ? conflux::factor::Mode::Numeric
-                          : conflux::factor::Mode::DryRun;
-  base.verify = opt.numeric;
-  base.trace = &trace;
-  base.telemetry = out.board.get();
-  if (opt.virtual_time) {
-    const conflux::models::Machine m =
-        conflux::models::machine_by_name(opt.machine);
-    base.fabric.mode = conflux::simnet::ExecMode::VirtualTime;
-    base.fabric.link.alpha_s = m.alpha_s;
-    base.fabric.link.beta_s_per_byte = m.beta_s_per_byte;
-    base.fabric.link.gamma_s_per_flop = m.gamma_s_per_flop;
-  }
-
-  if (backend.family == "LU") {
-    conflux::lu::LuConfig cfg;
-    static_cast<conflux::factor::FactorConfig&>(cfg) = base;
-    conflux::linalg::Matrix a;
-    if (opt.numeric)
-      a = conflux::linalg::generate(opt.n,
-                                    conflux::linalg::MatrixKind::DiagDominant);
-    out.run = conflux::lu::make_algorithm(backend.name)
-                  ->run(opt.numeric ? &a : nullptr, cfg);
-  } else {
-    conflux::cholesky::CholConfig cfg;
-    static_cast<conflux::factor::FactorConfig&>(cfg) = base;
-    conflux::linalg::Matrix a;
-    if (opt.numeric)
-      a = conflux::linalg::generate(opt.n, conflux::linalg::MatrixKind::Spd);
-    out.run = conflux::cholesky::make_cholesky_algorithm(backend.name)
-                  ->run(opt.numeric ? &a : nullptr, cfg);
-  }
+  conflux::factor::FactorConfig cfg;
+  cfg.n = opt.n;
+  cfg.p = opt.p;
+  cfg.block = opt.block;
+  cfg.force_layers = opt.layers;
+  cfg.mode = opt.numeric ? conflux::factor::Mode::Numeric
+                         : conflux::factor::Mode::DryRun;
+  cfg.verify = opt.numeric;
+  cfg.trace = &trace;
+  cfg.telemetry = out.board.get();
+  if (opt.virtual_time)
+    cfg.fabric = conflux::verify::virtual_fabric(
+        conflux::models::machine_by_name(opt.machine));
+  conflux::linalg::Matrix a;
+  if (opt.numeric) a = conflux::linalg::generate(opt.n, backend.input_kind());
+  out.run = backend.run(opt.numeric ? &a : nullptr, cfg);
 
   out.phases = out.board->phase_totals();
   const conflux::verify::CommGraph graph =
@@ -216,13 +168,12 @@ Profile profile_backend(const Backend& backend, const Options& opt) {
 
   // The per-phase model replays the auto-tuned schedule; a forced grid or
   // block size walks a different schedule, so the comparison is skipped.
-  if (backend.family == "LU" && opt.layers == 0 && opt.block == 0 &&
+  if (opt.layers == 0 && opt.block == 0 &&
       conflux::models::has_phase_model(backend.name))
     out.model = conflux::models::predict_lu_phases(backend.name, opt.n, opt.p);
 
-  if (const auto total = total_model_for(backend))
-    out.model_total_bytes = total->total_bytes(
-        conflux::models::max_replication_instance(opt.n, opt.p));
+  out.model_total_bytes = backend.volume_model()->total_bytes(
+      conflux::models::max_replication_instance(opt.n, opt.p));
   return out;
 }
 
@@ -427,21 +378,6 @@ struct ChaosOutcome {
   conflux::simnet::FaultPlan::Counters counters;
 };
 
-/// One numeric run of `b` under `base`. Derived result types slice down to
-/// the FactorResult the chaos gates read (volume, residual, attempts).
-conflux::factor::FactorResult chaos_run_once(
-    const Backend& b, const conflux::linalg::Matrix& a,
-    const conflux::factor::FactorConfig& base) {
-  if (b.family == "LU") {
-    conflux::lu::LuConfig cfg;
-    static_cast<conflux::factor::FactorConfig&>(cfg) = base;
-    return conflux::lu::make_algorithm(b.name)->run(&a, cfg);
-  }
-  conflux::cholesky::CholConfig cfg;
-  static_cast<conflux::factor::FactorConfig&>(cfg) = base;
-  return conflux::cholesky::make_cholesky_algorithm(b.name)->run(&a, cfg);
-}
-
 bool chaos_volume_matches(const conflux::factor::FactorResult& got,
                           const conflux::factor::FactorResult& want,
                           std::string* detail) {
@@ -463,12 +399,8 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
   using conflux::simnet::FaultPlan;
   using conflux::simnet::FaultSpec;
 
-  const conflux::linalg::Matrix lu_a = conflux::linalg::generate(
-      opt.n, conflux::linalg::MatrixKind::DiagDominant);
-  const conflux::linalg::Matrix chol_a =
-      conflux::linalg::generate(opt.n, conflux::linalg::MatrixKind::Spd);
-  const conflux::models::Machine machine =
-      conflux::models::machine_by_name(opt.machine);
+  const conflux::simnet::FabricSpec fabric = conflux::verify::virtual_fabric(
+      conflux::models::machine_by_name(opt.machine));
 
   std::vector<ChaosOutcome> outcomes;
   const auto wall = [] {
@@ -478,7 +410,8 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
   };
 
   for (const Backend& b : selected) {
-    const conflux::linalg::Matrix& a = b.family == "LU" ? lu_a : chol_a;
+    const conflux::linalg::Matrix a =
+        conflux::linalg::generate(opt.n, b.input_kind());
     FactorConfig base;
     base.n = opt.n;
     base.p = opt.p;
@@ -486,16 +419,13 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
     base.force_layers = opt.layers;
     base.mode = conflux::factor::Mode::Numeric;
     base.verify = true;
-    base.fabric.mode = conflux::simnet::ExecMode::VirtualTime;
-    base.fabric.link.alpha_s = machine.alpha_s;
-    base.fabric.link.beta_s_per_byte = machine.beta_s_per_byte;
-    base.fabric.link.gamma_s_per_flop = machine.gamma_s_per_flop;
+    base.fabric = fabric;
     base.policy.virtual_deadline_s = 1e9;  // watchdog: absurd = bug
 
     const std::string id = b.family + "/" + b.name;
     FactorResult baseline;
     try {
-      baseline = chaos_run_once(b, a, base);
+      baseline = b.run(&a, base);
     } catch (const std::exception& e) {
       outcomes.push_back({id, "baseline", false,
                           std::string("baseline failed: ") + e.what(), 1, 0, 0,
@@ -536,7 +466,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       const double t0 = wall();
       try {
         const FactorResult r = run_with_retry(
-            [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
+            [&] { return b.run(&a, cfg); }, rp, &plan);
         out.attempts = r.attempts;
         out.backoff_s = r.backoff_seconds;
         out.ok = chaos_volume_matches(r, baseline, &out.detail) &&
@@ -578,7 +508,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
         rp.real_sleep = false;
         try {
           const FactorResult r = run_with_retry(
-              [&] { return chaos_run_once(b, a, cfg); }, rp, &plan);
+              [&] { return b.run(&a, cfg); }, rp, &plan);
           if (r.attempts > 1) {
             fired = true;
             out.attempts = r.attempts;
@@ -622,7 +552,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       cfg.policy.virtual_deadline_s = 1.0;
       const double t0 = wall();
       try {
-        (void)chaos_run_once(b, a, cfg);
+        (void)b.run(&a, cfg);
         out.detail = "deadline never fired";
       } catch (const conflux::simnet::ReceiveTimeout& e) {
         if (e.deadlock())
@@ -722,7 +652,7 @@ int main(int argc, char** argv) {
         print_usage(std::cout);
         return 0;
       } else if (arg.rfind("--algo=", 0) == 0)
-        opt.algos = parse_name_list(arg.substr(7));
+        opt.algos = conflux::cli::parse_name_list(arg.substr(7));
       else if (arg.rfind("--family=", 0) == 0)
         opt.family = arg.substr(9);
       else if (arg.rfind("--machine=", 0) == 0)
@@ -766,25 +696,17 @@ int main(int argc, char** argv) {
   // --chaos with no explicit selection sweeps every registered backend.
   if (opt.chaos && opt.algos.empty()) opt.all = true;
 
-  // Resolve the selection against the registry so typos fail loudly.
-  std::vector<Backend> selected;
-  for (const Backend& b : conflux::verify::registered_backends()) {
-    if (!opt.family.empty() && b.family != opt.family) continue;
-    if (!opt.all) {
-      bool wanted = false;
-      for (const std::string& name : opt.algos) wanted = wanted || name == b.name;
-      if (!wanted) continue;
-    }
-    selected.push_back(b);
+  if (opt.algos.empty() && !opt.all) {
+    std::cerr << "confscope: nothing selected (use --algo=... or --all)\n";
+    print_usage(std::cerr);
+    return 2;
   }
-  if (selected.empty()) {
-    if (opt.algos.empty() && !opt.all) {
-      std::cerr << "confscope: nothing selected (use --algo=... or --all)\n";
-      print_usage(std::cerr);
-    } else {
-      std::cerr << "confscope: no registered backend matches the selection "
-                   "(try --list)\n";
-    }
+  std::vector<Backend> selected;
+  try {
+    selected = conflux::verify::select_backends(
+        opt.family, opt.all ? std::vector<std::string>{} : opt.algos);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "confscope: " << e.what() << " (try --list)\n";
     return 2;
   }
 

@@ -1,15 +1,26 @@
 #include "simnet/vtime.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <thread>
+
+// x86-64 ELF targets switch fibers with the hand-written switch in
+// fiber_switch_x86_64.S; every other target keeps ucontext (swapcontext).
+#if defined(__x86_64__) && defined(__ELF__)
+#define CONFLUX_VT_ASM_SWITCH 1
+#include <cfenv>
+#else
+#include <ucontext.h>
+
+#include <new>
+#endif
 
 #include "simnet/network.hpp"
 #include "support/assert.hpp"
@@ -35,6 +46,7 @@
 #endif
 #endif
 #if defined(CONFLUX_VT_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CONFLUX_VT_TSAN)
@@ -72,10 +84,94 @@ thread_local void* tl_worker_tsan_fiber = nullptr;
 thread_local void* tl_worker_fake_stack = nullptr;
 #endif
 
+// --- stack switching ---------------------------------------------------------
+//
+// A suspended context is one pointer. conflux_fiber_switch(&save, load)
+// suspends the running context into `save` and resumes `load`; `load` is
+// read before `save` is written, so both may name the same variable.
+// first_frame() lays out a fresh context on a stack that starts
+// `entry(arg)` when first switched to; `entry` must never return.
+
+#if defined(CONFLUX_VT_ASM_SWITCH)
+
+extern "C" void conflux_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void conflux_fiber_start();
+
+/// The frame conflux_fiber_switch pops (see fiber_switch_x86_64.S), placed
+/// so that conflux_fiber_start calls `entry` on a 16-byte aligned stack.
+/// The fiber starts with the calling thread's MXCSR and x87 control word,
+/// as a getcontext() here would have given it.
+void* first_frame(void* stack_base, std::size_t stack_bytes,
+                  void (*entry)(void*), void* arg) {
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_base) + stack_bytes) &
+      ~std::uintptr_t{15};
+  auto* frame = reinterpret_cast<std::uintptr_t*>(top) - 8;
+  std::fenv_t env{};
+  std::fegetenv(&env);
+  frame[0] = static_cast<std::uintptr_t>(env.__mxcsr) |
+             static_cast<std::uintptr_t>(env.__control_word) << 32;
+  frame[1] = 0;                                          // r15
+  frame[2] = 0;                                          // r14
+  frame[3] = reinterpret_cast<std::uintptr_t>(entry);    // r13
+  frame[4] = reinterpret_cast<std::uintptr_t>(arg);      // r12
+  frame[5] = 0;                                          // rbx
+  frame[6] = 0;                                          // rbp: no caller
+  frame[7] = reinterpret_cast<std::uintptr_t>(&conflux_fiber_start);
+  return frame;
+}
+
+#else
+
+void conflux_fiber_switch(void** save_sp, void* load_sp) {
+  ucontext_t here;
+  *save_sp = &here;
+  ::swapcontext(&here, static_cast<ucontext_t*>(load_sp));
+}
+
+/// A fresh context's ucontext, kept at the top of its own stack.
+struct FreshContext {
+  ucontext_t uc;
+  void (*entry)(void*);
+  void* arg;
+};
+
+/// makecontext entry point; the FreshContext pointer arrives split across
+/// the two unsigned ints (makecontext passes only ints portably).
+void fiber_start(unsigned int hi, unsigned int lo) {
+  auto* f = reinterpret_cast<FreshContext*>(
+      (static_cast<std::uintptr_t>(hi) << 32) |
+      static_cast<std::uintptr_t>(lo));
+  f->entry(f->arg);
+}
+
+void* first_frame(void* stack_base, std::size_t stack_bytes,
+                  void (*entry)(void*), void* arg) {
+  const std::uintptr_t top =
+      (reinterpret_cast<std::uintptr_t>(stack_base) + stack_bytes -
+       sizeof(FreshContext)) &
+      ~std::uintptr_t{63};
+  auto* f = new (reinterpret_cast<void*>(top)) FreshContext{};
+  f->entry = entry;
+  f->arg = arg;
+  CONFLUX_ASSERT(::getcontext(&f->uc) == 0);
+  f->uc.uc_stack.ss_sp = stack_base;
+  f->uc.uc_stack.ss_size = top - reinterpret_cast<std::uintptr_t>(stack_base);
+  f->uc.uc_link = nullptr;
+  const auto ptr = reinterpret_cast<std::uintptr_t>(f);
+  ::makecontext(&f->uc, reinterpret_cast<void (*)()>(&fiber_start), 2,
+                static_cast<unsigned int>(ptr >> 32),
+                static_cast<unsigned int>(ptr & 0xFFFFFFFFu));
+  return &f->uc;
+}
+
+#endif
+
 }  // namespace
 
-/// One simulated rank's cooperative context: a ucontext fiber on an mmap'd
-/// guarded stack and the park/wake handshake state. `parked`, `wait_src`
+/// One simulated rank's cooperative context: a fiber on an mmap'd guarded
+/// stack, switched by conflux_fiber_switch() (assembly on x86-64, ucontext
+/// elsewhere), and the park/wake handshake state. `parked`, `wait_src`
 /// and `wait_tag` are written by the rank's own worker under `park_mutex`
 /// and read by delivering fibers under the same mutex; everything else is
 /// touched only by the fiber itself or by the worker that just suspended/
@@ -84,8 +180,10 @@ thread_local void* tl_worker_fake_stack = nullptr;
 struct VtRuntime::RankCtx {
   enum class Phase : std::uint8_t { Ready, Running, Blocking, Parked, Done };
 
-  ucontext_t uc{};
-  ucontext_t* return_uc = nullptr;  ///< resuming worker's context
+  /// The suspended side's context: the fiber's while it is not running,
+  /// the resuming worker's while it runs. Every switch, in either
+  /// direction, is conflux_fiber_switch(&sp, sp).
+  void* sp = nullptr;
   void* map = nullptr;              ///< mmap base (guard page first)
   std::size_t map_bytes = 0;
   void* stack_base = nullptr;       ///< usable stack bottom
@@ -108,6 +206,16 @@ struct VtRuntime::RankCtx {
   void* return_tsan = nullptr;
   void* tsan_fiber = nullptr;
 #endif
+
+  RankCtx() = default;
+  RankCtx(const RankCtx&) = delete;
+  RankCtx& operator=(const RankCtx&) = delete;
+  ~RankCtx() {
+#if defined(CONFLUX_VT_TSAN)
+    if (tsan_fiber != nullptr) __tsan_destroy_fiber(tsan_fiber);
+#endif
+    if (map != nullptr) ::munmap(map, map_bytes);
+  }
 };
 
 struct VtRuntime::Impl {
@@ -129,12 +237,14 @@ struct VtRuntime::Impl {
 };
 
 VtRuntime::VtRuntime(Network& net, int nranks, LinkModel link)
-    : net_(&net), nranks_(nranks), link_(link), impl_(new Impl) {
+    : net_(&net), nranks_(nranks), link_(link) {
   CONFLUX_EXPECTS(nranks >= 1);
   CONFLUX_EXPECTS(link.alpha_s >= 0 && link.beta_s_per_byte >= 0 &&
                   link.gamma_s_per_flop >= 0);
-  impl_->ranks.reserve(static_cast<std::size_t>(nranks));
-  impl_->clock.assign(static_cast<std::size_t>(nranks), 0.0);
+  // Built locally so a failure part way releases every stack mapped so far.
+  auto impl = std::make_unique<Impl>();
+  impl->ranks.reserve(static_cast<std::size_t>(nranks));
+  impl->clock.assign(static_cast<std::size_t>(nranks), 0.0);
   const std::size_t stack = fiber_stack_bytes();
   const std::size_t guard = page_size();
   for (int r = 0; r < nranks; ++r) {
@@ -142,33 +252,29 @@ VtRuntime::VtRuntime(Network& net, int nranks, LinkModel link)
     c->rank = r;
     c->rt = this;
     c->map_bytes = stack + guard;
-    c->map = ::mmap(nullptr, c->map_bytes, PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    CONFLUX_EXPECTS_MSG(c->map != MAP_FAILED,
+    void* map = ::mmap(nullptr, c->map_bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    CONFLUX_EXPECTS_MSG(map != MAP_FAILED,
                         "mmap of a " << c->map_bytes
                                      << "-byte fiber stack failed (rank " << r
                                      << " of " << nranks << ")");
+    c->map = map;
     // Guard page at the low end: stack overflow faults instead of silently
     // corrupting the neighbouring fiber's stack.
-    ::mprotect(c->map, guard, PROT_NONE);
+    CONFLUX_EXPECTS_MSG(::mprotect(c->map, guard, PROT_NONE) == 0,
+                        "mprotect of a fiber stack's guard page failed (rank "
+                            << r << " of " << nranks << ")");
     c->stack_base = static_cast<char*>(c->map) + guard;
     c->stack_bytes = stack;
 #if defined(CONFLUX_VT_TSAN)
     c->tsan_fiber = __tsan_create_fiber(0);
 #endif
-    impl_->ranks.push_back(std::move(c));
+    impl->ranks.push_back(std::move(c));
   }
+  impl_ = impl.release();
 }
 
-VtRuntime::~VtRuntime() {
-  for (auto& c : impl_->ranks) {
-#if defined(CONFLUX_VT_TSAN)
-    if (c->tsan_fiber != nullptr) __tsan_destroy_fiber(c->tsan_fiber);
-#endif
-    if (c->map != nullptr) ::munmap(c->map, c->map_bytes);
-  }
-  delete impl_;
-}
+VtRuntime::~VtRuntime() { delete impl_; }
 
 const double* VtRuntime::clocks() const { return impl_->clock.data(); }
 
@@ -192,9 +298,8 @@ void VtRuntime::push_ready(int rank) {
 
 // --- context switching ------------------------------------------------------
 
-void VtRuntime::trampoline(unsigned int hi, unsigned int lo) {
-  auto* c = reinterpret_cast<RankCtx*>((static_cast<std::uintptr_t>(hi) << 32) |
-                                       static_cast<std::uintptr_t>(lo));
+void VtRuntime::fiber_entry(void* ctx) {
+  auto* c = static_cast<RankCtx*>(ctx);
 #if defined(CONFLUX_VT_ASAN)
   __sanitizer_finish_switch_fiber(c->fake_stack, &c->worker_bottom,
                                   &c->worker_size);
@@ -203,8 +308,6 @@ void VtRuntime::trampoline(unsigned int hi, unsigned int lo) {
 }
 
 void VtRuntime::resume(RankCtx& c) {
-  ucontext_t here;
-  c.return_uc = &here;
 #if defined(CONFLUX_VT_TSAN)
   if (tl_worker_tsan_fiber == nullptr)
     tl_worker_tsan_fiber = __tsan_get_current_fiber();
@@ -215,7 +318,7 @@ void VtRuntime::resume(RankCtx& c) {
   __sanitizer_start_switch_fiber(&tl_worker_fake_stack, c.stack_base,
                                  c.stack_bytes);
 #endif
-  ::swapcontext(&here, &c.uc);
+  conflux_fiber_switch(&c.sp, c.sp);
 #if defined(CONFLUX_VT_ASAN)
   __sanitizer_finish_switch_fiber(tl_worker_fake_stack, nullptr, nullptr);
 #endif
@@ -265,16 +368,16 @@ void VtRuntime::fiber_main(RankCtx& c) {
   }
   c.phase = RankCtx::Phase::Done;
   // Hand control back to the worker for the last time. The context saved
-  // into c.uc here is never resumed; the next run re-creates it. Passing
-  // nullptr for the fake-stack save slot tells ASan the fiber is dying so
-  // it releases the fiber's fake stack instead of keeping it live.
+  // into c.sp here is never resumed; the next run lays out a fresh one.
+  // Passing nullptr for the fake-stack save slot tells ASan the fiber is
+  // dying so it releases the fiber's fake stack instead of keeping it live.
 #if defined(CONFLUX_VT_ASAN)
   __sanitizer_start_switch_fiber(nullptr, c.worker_bottom, c.worker_size);
 #endif
 #if defined(CONFLUX_VT_TSAN)
   __tsan_switch_to_fiber(c.return_tsan, 0);
 #endif
-  ::swapcontext(&c.uc, c.return_uc);
+  conflux_fiber_switch(&c.sp, c.sp);
   // Unreachable: a Done fiber is never resumed.
   CONFLUX_ASSERT(false);
 }
@@ -292,7 +395,7 @@ void VtRuntime::park(int rank, int src, Tag tag) {
 #if defined(CONFLUX_VT_TSAN)
   __tsan_switch_to_fiber(c.return_tsan, 0);
 #endif
-  ::swapcontext(&c.uc, c.return_uc);
+  conflux_fiber_switch(&c.sp, c.sp);
 #if defined(CONFLUX_VT_ASAN)
   __sanitizer_finish_switch_fiber(c.fake_stack, &c.worker_bottom,
                                   &c.worker_size);
@@ -469,15 +572,14 @@ void VtRuntime::run(const std::function<void(int)>& job) {
     c.parked = false;
     c.wait_src = -1;
     c.wait_tag = 0;
+#if defined(CONFLUX_VT_ASAN)
+    // The last run's fiber ended with frames live on this stack; clear
+    // their redzones before fresh frames reuse it.
+    __asan_unpoison_memory_region(c.stack_base, c.stack_bytes);
+#endif
     // Fresh context on the persistent stack for this run.
-    CONFLUX_ASSERT(::getcontext(&c.uc) == 0);
-    c.uc.uc_stack.ss_sp = c.stack_base;
-    c.uc.uc_stack.ss_size = c.stack_bytes;
-    c.uc.uc_link = nullptr;
-    const auto ptr = reinterpret_cast<std::uintptr_t>(&c);
-    ::makecontext(&c.uc, reinterpret_cast<void (*)()>(&VtRuntime::trampoline),
-                  2, static_cast<unsigned int>(ptr >> 32),
-                  static_cast<unsigned int>(ptr & 0xFFFFFFFFu));
+    c.sp = first_frame(c.stack_base, c.stack_bytes, &VtRuntime::fiber_entry,
+                       &c);
     im.ready.push_back(c.rank);
   }
 

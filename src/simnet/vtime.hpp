@@ -1,10 +1,12 @@
 /// \file vtime.hpp
 /// The rank scheduler of the simulated fabric and its two clocks. Every
 /// Network runs its ranks here: an event-driven scheduler that multiplexes
-/// cooperative rank contexts (ucontext fibers with small mmap'd stacks)
-/// onto min(pool size, P) host threads: the pool's own threads when the
-/// ranks can fill the pool, else the calling thread plus helpers outside
-/// it, so a rank's kernels still spread over the idle pool threads. The
+/// cooperative rank contexts (fibers with small mmap'd stacks) onto
+/// min(pool size, P) host threads: the pool's own threads when the ranks
+/// can fill the pool, else the calling thread plus helpers outside it, so
+/// a rank's kernels still spread over the idle pool threads. On x86-64 a
+/// fiber switch is the hand-written routine in fiber_switch_x86_64.S (no
+/// system call); other architectures switch with ucontext. The
 /// FabricSpec's ExecMode picks the clock:
 ///   - HostClock (the default): nothing is charged; trace and telemetry
 ///     stamp the host's steady clock, and predicted seconds stay 0.
@@ -149,9 +151,8 @@ class VtRuntime {
   struct Impl;
   friend struct Impl;
 
-  /// makecontext entry point; the RankCtx pointer arrives split across the
-  /// two unsigned ints (makecontext passes only ints portably).
-  static void trampoline(unsigned int hi, unsigned int lo);
+  /// First function a fresh fiber runs; `ctx` is its RankCtx.
+  static void fiber_entry(void* ctx);
 
   double advance_to(int rank, double t);
   void worker_loop();
@@ -163,7 +164,7 @@ class VtRuntime {
   Network* net_;
   int nranks_;
   LinkModel link_;
-  Impl* impl_;
+  Impl* impl_ = nullptr;
 };
 
 }  // namespace conflux::simnet

@@ -2,11 +2,12 @@
 // beyond the host's cores, LogGP clock semantics, bit-identical
 // determinism across repeated runs and worker counts, CommVolume parity
 // with the host clock, the make_tag wide-layout regression,
-// shared-channel-slot stress at P = 256, and numeric factorizations at the
-// default fiber-worker count.
+// shared-channel-slot stress at P = 256, numeric factorizations at the
+// default fiber-worker count, and per-fiber floating-point state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -380,6 +381,43 @@ TEST(RankScheduler, FewerRanksThanPoolThreadsLeaveThePoolToTheirKernels) {
       EXPECT_EQ(on_pool[static_cast<std::size_t>(r)], p == pool ? 1 : 0)
           << "P = " << p << ", rank " << r;
   }
+}
+
+TEST(RankScheduler, FiberKeepsItsFloatingPointEnvironmentAcrossParks) {
+  // The floating-point control state (x87 control word and MXCSR on
+  // x86-64) belongs to the fiber: a rank that changes its rounding mode
+  // keeps it across every park and resume, whichever worker resumes it,
+  // and the other rank never sees it. fegetround() reads the mode; the
+  // addition reads the SSE rounding the arithmetic actually uses.
+  const auto rounds_up = [] {
+    volatile double one = 1.0;
+    volatile double tiny = 1e-300;
+    return one + tiny > 1.0;
+  };
+  const int kRounds = 300;
+  for (const char* workers : {"1", "2"}) {
+    ScopedEnv env("CONFLUX_VT_WORKERS", workers);
+    std::vector<int> bad(2, 0);
+    Network net(2, virtual_fabric());
+    run_spmd(net, [&](Comm& comm) {
+      const int r = comm.rank();
+      const std::vector<double> ball{1.0};
+      if (r == 0) std::fesetround(FE_UPWARD);
+      for (int i = 0; i < kRounds; ++i) {
+        if (r == 0) comm.send(1, make_tag(1, 0, 0), ball);
+        (void)comm.recv(1 - r, make_tag(1, 0, r == 0 ? 1 : 0));
+        const bool ok = r == 0
+                            ? std::fegetround() == FE_UPWARD && rounds_up()
+                            : std::fegetround() == FE_TONEAREST && !rounds_up();
+        if (!ok) ++bad[static_cast<std::size_t>(r)];
+        if (r == 1) comm.send(0, make_tag(1, 0, 1), ball);
+      }
+      if (r == 0) std::fesetround(FE_TONEAREST);
+    });
+    EXPECT_EQ(bad[0], 0) << workers << " worker(s): rank 0 lost FE_UPWARD";
+    EXPECT_EQ(bad[1], 0) << workers << " worker(s): rank 1 saw FE_UPWARD";
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 // --- virtual timestamps in telemetry ----------------------------------------

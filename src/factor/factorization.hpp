@@ -66,7 +66,7 @@ struct FactorConfig {
                                   ///< result (lu/solve.hpp consumes them)
 
   /// Optional schedule export: when set, the run's Network attaches this
-  /// recorder, so every send/multicast/receive lands in a per-rank event
+  /// recorder, so every send and receive lands in a per-rank event
   /// log (simnet/trace.hpp). This is how the static verifier
   /// (src/verify, tools/commcheck) extracts the communication graph of a
   /// dry run; numeric runs can attach it too to check the dry-run contract.
@@ -130,7 +130,7 @@ struct FactorResult {
   /// Recovery accounting (factor/retry.hpp). attempts counts runs
   /// including the successful one; failure_causes holds the what() of each
   /// failed attempt in order; backoff_seconds sums the inter-attempt
-  /// backoff (real or virtual). A first-try success is {1, {}, 0}.
+  /// backoff, recorded and never slept. A first-try success is {1, {}, 0}.
   int attempts = 1;
   std::vector<std::string> failure_causes;
   double backoff_seconds = 0;

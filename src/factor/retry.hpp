@@ -15,11 +15,9 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <exception>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,10 +30,6 @@ struct RetryPolicy {
   int max_attempts = 3;      ///< total tries, including the first
   double backoff_s = 0.01;   ///< first inter-attempt backoff
   double backoff_max_s = 1.0;  ///< cap for the exponential growth
-  /// Sleep the backoff for real (host-clock runs). False in virtual-time
-  /// mode: the backoff is recorded in FactorResult::backoff_seconds but
-  /// not slept — the simulated machine's recovery latency, not the host's.
-  bool real_sleep = true;
 };
 
 /// True when `e` is the kind of failure a retry can plausibly outrun: a
@@ -47,8 +41,9 @@ struct RetryPolicy {
 
 /// Run `run()` (returning a FactorResult or derived type) up to
 /// `policy.max_attempts` times. Transient failures back off exponentially
-/// (capped) and retry; deterministic failures and the final attempt's
-/// failure rethrow. `plan`, when given, is advanced via next_attempt()
+/// (capped) and retry — the backoff is the simulated machine's recovery
+/// latency, recorded in FactorResult::backoff_seconds and never slept;
+/// deterministic failures and the final attempt's failure rethrow. `plan`, when given, is advanced via next_attempt()
 /// between tries so the retry sees a re-randomized fault schedule — the
 /// mechanism that lets a run recover from an injected fault at all.
 /// On success the result's attempts / failure_causes / backoff_seconds
@@ -73,8 +68,6 @@ auto run_with_retry(Run&& run, const RetryPolicy& policy = {},
           std::min(policy.backoff_max_s,
                    policy.backoff_s * std::ldexp(1.0, attempt - 1));
       backoff_total += delay;
-      if (policy.real_sleep && delay > 0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
   }
 }

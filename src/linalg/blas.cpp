@@ -1,43 +1,11 @@
 #include "linalg/blas.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <iostream>
-#include <string>
 #include <vector>
 
-#include "support/env.hpp"
 #include "support/thread_pool.hpp"
 
 namespace conflux::linalg {
-
-// ---------------------------------------------------------------------------
-// Implementation switch.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-BlasImpl initial_impl() {
-  const std::string value = env_string("CONFLUX_BLAS", "optimized");
-  if (value == "reference") return BlasImpl::Reference;
-  if (value != "optimized")
-    std::cerr << "conflux: unknown CONFLUX_BLAS value '" << value
-              << "' (expected 'reference' or 'optimized'); using optimized\n";
-  return BlasImpl::Optimized;
-}
-
-std::atomic<BlasImpl>& impl_slot() {
-  static std::atomic<BlasImpl> impl{initial_impl()};
-  return impl;
-}
-
-}  // namespace
-
-BlasImpl blas_impl() { return impl_slot().load(std::memory_order_relaxed); }
-
-void set_blas_impl(BlasImpl impl) {
-  impl_slot().store(impl, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Reference kernels (the original clarity-first loops).
@@ -352,15 +320,12 @@ void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching entry points.
+// Public entry points: the optimized kernels.
 // ---------------------------------------------------------------------------
 
 void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
           MatrixView c) {
-  if (blas_impl() == BlasImpl::Optimized)
-    gemm_optimized(alpha, a, b, beta, c);
-  else
-    gemm_reference(alpha, a, b, beta, c);
+  gemm_optimized(alpha, a, b, beta, c);
 }
 
 void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
@@ -368,17 +333,11 @@ void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
 }
 
 void trsm_left(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
-  if (blas_impl() == BlasImpl::Optimized)
-    trsm_left_optimized(tri, diag, a, b);
-  else
-    trsm_left_reference(tri, diag, a, b);
+  trsm_left_optimized(tri, diag, a, b);
 }
 
 void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
-  if (blas_impl() == BlasImpl::Optimized)
-    trsm_right_optimized(tri, diag, a, b);
-  else
-    trsm_right_reference(tri, diag, a, b);
+  trsm_right_optimized(tri, diag, a, b);
 }
 
 }  // namespace conflux::linalg

@@ -2,32 +2,21 @@
 /// BLAS-3-style kernels on views: blocked GEMM and the four TRSM variants
 /// used by blocked/distributed LU.
 ///
-/// Two implementations live behind each entry point:
+/// Two implementations of each kernel:
 ///  - reference: the original clarity-first single-threaded loops, kept as
 ///    the ground truth for testing;
 ///  - optimized: cache-blocked, packed, register-tiled kernels that run the
 ///    macro loops on the shared thread pool (src/support/thread_pool.hpp).
 ///    TRSM is blocked so its bulk flops run through the optimized GEMM.
 ///
-/// The active implementation is a process-wide runtime switch: it defaults
-/// to Optimized, can be forced with CONFLUX_BLAS=reference|optimized, and
-/// can be flipped programmatically (tests pin both paths against each
-/// other).
+/// The public entry points (`gemm`, `trsm_left`, `trsm_right`) run the
+/// optimized kernels; the `*_reference` kernels are the oracle the tests
+/// pin them against.
 #pragma once
 
 #include "linalg/matrix.hpp"
 
 namespace conflux::linalg {
-
-/// Which kernel family the public entry points dispatch to.
-enum class BlasImpl { Reference, Optimized };
-
-/// Current implementation. Initialized once from CONFLUX_BLAS
-/// ("reference"/"optimized", default optimized).
-[[nodiscard]] BlasImpl blas_impl();
-
-/// Override the implementation at runtime (tests, A/B benchmarks).
-void set_blas_impl(BlasImpl impl);
 
 /// C := alpha * A * B + beta * C.
 /// Shapes: A is m x k, B is k x n, C is m x n.
@@ -52,8 +41,8 @@ void trsm_left(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b);
 /// from the right. Shapes: a is n x n, b is m x n.
 void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b);
 
-/// The reference kernels, always callable directly regardless of the active
-/// switch — the test suite pins the optimized path against these.
+/// The reference kernels — the test suite pins the optimized path against
+/// these.
 void gemm_reference(double alpha, ConstMatrixView a, ConstMatrixView b,
                     double beta, MatrixView c);
 void trsm_left_reference(Triangle tri, Diag diag, ConstMatrixView a,

@@ -5,10 +5,11 @@
 /// and dry runs share every call: a send states its wire size once, and a
 /// dry run passes no payload (a "ghost" — null shared buffer or empty
 /// vector), for which `recv_view` returns an empty view carrying the same
-/// wire size. Payloads are immutable shared buffers (see message.hpp):
-/// `send_shared` and `multicast` move a refcounted buffer through the
-/// fabric with zero copies, and `recv_view` hands the receiver a
-/// non-owning view.
+/// wire size. Every payload is an immutable shared buffer (see
+/// message.hpp): `send_shared` and `multicast` move a refcounted buffer
+/// through the fabric with zero copies, `send` wraps its vector into one,
+/// and `recv_view` hands the receiver a non-owning view. Every send goes
+/// through the one fabric entry, Network::deliver.
 #pragma once
 
 #include <cstring>
@@ -59,48 +60,45 @@ class Comm {
     send_shared(dst, tag, std::move(buf), bytes);
   }
 
-  /// As above with an explicit wire size (for packed int / mixed payloads).
+  /// As above with an explicit wire size (for packed int / mixed payloads;
+  /// a null `buf` is a ghost).
   void send_shared(int dst, Tag tag, SharedBuffer buf,
                    std::size_t logical_bytes) const {
-    Message msg;
-    msg.shared = std::move(buf);
-    msg.logical_bytes = logical_bytes;
-    net_->deliver(rank_, dst, tag, std::move(msg));
+    net_->deliver(rank_, dst, tag, Message{std::move(buf), logical_bytes});
   }
 
   /// Enqueue one immutable buffer to every destination — the multicast
-  /// primitive. All recipients alias the same storage; accounting equals
-  /// `dsts.size()` individual sends.
+  /// primitive: one `send_shared` per destination, in list order. All
+  /// recipients alias the same storage; accounting equals `dsts.size()`
+  /// individual sends.
   void multicast(std::span<const int> dsts, Tag tag, SharedBuffer buf) const {
     const std::size_t bytes = buf->size() * sizeof(double);
-    net_->multicast(rank_, dsts, tag, std::move(buf), bytes);
+    multicast(dsts, tag, std::move(buf), bytes);
   }
 
   /// Multicast with an explicit wire size (packed int / mixed payloads; a
   /// null `buf` is a ghost).
   void multicast(std::span<const int> dsts, Tag tag, SharedBuffer buf,
                  std::size_t logical_bytes) const {
-    net_->multicast(rank_, dsts, tag, std::move(buf), logical_bytes);
+    for (const int dst : dsts) send_shared(dst, tag, buf, logical_bytes);
   }
 
   /// Blocking receive of a non-owning view of the payload. Reading is
-  /// always safe; call `.take()` to copy out where mutation is needed
-  /// (free — a storage handover — for point-to-point payloads).
+  /// always safe; call `.take()` to copy out where mutation is needed.
   [[nodiscard]] BufferView recv_view(int src, Tag tag) const {
     Message msg = net_->receive(rank_, src, tag);
-    return BufferView(std::move(msg.shared), std::move(msg.exclusive),
-                      msg.logical_bytes);
+    return BufferView(std::move(msg.payload), msg.logical_bytes);
   }
 
-  // --- point-to-point, exclusive payloads ----------------------------------
+  // --- point-to-point, owned vectors ---------------------------------------
 
   /// Send `data` (8 B/element on the wire) to `dst`.
   void send(int dst, Tag tag, std::span<const double> data) const {
     send(dst, tag, std::vector<double>(data.begin(), data.end()));
   }
 
-  /// Move-send an owned buffer (no copy at all for large panels: the
-  /// receiver's `take()` gets this very storage).
+  /// Move-send an owned buffer: it becomes the immutable payload without a
+  /// copy (the receiver's `take()` copies it out).
   void send(int dst, Tag tag, std::vector<double>&& data) const {
     const std::size_t bytes = data.size() * sizeof(double);
     send(dst, tag, std::move(data), bytes);
@@ -109,30 +107,12 @@ class Comm {
   /// As above with an explicit wire size; an empty `data` is a ghost.
   void send(int dst, Tag tag, std::vector<double>&& data,
             std::size_t logical_bytes) const {
-    Message msg;
-    msg.logical_bytes = logical_bytes;
-    msg.exclusive = std::move(data);
-    net_->deliver(rank_, dst, tag, std::move(msg));
-  }
-
-  /// Send int indices, bit-packed two per double slot (4 B/element on the
-  /// wire, exactly).
-  void send_ints(int dst, Tag tag, std::span<const int> data) const {
-    Message msg;
-    msg.logical_bytes = data.size() * sizeof(int);
-    msg.exclusive = pack_ints(data);
-    net_->deliver(rank_, dst, tag, std::move(msg));
+    send_shared(dst, tag, payload_or_ghost(std::move(data)), logical_bytes);
   }
 
   /// Blocking receive of a double buffer from `src` (private copy).
   [[nodiscard]] std::vector<double> recv(int src, Tag tag) const {
     return recv_view(src, tag).take();
-  }
-
-  /// Blocking receive of an int index buffer from `src`.
-  [[nodiscard]] std::vector<int> recv_ints(int src, Tag tag) const {
-    const BufferView view = recv_view(src, tag);
-    return unpack_ints(view, view.logical_bytes() / sizeof(int));
   }
 
   // --- point-to-point, ghost --------------------------------------------
@@ -141,9 +121,7 @@ class Comm {
   /// real message without materializing data (zero-byte control messages,
   /// fabric probes).
   void send_ghost(int dst, Tag tag, std::size_t logical_bytes) const {
-    Message msg;
-    msg.logical_bytes = logical_bytes;
-    net_->deliver(rank_, dst, tag, std::move(msg));
+    send_shared(dst, tag, nullptr, logical_bytes);
   }
 
   /// Blocking receive of a ghost message; returns its logical byte count.

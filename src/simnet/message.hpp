@@ -1,12 +1,10 @@
 /// \file message.hpp
 /// Message, tag and payload-buffer types for the simulated message-passing
-/// fabric. Payloads come in two flavours: an *exclusive* buffer owned by a
-/// single recipient (point-to-point sends move it through the mailbox with
-/// zero copies), and an *immutable shared* buffer that can sit in many
-/// mailboxes at once (multicast, broadcast trees) the way real MPI
+/// fabric. Every payload is an *immutable shared* buffer that can sit in
+/// many mailboxes at once (multicast, broadcast trees) the way real MPI
 /// broadcast trees and RDMA transports share registered buffers. Receivers
-/// get a non-owning BufferView over either flavour and copy out explicitly
-/// (`take()`) only where mutation is needed.
+/// get a non-owning BufferView and copy out explicitly (`take()`) only
+/// where mutation is needed.
 #pragma once
 
 #include <cstddef>
@@ -83,57 +81,42 @@ using SharedBuffer = std::shared_ptr<const std::vector<double>>;
 
 /// A receiver's non-owning handle to a delivered payload. The data may be
 /// aliased by other recipients of the same multicast; reading is always
-/// safe, and `take()` produces a private mutable copy (free for exclusive
-/// point-to-point payloads: their storage is simply handed over).
+/// safe, and `take()` produces a private mutable copy.
 class BufferView {
  public:
   BufferView() = default;
   explicit BufferView(SharedBuffer shared, std::size_t logical_bytes = 0)
       : shared_(std::move(shared)), logical_bytes_(logical_bytes) {}
-  BufferView(SharedBuffer shared, std::vector<double>&& exclusive,
-             std::size_t logical_bytes)
-      : shared_(std::move(shared)),
-        owned_(std::move(exclusive)),
-        logical_bytes_(logical_bytes) {}
 
   /// Wire size of the message this view came from (4 B/int, 8 B/double).
   [[nodiscard]] std::size_t logical_bytes() const { return logical_bytes_; }
   [[nodiscard]] std::size_t size() const {
-    return shared_ ? shared_->size() : owned_.size();
+    return shared_ ? shared_->size() : 0;
   }
   [[nodiscard]] bool empty() const { return size() == 0; }
-  [[nodiscard]] const double* data() const {
-    check_not_taken();
-    return shared_ ? shared_->data() : owned_.data();
-  }
+  [[nodiscard]] const double* data() const { return span().data(); }
   [[nodiscard]] std::span<const double> span() const {
     check_not_taken();
     return shared_ ? std::span<const double>(*shared_)
-                   : std::span<const double>(owned_);
+                   : std::span<const double>();
   }
   [[nodiscard]] double operator[](std::size_t i) const { return data()[i]; }
 
   /// The underlying shared payload (for zero-copy re-forwarding down a
-  /// broadcast tree); null for exclusive point-to-point payloads.
+  /// broadcast tree); null for a ghost.
   [[nodiscard]] const SharedBuffer& shared() const { return shared_; }
 
   /// Copy the payload out into a private, mutable vector, releasing this
-  /// view. Exclusive payloads are moved (zero-copy — the mailbox handoff
-  /// already transferred sole ownership under the channel mutex); shared
-  /// payloads are copied, never mutated in place. The view is dead
+  /// view; the shared original is never mutated in place. The view is dead
   /// afterwards: any further data access trips the buffer-ownership debug
-  /// hook (use-after-take is always a bug — for exclusive payloads the
-  /// storage is gone, for shared ones the caller clearly confused its copy
+  /// hook (use-after-take is always a bug — the caller confused its copy
   /// with the shared original).
   [[nodiscard]] std::vector<double> take() && {
-    check_not_taken();
+    const std::span<const double> data = span();
+    std::vector<double> copy(data.begin(), data.end());
     taken_ = true;
-    if (shared_) {
-      std::vector<double> copy = *shared_;
-      shared_.reset();
-      return copy;
-    }
-    return std::move(owned_);
+    shared_.reset();
+    return copy;
   }
 
  private:
@@ -142,29 +125,27 @@ class BufferView {
   }
 
   SharedBuffer shared_;
-  std::vector<double> owned_;
   std::size_t logical_bytes_ = 0;
   bool taken_ = false;
 };
 
-/// A message in flight. Exactly one of `shared` / `exclusive` carries data
-/// — or neither, for the "ghost" messages of dry-run mode, which carry only
-/// a logical byte count (what the communication-volume accounting
-/// consumes). `logical_bytes` is the number of bytes the message would
-/// occupy on a real network (8 per double, 4 per int index), independent of
-/// whether a payload is materialized. A multicast enqueues the same
-/// refcounted `shared` payload into every destination mailbox, so N
-/// recipients share one buffer in real memory.
+/// A message in flight. `payload` carries the data, or is null for the
+/// "ghost" messages of dry-run mode, which carry only a logical byte count
+/// (what the communication-volume accounting consumes). `logical_bytes` is
+/// the number of bytes the message would occupy on a real network (8 per
+/// double, 4 per int index), independent of whether a payload is
+/// materialized. A multicast enqueues the same refcounted payload into
+/// every destination mailbox, so N recipients share one buffer in real
+/// memory.
 struct Message {
-  SharedBuffer shared;
-  std::vector<double> exclusive;
+  SharedBuffer payload;
   std::size_t logical_bytes = 0;
   /// FNV-1a fingerprint of the payload (0 = unstamped), stamped at deliver
   /// time iff the payload has data and either integrity mode is on or a
-  /// trace is attached and the payload is shared. Re-checked once at
-  /// receive time: under integrity mode a mismatch is PayloadCorrupted;
-  /// otherwise it means some rank mutated an immutable in-flight shared
-  /// payload — the mutation-of-SharedBuffer lint of the verifier.
+  /// trace is attached. Re-checked once at receive time: under integrity
+  /// mode a mismatch is PayloadCorrupted; otherwise it means some rank
+  /// mutated an immutable in-flight payload — the mutation-of-SharedBuffer
+  /// lint of the verifier.
   std::uint64_t fingerprint = 0;
   /// Virtual-time mode only: simulated arrival instant in seconds
   /// (sender's clock after LogGP injection, plus the link latency). The

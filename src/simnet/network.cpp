@@ -10,32 +10,25 @@ namespace conflux::simnet {
 
 namespace {
 
-/// Flip one bit of a payload (injected corruption). Exclusive payloads are
-/// flipped in place; shared payloads are cloned first so only the targeted
-/// recipient sees the corruption — the other members of a multicast alias
+/// Flip one bit of a payload (injected corruption). The payload is cloned
+/// first so only the targeted recipient sees the corruption — the other
+/// holders of the same buffer (multicast copies, broadcast-tree hops) alias
 /// the pristine original, exactly like a per-link transmission error.
 void flip_payload_bit(Message& msg, std::uint64_t bit) {
-  auto flip = [bit](std::vector<double>& data) {
-    if (data.empty()) return;
-    double& word = data[static_cast<std::size_t>((bit / 64) % data.size())];
-    std::uint64_t bits;
-    std::memcpy(&bits, &word, sizeof(bits));
-    bits ^= std::uint64_t{1} << (bit % 64);
-    std::memcpy(&word, &bits, sizeof(bits));
-  };
-  if (msg.shared) {
-    auto clone = std::make_shared<std::vector<double>>(*msg.shared);
-    flip(*clone);
-    msg.shared = std::move(clone);
-  } else {
-    flip(msg.exclusive);
-  }
+  if (!msg.payload || msg.payload->empty()) return;
+  auto clone = std::make_shared<std::vector<double>>(*msg.payload);
+  double& word = (*clone)[static_cast<std::size_t>((bit / 64) % clone->size())];
+  std::uint64_t bits;
+  std::memcpy(&bits, &word, sizeof(bits));
+  bits ^= std::uint64_t{1} << (bit % 64);
+  std::memcpy(&word, &bits, sizeof(bits));
+  msg.payload = std::move(clone);
 }
 
-/// The message's payload, whichever flavour carries it.
+/// The message's payload data; empty for a ghost.
 [[nodiscard]] std::span<const double> payload_data(const Message& msg) {
-  return msg.shared ? std::span<const double>(*msg.shared)
-                    : std::span<const double>(msg.exclusive);
+  return msg.payload ? std::span<const double>(*msg.payload)
+                     : std::span<const double>();
 }
 
 /// Where a receive happens: rank `me` matching (src, tag).
@@ -115,23 +108,18 @@ void Network::set_faults(FaultPlan* plan) {
   if (faults_ != nullptr) faults_->reset(nranks_);
 }
 
-/// Stamp the payload's fingerprint into the message when someone will
-/// check it: always under integrity mode (an end-to-end checksum over
-/// shared and exclusive payloads alike), and for shared payloads whenever a
-/// trace is attached (the in-flight-mutation lint). Ghosts carry no data.
-void Network::stamp(Message& msg) const {
-  const bool has_data = msg.shared || !msg.exclusive.empty();
-  if (has_data && (integrity_ || (trace_ != nullptr && msg.shared)))
-    msg.fingerprint = fingerprint_of(msg);
-}
-
-/// The one send path, per destination, in its fixed order: count the bytes,
-/// apply the fault plan's verdict (after stamping, so corruption shows as a
-/// fingerprint mismatch; before recording, so the timestamps see the post-
-/// injection clock), attribute the bytes, log the Send, enqueue.
-void Network::post(int src, int dst, Tag tag, Message msg, bool multicast) {
-  CONFLUX_EXPECTS_CTX(dst >= 0 && dst < size(),
+/// The one send path, per destination, in its fixed order: stamp the
+/// payload's fingerprint when someone will check it (under integrity mode,
+/// an end-to-end checksum; under a trace, the in-flight-mutation lint;
+/// ghosts carry no data), count the bytes, apply the fault plan's verdict
+/// (after stamping, so corruption shows as a fingerprint mismatch; before
+/// recording, so the timestamps see the post-injection clock), attribute
+/// the bytes, log the Send, enqueue.
+void Network::deliver(int src, int dst, Tag tag, Message msg) {
+  CONFLUX_EXPECTS_CTX(src >= 0 && src < size() && dst >= 0 && dst < size(),
                       (CommContext{.src = src, .dst = dst}.with_tag(tag)));
+  if (msg.payload && (integrity_ || trace_ != nullptr))
+    msg.fingerprint = fingerprint_of(msg);
   stats_.record_send(src, dst, msg.logical_bytes);
   // Injection: corruption flips a payload bit; stalls and delays become
   // virtual-clock charges (set_faults admits them only under that clock).
@@ -151,26 +139,8 @@ void Network::post(int src, int dst, Tag tag, Message msg, bool multicast) {
   if (telemetry_ != nullptr && src != dst)
     telemetry_->add_bytes(src, msg.logical_bytes);
   if (trace_ != nullptr)
-    trace_->record_send(src, dst, tag, msg.logical_bytes, multicast);
+    trace_->record_send(src, dst, tag, msg.logical_bytes);
   enqueue(dst, src, tag, std::move(msg));
-}
-
-void Network::deliver(int src, int dst, Tag tag, Message msg) {
-  CONFLUX_EXPECTS_CTX(src >= 0 && src < size(),
-                      (CommContext{.src = src, .dst = dst}.with_tag(tag)));
-  stamp(msg);
-  post(src, dst, tag, std::move(msg), /*multicast=*/false);
-}
-
-void Network::multicast(int src, std::span<const int> dsts, Tag tag,
-                        SharedBuffer payload, std::size_t logical_bytes) {
-  CONFLUX_EXPECTS_CTX(src >= 0 && src < size(),
-                      (CommContext{.src = src}.with_tag(tag)));
-  Message msg{std::move(payload), {}, logical_bytes, 0, 0};
-  stamp(msg);  // once: every copy aliases the same payload
-  // A P-way multicast is P sends: each copy gets its own injection verdict
-  // and LogGP charge, and a corrupted copy reaches only its recipient.
-  for (int dst : dsts) post(src, dst, tag, msg, /*multicast=*/true);
 }
 
 /// Match the first pending (src, tag) entry in `ch` (caller holds
@@ -203,8 +173,8 @@ Message Network::complete_receive(int me, int src, Tag tag, Message&& msg,
   if (telemetry_ != nullptr)
     telemetry_->record_wait(me, src, tag, wait_begin_ns, wait_end_ns,
                             msg.logical_bytes);
-  const bool checked = msg.fingerprint != 0 &&
-                       (integrity_ || (trace_ != nullptr && msg.shared));
+  const bool checked =
+      msg.fingerprint != 0 && (integrity_ || trace_ != nullptr);
   const bool mismatch = checked && fingerprint_of(msg) != msg.fingerprint;
   if (mismatch && integrity_) {
     const CommContext ctx = at_receiver(me, src, tag);

@@ -60,14 +60,11 @@ class Network {
 
   [[nodiscard]] int size() const { return nranks_; }
 
-  /// Deposit a message from `src` into `dst`'s mailbox under `tag`.
+  /// Deposit a message from `src` into `dst`'s mailbox under `tag` — the
+  /// fabric's one send entry. Every Comm send, multicast and collective
+  /// hop ends here; a multicast is one deliver per destination, each
+  /// aliasing the same refcounted payload.
   void deliver(int src, int dst, Tag tag, Message msg);
-
-  /// Deposit the same immutable payload into every destination's mailbox.
-  /// Zero copies: all recipients share one refcounted buffer. Accounting is
-  /// identical to `dsts.size()` point-to-point sends of the same size.
-  void multicast(int src, std::span<const int> dsts, Tag tag,
-                 SharedBuffer payload, std::size_t logical_bytes);
 
   /// Park the calling rank until a message from `src` with `tag` is
   /// available for `me`, then take it.
@@ -109,11 +106,11 @@ class Network {
   [[nodiscard]] StatsBoard& stats() { return stats_; }
   [[nodiscard]] const StatsBoard& stats() const { return stats_; }
 
-  /// Attach a per-rank event recorder: every deliver/multicast/receive is
-  /// logged in program order (see trace.hpp), and shared payloads get the
-  /// paranoid in-flight-mutation fingerprint check. The recorder is reset
-  /// to this network's rank count. Pass nullptr to detach. Must not be
-  /// called while a job is running.
+  /// Attach a per-rank event recorder: every deliver and receive is logged
+  /// in program order (see trace.hpp), and data payloads get the paranoid
+  /// in-flight-mutation fingerprint check. The recorder is reset to this
+  /// network's rank count. Pass nullptr to detach. Must not be called
+  /// while a job is running.
   void set_trace(TraceRecorder* trace);
 
   /// Attach a ConfScope telemetry board (see support/telemetry.hpp): every
@@ -136,10 +133,10 @@ class Network {
   /// running.
   void set_faults(FaultPlan* plan);
 
-  /// End-to-end payload integrity: stamp every payload (shared *and*
-  /// exclusive) with its FNV-1a fingerprint at deliver time and re-verify
-  /// on the receiver once the message is matched, raising PayloadCorrupted
-  /// on mismatch. Off (the default) costs nothing.
+  /// End-to-end payload integrity: stamp every data payload with its
+  /// FNV-1a fingerprint at deliver time and re-verify on the receiver once
+  /// the message is matched, raising PayloadCorrupted on mismatch. Off (the
+  /// default) costs nothing.
   void set_integrity(bool on) { integrity_ = on; }
 
   /// Install the containment policy for subsequent runs: the virtual-clock
@@ -194,8 +191,6 @@ class Network {
     return channels_[static_cast<std::size_t>(dst) * slots_per_rank_ +
                      static_cast<std::size_t>(src) % slots_per_rank_];
   }
-  void stamp(Message& msg) const;
-  void post(int src, int dst, Tag tag, Message msg, bool multicast);
   void enqueue(int dst, int src, Tag tag, Message msg);
   [[nodiscard]] bool pop(Channel& ch, int me, int src, Tag tag, Message* out);
   [[nodiscard]] Message complete_receive(int me, int src, Tag tag,

@@ -34,12 +34,12 @@ const std::vector<TraceEvent>& TraceRecorder::rank_events(int r) const {
   return slots_[static_cast<std::size_t>(r)].events;
 }
 
-void TraceRecorder::record_send(int src, int dst, Tag tag, std::uint64_t bytes,
-                                bool multicast) {
+void TraceRecorder::record_send(int src, int dst, Tag tag,
+                                std::uint64_t bytes) {
   CONFLUX_EXPECTS_CTX(src >= 0 && src < nranks() && dst >= 0,
                       (CommContext{.src = src, .dst = dst}.with_tag(tag)));
   slots_[static_cast<std::size_t>(src)].events.push_back(
-      {EventKind::Send, dst, tag, bytes, multicast, stamp_ns(src)});
+      {EventKind::Send, dst, tag, bytes, stamp_ns(src)});
 }
 
 void TraceRecorder::record_recv(int dst, int src, Tag tag,
@@ -47,7 +47,7 @@ void TraceRecorder::record_recv(int dst, int src, Tag tag,
   CONFLUX_EXPECTS_CTX(dst >= 0 && dst < nranks() && src >= 0,
                       (CommContext{.src = src, .dst = dst}.with_tag(tag)));
   slots_[static_cast<std::size_t>(dst)].events.push_back(
-      {EventKind::Recv, src, tag, bytes, false, stamp_ns(dst)});
+      {EventKind::Recv, src, tag, bytes, stamp_ns(dst)});
 }
 
 // --- buffer-ownership debug hooks ------------------------------------------

@@ -1,7 +1,7 @@
 /// \file trace.hpp
 /// Lightweight per-rank event recording for the simulated fabric. When a
-/// TraceRecorder is attached to a Network, every deliver/multicast records a
-/// Send event on the sender's stream and every completed receive records a
+/// TraceRecorder is attached to a Network, every deliver records a Send
+/// event on the sender's stream and every completed receive records a
 /// Recv event on the receiver's stream — in each rank's program order, which
 /// is exactly the ordering the static verifier (src/verify) needs to
 /// reconstruct the communication graph of a run. Recording is lock-free:
@@ -33,7 +33,6 @@ struct TraceEvent {
   int peer = -1;            ///< destination (Send) or source (Recv)
   Tag tag = 0;
   std::uint64_t bytes = 0;  ///< logical wire bytes of the message
-  bool multicast = false;   ///< Send only: part of a multicast fan-out
   std::uint64_t t_ns = 0;   ///< completion time, steady-clock ns since the
                             ///< recorder's reset() epoch
 };
@@ -58,16 +57,11 @@ class TraceRecorder {
   [[nodiscard]] const std::vector<TraceEvent>& rank_events(int r) const;
 
   /// Append a Send event on `src`'s stream (called by the sender's thread).
-  void record_send(int src, int dst, Tag tag, std::uint64_t bytes,
-                   bool multicast = false);
+  void record_send(int src, int dst, Tag tag, std::uint64_t bytes);
 
   /// Append a Recv event on `dst`'s stream (called by the receiver's thread
   /// once the message has been matched and dequeued).
   void record_recv(int dst, int src, Tag tag, std::uint64_t bytes);
-
-  /// Absolute steady-clock ns of the epoch events are stamped against
-  /// (captured in reset()).
-  [[nodiscard]] std::uint64_t epoch_ns() const { return epoch_; }
 
   /// Switch event timestamps to virtual time: `clock_s` points at one
   /// double of virtual seconds per rank (owned by the caller, updated by
@@ -106,9 +100,9 @@ BufferMisuseHandler set_buffer_misuse_handler(BufferMisuseHandler handler);
 void report_buffer_misuse(const std::string& what);
 
 /// FNV-1a over a payload's bytes — the fingerprint the fabric stamps on a
-/// message at deliver time and re-checks at receive time: on shared
-/// payloads to catch in-flight mutation (the trace lint), on every payload
-/// under end-to-end integrity mode (Network::set_integrity).
+/// message at deliver time and re-checks at receive time, on every data
+/// payload while a trace (the in-flight-mutation lint) or end-to-end
+/// integrity mode (Network::set_integrity) is on.
 [[nodiscard]] std::uint64_t payload_fingerprint(std::span<const double> data);
 
 }  // namespace conflux::simnet

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <ostream>
 
 #include "support/assert.hpp"
@@ -72,11 +71,8 @@ void TelemetryBoard::close_span(int rank) {
 
 void TelemetryBoard::add_bytes(int rank, std::uint64_t bytes) {
   Slot& s = slot(rank);
-  if (s.open.empty()) {
-    s.orphan_bytes += bytes;
-    return;
-  }
-  s.spans[static_cast<std::size_t>(s.open.back())].bytes += bytes;
+  if (!s.open.empty())
+    s.spans[static_cast<std::size_t>(s.open.back())].bytes += bytes;
 }
 
 void TelemetryBoard::record_wait(int rank, int src, std::uint64_t tag,
@@ -100,18 +96,6 @@ void TelemetryBoard::record_wait(int rank, int src, std::uint64_t tag,
     s.spans[static_cast<std::size_t>(s.open.back())].wait_ns += w.ns;
 }
 
-void TelemetryBoard::add_counter(int rank, const char* name,
-                                 std::uint64_t delta) {
-  Slot& s = slot(rank);
-  for (Counter& c : s.counters) {
-    if (c.name == name || std::strcmp(c.name, name) == 0) {
-      c.value += delta;
-      return;
-    }
-  }
-  s.counters.push_back({name, delta});
-}
-
 void TelemetryBoard::set_queue_hwm(int rank, int hwm) {
   slot(rank).queue_hwm = std::max(slot(rank).queue_hwm, hwm);
 }
@@ -122,10 +106,6 @@ const std::vector<Span>& TelemetryBoard::rank_spans(int r) const {
 
 const std::vector<WaitSample>& TelemetryBoard::rank_waits(int r) const {
   return slot(r).waits;
-}
-
-const std::vector<Counter>& TelemetryBoard::rank_counters(int r) const {
-  return slot(r).counters;
 }
 
 int TelemetryBoard::queue_hwm(int r) const { return slot(r).queue_hwm; }

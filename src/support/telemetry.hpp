@@ -15,8 +15,8 @@
 ///     attributing time parked in `recv`/`recv_view` to a (src, tag) pair.
 ///     Wait time inside a span is also accumulated on that span so busy
 ///     (compute) time can be separated from blocked time.
-///   - **Monotonic counters** and per-rank queue-depth high-water marks
-///     flushed by the Network after the join.
+///   - **Per-rank queue-depth high-water marks** flushed by the Network
+///     after the join.
 ///
 /// Zero-overhead when disabled: everything is reached through a nullable
 /// board pointer (`FactorConfig::telemetry`, mirroring the `trace` hook),
@@ -67,12 +67,6 @@ struct WaitSample {
   std::uint64_t bytes = 0;     ///< logical bytes of the message received
 };
 
-/// A named monotonic counter (static-string keys, few per rank).
-struct Counter {
-  const char* name = "";
-  std::uint64_t value = 0;
-};
-
 /// Aggregated per-phase totals over all ranks (see phase_totals()).
 struct PhaseTotal {
   double seconds = 0;       ///< exclusive (self) time, nested spans removed
@@ -94,9 +88,6 @@ class TelemetryBoard {
 
   [[nodiscard]] int nranks() const { return static_cast<int>(slots_.size()); }
 
-  /// Absolute steady-clock ns of the epoch all timestamps are relative to.
-  [[nodiscard]] std::uint64_t epoch_ns() const { return epoch_; }
-
   /// Switch the board to virtual time: `clock_s` points at one double of
   /// virtual seconds per rank (owned by the caller, updated by each rank's
   /// own context), and spans/waits are stamped from it, truncated to whole
@@ -114,7 +105,8 @@ class TelemetryBoard {
   void close_span(int rank);
 
   /// Attribute `bytes` wire bytes to `rank`'s innermost open span (the
-  /// fabric calls this on the sender's thread at deliver time).
+  /// fabric calls this on the sender's thread at deliver time); bytes sent
+  /// outside any span are not attributed.
   void add_bytes(int rank, std::uint64_t bytes);
 
   /// Record one fabric receive: blocked from `begin_abs_ns` to `end_abs_ns`
@@ -122,8 +114,6 @@ class TelemetryBoard {
   void record_wait(int rank, int src, std::uint64_t tag,
                    std::uint64_t begin_abs_ns, std::uint64_t end_abs_ns,
                    std::uint64_t bytes);
-
-  void add_counter(int rank, const char* name, std::uint64_t delta = 1);
 
   /// Highest simultaneous queue depth observed across `rank`'s inbound
   /// channels (flushed by Network::run after the join).
@@ -133,7 +123,6 @@ class TelemetryBoard {
 
   [[nodiscard]] const std::vector<Span>& rank_spans(int r) const;
   [[nodiscard]] const std::vector<WaitSample>& rank_waits(int r) const;
-  [[nodiscard]] const std::vector<Counter>& rank_counters(int r) const;
   [[nodiscard]] int queue_hwm(int r) const;
 
   /// True when every opened span was closed on every rank.
@@ -159,9 +148,7 @@ class TelemetryBoard {
   struct alignas(64) Slot {
     std::vector<Span> spans;
     std::vector<WaitSample> waits;
-    std::vector<Counter> counters;
     std::vector<int> open;  ///< stack of open span indices
-    std::uint64_t orphan_bytes = 0;  ///< sent outside any span
     int queue_hwm = 0;
   };
 

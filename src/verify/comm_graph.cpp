@@ -22,7 +22,7 @@ CommGraph CommGraph::build(const simnet::TraceRecorder& trace) {
     for (std::size_t i = 0; i < events.size(); ++i) {
       const simnet::TraceEvent& e = events[i];
       g.nodes_.push_back({r, static_cast<int>(i), e.kind, e.peer, e.tag,
-                          e.bytes, e.multicast, -1, e.t_ns});
+                          e.bytes, -1, e.t_ns});
     }
   }
 

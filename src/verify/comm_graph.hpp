@@ -29,7 +29,6 @@ struct CommNode {
   int peer = -1;  ///< destination (Send) or source (Recv)
   simnet::Tag tag = 0;
   std::uint64_t bytes = 0;
-  bool multicast = false;
   int match = -1;  ///< global index of the matched counterpart; -1 unmatched
   std::uint64_t t_ns = 0;  ///< completion time (ns since recorder epoch)
 };

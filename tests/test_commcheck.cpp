@@ -259,8 +259,8 @@ TEST(SeededDefects, SelfSendsAreExcludedFromVolume) {
   // Multicast destination lists include the sender; StatsBoard counts no
   // bytes for the self-delivery and the graph accounting must agree.
   TraceRecorder rec(2);
-  rec.record_send(0, 0, 4, 64, true);
-  rec.record_send(0, 1, 4, 64, true);
+  rec.record_send(0, 0, 4, 64);
+  rec.record_send(0, 1, 4, 64);
   rec.record_recv(0, 0, 4, 64);
   rec.record_recv(1, 0, 4, 64);
   const CommGraph g = CommGraph::build(rec);
@@ -320,7 +320,7 @@ TEST_P(InFlightLint, InFlightMutationOfSharedPayloadIsDetected) {
       simnet::make_shared_buffer(std::vector<double>{1.0, 2.0, 3.0});
   auto* storage = const_cast<std::vector<double>*>(buf.get());
   simnet::Message msg;
-  msg.shared = buf;
+  msg.payload = buf;
   msg.logical_bytes = 24;
   net.deliver(0, 1, 7, std::move(msg));
   (*storage)[0] = -99.0;  // the seeded defect: in-flight mutation
@@ -400,7 +400,7 @@ TEST(CommCheck, NumericRunsVerifyCleanToo) {
   // The trace hook is not dry-run-only: a numeric COnfCHOX run (pivot-free,
   // so bit-identical schedule) must produce the same clean graph, and its
   // materialized payloads exercise the fingerprint integrity check for
-  // real — every multicast payload is hashed at deliver and re-checked at
+  // real — every data payload is hashed at deliver and re-checked at
   // receive.
   simnet::TraceRecorder rec;
   const linalg::Matrix a = linalg::generate(64, linalg::MatrixKind::Spd, 7);

@@ -14,9 +14,9 @@
 namespace conflux::simnet {
 namespace {
 
-TEST(Buffer, TakeHandsOverExclusivePayloadStorage) {
-  // A move-send's storage travels through the mailbox untouched: the
-  // receiver's take() gets the sender's very allocation (zero-copy p2p).
+TEST(Buffer, TakeCopiesPointToPointPayloads) {
+  // A move-send's vector becomes the immutable payload; the receiver's
+  // take() copies it out, so the receiver's storage is never the sender's.
   const double* sent = nullptr;
   const double* got = nullptr;
   run_spmd(2, [&](Comm& comm) {
@@ -31,7 +31,7 @@ TEST(Buffer, TakeHandsOverExclusivePayloadStorage) {
       EXPECT_EQ(out[999], 3.0);
     }
   });
-  EXPECT_EQ(sent, got);
+  EXPECT_NE(sent, got);
 }
 
 TEST(Buffer, TakeCopiesSharedPayloads) {

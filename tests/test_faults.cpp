@@ -285,7 +285,7 @@ class Integrity : public ::testing::TestWithParam<ExecMode> {
   }
 };
 
-TEST_P(Integrity, CorruptedExclusivePayloadIsDetected) {
+TEST_P(Integrity, CorruptedPointToPointPayloadIsDetected) {
   FaultSpec spec;
   spec.seed = 21;
   spec.corrupt_prob = 1.0;
@@ -330,7 +330,7 @@ TEST_P(Integrity, MulticastCorruptionIsIsolatedPerRecipient) {
 }
 
 TEST_P(Integrity, CorruptionUnderTraceFailsBeforeRecvAndLint) {
-  // Trace and integrity both check a shared payload's fingerprint. The
+  // Trace and integrity both check a payload's fingerprint. The
   // merged check must keep their order: integrity throws PayloadCorrupted
   // before the Recv event is logged, so the mutation lint never fires.
   std::vector<std::string> reports;
@@ -414,7 +414,6 @@ TEST(Retry, TransientFailuresRetryUntilSuccess) {
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.backoff_s = 0.001;
-  policy.real_sleep = false;  // virtual backoff: recorded, not slept
   const FactorResult result = run_with_retry(
       [&]() -> FactorResult {
         ++calls;
@@ -455,7 +454,6 @@ TEST(Retry, ExhaustedAttemptsRethrow) {
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.backoff_s = 0;
-  policy.real_sleep = false;
   int calls = 0;
   EXPECT_THROW(run_with_retry(
                    [&]() -> FactorResult {
@@ -498,7 +496,6 @@ TEST(Retry, LuRecoversFromInjectedCorruptionBitIdentically) {
     RetryPolicy policy;
     policy.max_attempts = 8;
     policy.backoff_s = 0.0005;
-    policy.real_sleep = false;
     const lu::LuResult recovered = run_with_retry(
         [&] { return lu::make_algorithm("COnfLUX")->run(&a, chaos_cfg); },
         policy, &plan);

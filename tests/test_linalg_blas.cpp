@@ -229,27 +229,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, OptimizedTrsmShape,
                                            std::make_tuple(129, 96),
                                            std::make_tuple(192, 200)));
 
-TEST(BlasSwitch, DispatchFollowsRuntimeSelection) {
-  const BlasImpl saved = blas_impl();
-  const Matrix a = generate(96, 96, MatrixKind::Uniform, 28);
-  const Matrix b = generate(96, 96, MatrixKind::Uniform, 29);
-
-  Matrix c_ref(96, 96), c_via_switch(96, 96);
-  gemm_reference(1.0, a.view(), b.view(), 0.0, c_ref.view());
-  set_blas_impl(BlasImpl::Reference);
-  gemm(1.0, a.view(), b.view(), 0.0, c_via_switch.view());
-  // Same code path, so bitwise identical.
-  EXPECT_EQ(max_abs_diff(c_ref.view(), c_via_switch.view()), 0.0);
-
-  Matrix c_opt(96, 96), c_opt_via_switch(96, 96);
-  gemm_optimized(1.0, a.view(), b.view(), 0.0, c_opt.view());
-  set_blas_impl(BlasImpl::Optimized);
-  gemm(1.0, a.view(), b.view(), 0.0, c_opt_via_switch.view());
-  EXPECT_EQ(max_abs_diff(c_opt.view(), c_opt_via_switch.view()), 0.0);
-
-  set_blas_impl(saved);
-}
-
 TEST(Trsm, IgnoresOppositeTriangleGarbage) {
   Matrix l = triangular(6, Triangle::Lower, Diag::NonUnit, 19);
   // Poison the strictly-upper part; the solve must not read it.

@@ -61,9 +61,11 @@ TEST(Spmd, IntsRoundTripWith4ByteAccounting) {
   Network net(2);
   run_spmd(net, [](Comm& comm) {
     if (comm.rank() == 0) {
-      comm.send_ints(1, 9, std::vector<int>{5, -7, 1 << 20});
+      const std::vector<int> ints = {5, -7, 1 << 20};
+      comm.send(1, 9, pack_ints(ints), ints.size() * sizeof(int));
     } else {
-      const auto got = comm.recv_ints(0, 9);
+      const BufferView view = comm.recv_view(0, 9);
+      const auto got = unpack_ints(view, view.logical_bytes() / sizeof(int));
       EXPECT_EQ(got, (std::vector<int>{5, -7, 1 << 20}));
     }
   });

@@ -281,17 +281,6 @@ TEST(Telemetry, BytesLandOnTheSendersInnermostSpan) {
   EXPECT_EQ(totals.at(telemetry::kLayerReduction).bytes, 5 * sizeof(double));
 }
 
-TEST(Telemetry, CountersMergeByName) {
-  telemetry::TelemetryBoard board(2);
-  board.add_counter(0, "steps");
-  board.add_counter(0, "steps", 2);
-  board.add_counter(0, "spills", 7);
-  ASSERT_EQ(board.rank_counters(0).size(), 2u);
-  EXPECT_EQ(board.rank_counters(0)[0].value, 3u);
-  EXPECT_EQ(board.rank_counters(0)[1].value, 7u);
-  EXPECT_EQ(board.rank_counters(1).size(), 0u);
-}
-
 TEST(Telemetry, PhaseTotalsUseExclusiveTime) {
   telemetry::TelemetryBoard board(1);
   board.open_span(0, telemetry::kSchurUpdate);

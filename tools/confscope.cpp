@@ -462,7 +462,6 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       cfg.faults = &plan;
       RetryPolicy rp;
       rp.max_attempts = opt.attempts;
-      rp.real_sleep = false;
       const double t0 = wall();
       try {
         const FactorResult r = run_with_retry(
@@ -505,7 +504,6 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
         RetryPolicy rp;
         rp.max_attempts = opt.attempts;
         rp.backoff_s = 0.001;
-        rp.real_sleep = false;
         try {
           const FactorResult r = run_with_retry(
               [&] { return b.run(&a, cfg); }, rp, &plan);

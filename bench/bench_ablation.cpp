@@ -6,23 +6,14 @@
 /// COnfLUX's butterfly tournament vs CALU's reduction-tree tournament,
 /// crossed with the adversarial matrix families and several grids.
 ///
-/// `--json[=path]` writes the pivoting sweep to `path` (default
-/// BENCH_pivoting.json): per-(strategy, kind) growth/residual numerics and
-/// per-grid communication volumes with the CALU/COnfLUX ratio.
-#include <fstream>
-#include <sstream>
-
+/// Set CONFLUX_BENCH_SCALE=small for a quick reduced-size run.
 #include "bench/bench_common.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace conflux;
   using namespace conflux::bench;
-
-  const std::string json_path =
-      parse_bench_args(argc, argv, "BENCH_pivoting.json", /*json_only=*/true)
-          .json_path;
 
   const bool full = bench_scale() == BenchScale::Full;
   const int n = full ? 4096 : 1024;
@@ -121,17 +112,6 @@ int main(int argc, char** argv) {
   // reduction-tree tournament on every adversarial family. Numeric runs
   // give growth + residual; dry runs at the sweep grids give the volumes.
   const std::vector<std::string> strategies = {"LibSci", "COnfLUX", "CALU"};
-  std::ostringstream json;  // the --json file, written at the end
-  support::JsonWriter w(json);
-  w.begin_object();
-  w.kv("bench", "pivoting");
-  w.kv("scale", full ? "full" : "small");
-  w.key("strategies");
-  w.begin_array();
-  for (const std::string& algo : strategies) w.value(algo);
-  w.end_array();
-  w.key("numerics");
-  w.begin_array();
 
   const int adv_n = pick(256, 128);
   const int adv_p = 8;
@@ -144,18 +124,8 @@ int main(int argc, char** argv) {
       ptab.add_row({algo, linalg::to_string(kind), fmt(res.growth, 3),
                     fmt(res.residual_eps, 2),
                     std::to_string(res.pivot_stats.off_natural)});
-      w.begin_object();
-      w.kv("strategy", algo);
-      w.kv("kind", linalg::to_string(kind));
-      w.kv("n", adv_n);
-      w.kv("p", adv_p);
-      w.kv("growth", res.growth);
-      w.kv("residual_eps", res.residual_eps);
-      w.kv("off_natural", res.pivot_stats.off_natural);
-      w.end_object();
     }
   }
-  w.end_array();
   ptab.print(std::cout, 2);
   std::cout << "  (Wilkinson defeats every row-pivoting strategy — partial "
                "and tournament alike hit 2^(n-1); on the other families all "
@@ -165,8 +135,6 @@ int main(int argc, char** argv) {
   const int piv_n = full ? 4096 : 1024;
   Table wtab({"N", "P", "c", "LibSci GB", "COnfLUX GB", "CALU GB",
               "CALU/COnfLUX"});
-  w.key("volumes");
-  w.begin_array();
   for (const auto& [pa, c] :
        std::vector<std::pair<int, int>>{{16, 0}, {64, 0}, {64, 4}}) {
     const factor::FactorConfig cfg{
@@ -179,27 +147,10 @@ int main(int argc, char** argv) {
     wtab.add_row({std::to_string(piv_n), std::to_string(pa), layers,
                   gb(lib.total_bytes()), gb(conflux.total_bytes()),
                   gb(calu.total_bytes()), fmt(ratio, 4) + "x"});
-    w.begin_object();
-    w.kv("n", piv_n);
-    w.kv("p", pa);
-    w.kv("layers", layers);
-    w.kv("grid", conflux.grid);
-    w.kv("libsci_bytes", lib.total_bytes());
-    w.kv("conflux_bytes", conflux.total_bytes());
-    w.kv("calu_bytes", calu.total_bytes());
-    w.kv("calu_over_conflux", ratio);
-    w.end_object();
   }
-  w.end_array();
-  w.end_object();
   wtab.print(std::cout, 2);
   std::cout << "  (The reduction tree sends Px-1 candidate blocks per panel "
                "vs the butterfly's ~Px log2 Px: CALU tracks COnfLUX from "
                "below, always within the 1.1x acceptance band.)\n";
-
-  if (!json_path.empty()) {
-    std::ofstream(json_path) << json.str() << "\n";
-    std::cout << "\nwrote " << json_path << "\n";
-  }
   return 0;
 }

@@ -1,11 +1,10 @@
 /// \file bench_common.hpp
 /// Shared helpers for the reproduction harness: dry runs of registered
 /// backends (verify/commcheck.hpp), the paper's reference values for
-/// side-by-side printing, and the common `--json` / `--trace` output
-/// machinery every bench shares.
+/// side-by-side printing, and the `--trace` / `--virtual` machinery the
+/// figure benches share.
 #pragma once
 
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -19,7 +18,6 @@
 #include "models/machines.hpp"
 #include "models/predictions.hpp"
 #include "support/env.hpp"
-#include "support/json_writer.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
 #include "support/timer.hpp"
@@ -41,44 +39,32 @@ inline factor::FactorResult run_dry(const verify::Backend& b, int n, int p,
                          .telemetry = tel});
 }
 
-/// Common bench CLI flags, shared by every bench that produces artifacts:
-/// `--json[=path]` (machine-readable summary), `--trace=path` (merged
-/// Chrome-trace/Perfetto profile of the measured runs), `--virtual`
-/// (virtual-time sweep at large P with predicted wall clocks),
-/// `--machine=NAME` (LogGP preset for --virtual; see models/machines.hpp)
-/// and `-p P[,P...]` (override the --virtual rank sweep).
+/// The figure benches' CLI flags: `--trace=path` (merged Chrome-trace/
+/// Perfetto profile of the measured runs), `--virtual` (virtual-time sweep
+/// at large P with predicted wall clocks), `--machine=NAME` (LogGP preset
+/// for --virtual; see models/machines.hpp) and `-p P[,P...]` (override the
+/// --virtual rank sweep).
 struct BenchArgs {
-  std::string json_path;   ///< empty = no JSON summary
-  bool json_defaulted = false;  ///< json_path came from bare `--json`
   std::string trace_path;  ///< empty = no Chrome trace
   bool virtual_mode = false;      ///< --virtual: LogGP fiber sweep
   std::string machine = "Piz Daint";  ///< --machine= preset name
   std::vector<int> ps;     ///< -p override for the --virtual sweep
 };
 
-/// Parse the flags above; a `json_only` bench takes `--json[=path]` alone.
-/// An unknown argument, a `-p` without a valid list or an unknown
-/// `--machine` preset is a usage error (exit 2).
-inline BenchArgs parse_bench_args(int argc, char** argv,
-                                  const std::string& default_json,
-                                  bool json_only = false) {
+/// Parse the flags above. An unknown argument, a `-p` without a valid list
+/// or an unknown `--machine` preset is a usage error (exit 2).
+inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--json") {
-        args.json_path = default_json;
-        args.json_defaulted = true;
-      } else if (arg.rfind("--json=", 0) == 0) {
-        args.json_path = arg.substr(7);
-        args.json_defaulted = false;
-      } else if (!json_only && arg.rfind("--trace=", 0) == 0)
+      if (arg.rfind("--trace=", 0) == 0)
         args.trace_path = arg.substr(8);
-      else if (!json_only && arg == "--virtual")
+      else if (arg == "--virtual")
         args.virtual_mode = true;
-      else if (!json_only && arg.rfind("--machine=", 0) == 0)
+      else if (arg.rfind("--machine=", 0) == 0)
         args.machine = models::machine_by_name(arg.substr(10)).name;
-      else if (!json_only && arg == "-p") {
+      else if (arg == "-p") {
         if (++i == argc) throw std::invalid_argument("-p needs a list");
         args.ps = cli::parse_int_list(argv[i], 1);
       } else
@@ -86,61 +72,19 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     }
   } catch (const std::exception& e) {
     std::cerr << argv[0] << ": " << e.what() << "\nusage: " << argv[0]
-              << (json_only ? " [--json[=FILE]]\n"
-                            : " [--json[=FILE]] [--trace=FILE] [--virtual] "
-                              "[--machine=NAME] [-p P[,P...]]\n");
+              << " [--trace=FILE] [--virtual] [--machine=NAME] "
+                 "[-p P[,P...]]\n";
     std::exit(2);
   }
   return args;
 }
 
-/// One measured point for the shared BENCH_*.json emitter.
+/// One virtual-sweep point: what Fig. 7's reduction-vs-second-best reads.
 struct BenchPoint {
   int p = 0;
-  int n = 0;  ///< ignored when the file carries a fixed top-level N
   std::string impl;
-  double seconds = 0;
-  double bytes_per_rank = 0;
   double total_bytes = 0;
-  std::uint64_t messages = 0;
-  std::string grid;
-  double predicted_seconds = 0;  ///< virtual-time runs: modeled wall clock
 };
-
-/// Write the shared bench JSON shape:
-///   {"bench": ..., ["n": N,] "scale": ..., "points": [{...}]}
-/// `fixed_n > 0` lifts N to the top level (fixed-size sweeps, fig6a);
-/// otherwise each point carries its own "n" (weak scaling, fig6b/7).
-inline void write_bench_json(const std::string& path, const std::string& bench,
-                             int fixed_n,
-                             const std::vector<BenchPoint>& points) {
-  std::ofstream os(path);
-  support::JsonWriter w(os);
-  w.begin_object();
-  w.kv("bench", bench);
-  if (fixed_n > 0) w.kv("n", fixed_n);
-  w.kv("scale", bench_scale() == BenchScale::Full ? "full" : "small");
-  w.key("points");
-  w.begin_array();
-  for (const BenchPoint& pt : points) {
-    w.begin_object();
-    w.kv("p", pt.p);
-    if (fixed_n <= 0) w.kv("n", pt.n);
-    w.kv("impl", pt.impl);
-    w.kv("seconds", pt.seconds);
-    w.kv("bytes_per_rank", pt.bytes_per_rank);
-    w.kv("total_bytes", pt.total_bytes);
-    w.kv("messages", pt.messages);
-    w.kv("grid", pt.grid);
-    if (pt.predicted_seconds > 0)
-      w.kv("predicted_seconds", pt.predicted_seconds);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  os << "\n";
-  std::cout << "\nwrote " << path << "\n";
-}
 
 /// Accumulates one TelemetryBoard per measured run into a merged Chrome
 /// trace (one process per labelled run, one thread per rank). Constructed
@@ -264,9 +208,7 @@ inline std::vector<BenchPoint> run_virtual_sweep(
                      fmt(res.predicted_seconds, 4),
                      fmt(res.bytes_per_rank() / 1e6, 4), fmt(host, 4),
                      res.grid});
-      points.push_back({p, n, b.name, host, res.bytes_per_rank(),
-                        res.total_bytes(), res.total.messages_sent, res.grid,
-                        res.predicted_seconds});
+      points.push_back({p, b.name, res.total_bytes()});
     }
   }
   table.print(std::cout, 2);

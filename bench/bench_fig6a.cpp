@@ -4,17 +4,13 @@
 /// counts of the inset (greedy 2D grids degrade; grid-optimized COnfLUX
 /// stays smooth).
 ///
-/// `--json[=path]` additionally writes a machine-readable summary
-/// (per-point wall-clock seconds and volumes) to `path` (default
-/// BENCH_simnet.json) so the simulator's perf trajectory can be tracked
-/// across PRs; `--trace=path` writes a merged Chrome-trace profile of the
-/// measured sweep (one process per point).
+/// `--trace=path` writes a merged Chrome-trace profile of the measured
+/// sweep (one process per point).
 ///
 /// `--virtual` switches to the virtual-time fabric and sweeps P =
 /// 512-4096 (or the `-p` list) at the same fixed N, printing *predicted*
 /// wall clocks on the `--machine=NAME` preset (default Piz Daint) next to
-/// the analytic LogGP phase model; the JSON summary defaults to
-/// BENCH_virtual.json.
+/// the analytic LogGP phase model.
 #include "bench/bench_common.hpp"
 #include "support/timer.hpp"
 
@@ -25,21 +21,15 @@ int main(int argc, char** argv) {
   const bool full = bench_scale() == BenchScale::Full;
   const int n = full ? 16384 : 2048;
 
-  BenchArgs args = parse_bench_args(argc, argv, "BENCH_simnet.json");
+  const BenchArgs args = parse_bench_args(argc, argv);
   if (args.virtual_mode) {
-    // Bare `--json` means "the mode's default file"; an explicit
-    // `--json=path` is honoured as given.
-    if (args.json_defaulted) args.json_path = "BENCH_virtual.json";
     BenchTrace trace(args.trace_path);
     std::cout << "== Figure 6a (virtual time): predicted wall clock vs P "
                  "(N = "
               << n << ") ==\n\n";
     std::vector<std::pair<int, int>> nps;
     for (int p : virtual_ps(args)) nps.emplace_back(n, p);
-    const std::vector<BenchPoint> points =
-        run_virtual_sweep(args, nps, trace);
-    if (!args.json_path.empty())
-      write_bench_json(args.json_path, "fig6a-virtual", n, points);
+    run_virtual_sweep(args, nps, trace);
     trace.finish();
     return 0;
   }
@@ -51,7 +41,6 @@ int main(int argc, char** argv) {
 
   std::cout << "== Figure 6a: comm volume per node vs P (N = " << n
             << ") ==\n\n";
-  std::vector<BenchPoint> points;
   Table table({"P", "impl", "measured MB/node", "model MB/node",
                "leading MB/node", "seconds", "grid"});
   for (int p : ps) {
@@ -65,9 +54,6 @@ int main(int argc, char** argv) {
            fmt(model_bytes(b, n, p) / p / 1e6, 4),
            fmt(model_bytes(b, n, p, true) / p / 1e6, 4), fmt(seconds, 4),
            res.grid});
-      points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
-                        res.total_bytes(), res.total.messages_sent,
-                        res.grid});
     }
   }
   table.print(std::cout, 2);
@@ -96,8 +82,6 @@ int main(int argc, char** argv) {
                "awkward P; LibSci/SLATE near-identical; CANDMC highest at "
                "all measured scales.\n";
 
-  if (!args.json_path.empty())
-    write_bench_json(args.json_path, "fig6a", n, points);
   trace.finish();
   return 0;
 }

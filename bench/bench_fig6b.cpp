@@ -2,8 +2,7 @@
 /// node, N = 3200 * P^(1/3). The 2.5D algorithms (COnfLUX, CANDMC) keep the
 /// per-node volume ~constant; the 2D libraries grow like P^(1/6).
 ///
-/// `--json[=path]` writes the per-point summary (default BENCH_fig6b.json,
-/// shared emitter shape); `--trace=path` a merged Chrome-trace profile.
+/// `--trace=path` writes a merged Chrome-trace profile.
 /// `--virtual` runs the same weak-scaling rule at P = 512-4096 (or the
 /// `-p` list) on the virtual-time fabric, predicting wall clocks on the
 /// `--machine=NAME` preset.
@@ -24,7 +23,7 @@ int main(int argc, char** argv) {
   using namespace conflux;
   using namespace conflux::bench;
 
-  const BenchArgs args = parse_bench_args(argc, argv, "BENCH_fig6b.json");
+  const BenchArgs args = parse_bench_args(argc, argv);
   BenchTrace trace(args.trace_path);
 
   const bool full = bench_scale() == BenchScale::Full;
@@ -35,10 +34,7 @@ int main(int argc, char** argv) {
               << " * P^(1/3), predicted wall clock ==\n\n";
     std::vector<std::pair<int, int>> nps;
     for (int p : virtual_ps(args)) nps.emplace_back(weak_n(n0, p), p);
-    const std::vector<BenchPoint> points =
-        run_virtual_sweep(args, nps, trace);
-    if (!args.json_path.empty())
-      write_bench_json(args.json_path, "fig6b-virtual", 0, points);
+    run_virtual_sweep(args, nps, trace);
     trace.finish();
     return 0;
   }
@@ -51,30 +47,22 @@ int main(int argc, char** argv) {
   Table table({"P", "N", "impl", "measured MB/node", "model MB/node",
                "growth vs first"});
   std::map<std::string, double> first;
-  std::vector<BenchPoint> points;
   for (int p : ps) {
     const int n = weak_n(n0, p);
     for (const verify::Backend& b : table2_backends()) {
-      Stopwatch sw;
       const factor::FactorResult res = run_dry(b, n, p, trace.board());
-      const double seconds = sw.seconds();
       trace.add(b.name + "/p" + std::to_string(p));
       const double per_node = res.bytes_per_rank() / 1e6;
       if (first.find(b.name) == first.end()) first[b.name] = per_node;
       table.add_row({std::to_string(p), std::to_string(n), b.name,
                      fmt(per_node, 4), fmt(model_bytes(b, n, p) / p / 1e6, 4),
                      fmt(per_node / first[b.name], 3) + "x"});
-      points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
-                        res.total_bytes(), res.total.messages_sent,
-                        res.grid});
     }
   }
   table.print(std::cout, 2);
   std::cout << "\nExpected shape: 2.5D algorithms (COnfLUX) retain ~constant "
                "volume per node; 2D algorithms (LibSci, SLATE) grow ~P^(1/6) "
                "— cf. the paper's Fig. 6b.\n";
-  if (!args.json_path.empty())
-    write_bench_json(args.json_path, "fig6b", 0, points);
   trace.finish();
   return 0;
 }

@@ -4,9 +4,7 @@
 /// (Piz Daint, Summit, TaihuLight), annotated with the second-best library
 /// (L = LibSci, S = SLATE, C = CANDMC).
 ///
-/// `--json[=path]` writes the measured sweep's raw per-(N, P, impl) volumes
-/// (default BENCH_fig7.json, shared emitter shape — the reduction factors
-/// are derivable); `--trace=path` a merged Chrome-trace profile.
+/// `--trace=path` writes a merged Chrome-trace profile.
 /// `--virtual` sweeps P = 512-4096 (or the `-p` list) at a fixed N on the
 /// virtual-time fabric, adding predicted wall clocks (--machine preset) to
 /// the volume-reduction story.
@@ -18,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace conflux::bench;
   using models::NamedVolume;
 
-  const BenchArgs args = parse_bench_args(argc, argv, "BENCH_fig7.json");
+  const BenchArgs args = parse_bench_args(argc, argv);
   BenchTrace trace(args.trace_path);
 
   const bool full = bench_scale() == BenchScale::Full;
@@ -44,8 +42,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
     red_t.print(std::cout, 2);
-    if (!args.json_path.empty())
-      write_bench_json(args.json_path, "fig7-virtual", n, points);
     trace.finish();
     return 0;
   }
@@ -58,21 +54,15 @@ int main(int argc, char** argv) {
       full ? std::vector<int>{64, 256, 1024} : std::vector<int>{16, 64};
 
   Table measured({"N", "P", "reduction", "second best"});
-  std::vector<BenchPoint> points;
   for (int n : ns) {
     for (int p : ps) {
       if (full && n == 8192 && p == 1024) continue;  // heaviest cell: skip
       std::vector<NamedVolume> entries;
       for (const verify::Backend& b : table2_backends()) {
-        Stopwatch sw;
         const factor::FactorResult res = run_dry(b, n, p, trace.board());
-        const double seconds = sw.seconds();
         trace.add(b.name + "/n" + std::to_string(n) + "/p" +
                   std::to_string(p));
         entries.push_back({b.name, res.total_bytes()});
-        points.push_back({p, n, b.name, seconds, res.bytes_per_rank(),
-                          res.total_bytes(), res.total.messages_sent,
-                          res.grid});
       }
       const auto red = models::reduction_vs_second_best(entries);
       measured.add_row({std::to_string(n), std::to_string(p),
@@ -125,8 +115,6 @@ int main(int argc, char** argv) {
                "asymptotic optimality is not enough.\n"
             << "Paper headline: 1.42x at P=1024/N=16384 measured, up to 4.1x "
                "in-sweep, ~2.1x predicted on full-scale Summit.\n";
-  if (!args.json_path.empty())
-    write_bench_json(args.json_path, "fig7", 0, points);
   trace.finish();
   return 0;
 }

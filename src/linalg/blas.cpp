@@ -121,9 +121,10 @@ void trsm_right_reference(Triangle tri, Diag diag, ConstMatrixView a,
 
 namespace {
 
-// Tile sizes tuned empirically on the 1024^3 A/B benchmark (bench_kernels):
-// GCC turns the 4x8 accumulator tile into clean FMA code, and the deep
-// k-panel amortizes C write-back traffic. Larger MR/NR shapes spill.
+// Tile sizes tuned empirically on a 1024^3 multiply, the shape
+// conflux-bench's linalg.gemm_peak probe times: GCC turns the 4x8
+// accumulator tile into clean FMA code, and the deep k-panel amortizes C
+// write-back traffic. Larger MR/NR shapes spill.
 constexpr int kMR = 4;     ///< microkernel rows (C register tile height)
 constexpr int kNR = 8;     ///< microkernel cols (one 512-bit vector)
 constexpr int kMC = 128;   ///< rows of A packed per thread block

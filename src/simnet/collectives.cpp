@@ -200,28 +200,6 @@ MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
   return {got[0], static_cast<int>(got[1])};
 }
 
-std::vector<std::vector<double>> gather(const Comm& comm, const Group& group,
-                                        int root_index,
-                                        std::span<const double> mine,
-                                        Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0 && root_index >= 0 && root_index < n);
-  std::vector<std::vector<double>> parts;
-  if (me == root_index) {
-    parts.resize(static_cast<std::size_t>(n));
-    parts[static_cast<std::size_t>(me)].assign(mine.begin(), mine.end());
-    for (int i = 0; i < n; ++i) {
-      if (i == root_index) continue;
-      parts[static_cast<std::size_t>(i)] =
-          comm.recv(group.at(i), sub_tag(tag, 6, 0));
-    }
-  } else {
-    comm.send(group.at(root_index), sub_tag(tag, 6, 0), mine);
-  }
-  return parts;
-}
-
 void barrier(const Comm& comm, const Group& group, Tag tag) {
   const int n = group.size();
   const int me = group.index_of(comm.rank());

@@ -90,12 +90,6 @@ struct MaxLoc {
 MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
                         Tag tag);
 
-/// Direct gather of variable-length buffers to `root_index`. Returns, on the
-/// root only, one buffer per group member (in group order); empty elsewhere.
-std::vector<std::vector<double>> gather(const Comm& comm, const Group& group,
-                                        int root_index,
-                                        std::span<const double> mine, Tag tag);
-
 /// Dissemination barrier (zero-byte messages).
 void barrier(const Comm& comm, const Group& group, Tag tag);
 

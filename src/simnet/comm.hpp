@@ -139,11 +139,6 @@ class Comm {
     return recv(partner, tag);
   }
 
-  /// This rank's accumulated volume.
-  [[nodiscard]] CommVolume volume() const {
-    return net_->stats().rank_volume(rank_);
-  }
-
   // --- virtual time (no-ops / 0 under the host clock) ----------------------
 
   /// Charge local compute to this rank's virtual clock (gamma * flops).

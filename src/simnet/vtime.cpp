@@ -58,17 +58,15 @@ namespace conflux::simnet {
 namespace {
 
 /// Usable fiber stack size. Fibers run every rank body (numeric kernels
-/// included), so the default leaves headroom; sanitizer builds triple frame
-/// sizes, hence the larger floor there. The stacks are lazily committed
-/// mmap regions — 4096 ranks reserve virtual address space only for pages
-/// never touched.
-std::size_t fiber_stack_bytes() {
+/// included), so 512 KiB leaves headroom; sanitizer builds triple frame
+/// sizes, hence 1 MiB there. The stacks are lazily committed mmap regions —
+/// 4096 ranks reserve virtual address space only for pages never touched.
+constexpr std::size_t fiber_stack_bytes() {
 #if defined(CONFLUX_VT_ASAN) || defined(CONFLUX_VT_TSAN)
-  const std::int64_t kb = env_int("CONFLUX_VT_STACK_KB", 1024);
+  return std::size_t{1024} * 1024;
 #else
-  const std::int64_t kb = env_int("CONFLUX_VT_STACK_KB", 512);
+  return std::size_t{512} * 1024;
 #endif
-  return static_cast<std::size_t>(std::max<std::int64_t>(64, kb)) * 1024;
 }
 
 std::size_t page_size() {

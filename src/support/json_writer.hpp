@@ -1,10 +1,10 @@
 /// \file json_writer.hpp
 /// A minimal streaming JSON emitter. One shared implementation backs every
-/// machine-readable artifact the repo produces — the bench `--json` files
-/// (BENCH_*.json trajectory data), the confscope summary, and the
-/// Chrome-trace/Perfetto export in support/telemetry — so the escaping and
-/// number-formatting rules cannot drift between them. Header-only, no
-/// dependencies beyond the standard library.
+/// machine-readable artifact the repo produces — the conflux-bench report
+/// (bench/suite), the confscope summary, and the Chrome-trace/Perfetto
+/// export in support/telemetry — so the escaping and number-formatting
+/// rules cannot drift between them. Header-only, no dependencies beyond the
+/// standard library.
 ///
 /// The writer is deliberately dumb: an explicit begin/end call per container
 /// with comma state tracked on a stack. Callers own the structure; the

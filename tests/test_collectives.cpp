@@ -123,29 +123,6 @@ TEST_P(CollectiveP, MaxlocTieBreaksOnLowestLocation) {
   });
 }
 
-TEST_P(CollectiveP, GatherCollectsInGroupOrder) {
-  const int p = GetParam();
-  run_spmd(p, [&](Comm& comm) {
-    const Group g = Group::iota(p);
-    const std::vector<double> mine(static_cast<std::size_t>(comm.rank() + 1),
-                                   static_cast<double>(comm.rank()));
-    const auto parts = gather(comm, g, 0, mine, make_tag(5, 0));
-    if (comm.rank() == 0) {
-      ASSERT_EQ(parts.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        ASSERT_EQ(parts[static_cast<std::size_t>(r)].size(),
-                  static_cast<std::size_t>(r + 1));
-        if (r > 0) {
-          EXPECT_EQ(parts[static_cast<std::size_t>(r)][0],
-                    static_cast<double>(r));
-        }
-      }
-    } else {
-      EXPECT_TRUE(parts.empty());
-    }
-  });
-}
-
 TEST_P(CollectiveP, BarrierSynchronizesWithZeroBytes) {
   const int p = GetParam();
   Network net(p);

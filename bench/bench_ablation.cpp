@@ -11,9 +11,10 @@
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace conflux;
   using namespace conflux::bench;
+  reject_arguments(argc, argv);
 
   const bool full = bench_scale() == BenchScale::Full;
   const int n = full ? 4096 : 1024;

@@ -8,9 +8,10 @@
 #include "daap/bound_solver.hpp"
 #include "daap/kernels.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace conflux;
   using namespace conflux::bench;
+  reject_arguments(argc, argv);
 
   const double n = 1024;
   std::cout << "== §3-§6: derived I/O lower bounds (N = " << n << ") ==\n\n";

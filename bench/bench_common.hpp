@@ -79,6 +79,15 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
   return args;
 }
 
+/// For the benches that take no flags: any argument is a usage error (exit
+/// 2), so a mistyped flag cannot silently start the default sweep.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::cerr << argv[0] << ": unknown argument '" << argv[1]
+            << "'\nusage: " << argv[0] << " (takes no arguments)\n";
+  std::exit(2);
+}
+
 /// One virtual-sweep point: what Fig. 7's reduction-vs-second-best reads.
 struct BenchPoint {
   int p = 0;

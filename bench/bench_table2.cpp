@@ -6,9 +6,10 @@
 /// Set CONFLUX_BENCH_SCALE=small for a quick reduced-size run.
 #include "bench/bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace conflux;
   using namespace conflux::bench;
+  reject_arguments(argc, argv);
 
   const bool full = bench_scale() == BenchScale::Full;
   const std::vector<int> ns = full ? std::vector<int>{4096, 16384}

@@ -1,8 +1,9 @@
 #include "lu/scalapack2d.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <tuple>
+#include <cstdint>
 
 #include "factor/layout2d.hpp"
 #include "grid/grid_opt.hpp"
@@ -15,6 +16,87 @@
 #include "support/timer.hpp"
 
 namespace conflux::lu {
+
+std::span<const RowMove> pdlaswp_moves(std::span<const int> piv, int k0,
+                                       const grid::BlockCyclic1D& rowmap,
+                                       int pr, PdlaswpScratch& scratch) {
+  const int kb = static_cast<int>(piv.size());
+  const int hi = k0 + kb;
+  const int np = rowmap.owners();
+  CONFLUX_EXPECTS(k0 >= 0 && hi <= rowmap.extent());
+  CONFLUX_EXPECTS(np < (1 << 16));  // (osrc, odst) packs into 32 bits
+
+  // Panel slots, with owners walked tile by tile (no division per row).
+  auto& panel = scratch.panel;
+  panel.resize(static_cast<std::size_t>(kb));
+  int owner = kb > 0 ? rowmap.owner_of(k0) : 0;
+  int next_tile = (k0 / rowmap.block() + 1) * rowmap.block();
+  for (int i = 0; i < kb; ++i) {
+    const int pos = k0 + i;
+    if (pos == next_tile) {
+      next_tile += rowmap.block();
+      if (++owner == np) owner = 0;
+    }
+    panel[static_cast<std::size_t>(i)] = {owner, owner, pos, pos};
+  }
+
+  // At most kb rows below the panel are touched: linear probing over a
+  // power-of-two table at least twice that size, Fibonacci-hashed.
+  auto& below = scratch.below;
+  auto& table = scratch.table;
+  below.clear();
+  below.reserve(static_cast<std::size_t>(kb));
+  const unsigned cap =
+      std::bit_ceil(std::max(2u * static_cast<unsigned>(kb), 2u));
+  const int shift = 32 - std::countr_zero(cap);
+  table.assign(cap, -1);
+  auto below_slot = [&](int row) -> RowMove& {
+    unsigned h = (static_cast<std::uint32_t>(row) * 0x9E3779B1u) >> shift;
+    for (;; h = (h + 1) & (cap - 1)) {
+      int& e = table[h];
+      if (e < 0) {
+        e = static_cast<int>(below.size());
+        const int o = rowmap.owner_of(row);
+        below.push_back({o, o, row, row});
+        return below.back();
+      }
+      if (below[static_cast<std::size_t>(e)].pos == row)
+        return below[static_cast<std::size_t>(e)];
+    }
+  };
+
+  // Apply the swaps to the slots' contents (the row and its owner).
+  for (int i = 0; i < kb; ++i) {
+    const int j = k0 + i;
+    const int p = piv[static_cast<std::size_t>(i)];
+    CONFLUX_EXPECTS(p >= j && p < rowmap.extent());
+    if (p == j) continue;
+    RowMove& a = panel[static_cast<std::size_t>(i)];
+    RowMove& b = p < hi ? panel[static_cast<std::size_t>(p - k0)]
+                        : below_slot(p);
+    std::swap(a.src, b.src);
+    std::swap(a.osrc, b.osrc);
+  }
+
+  // Keep my process row's moves, grouped by one sort over packed keys.
+  auto& moves = scratch.moves;
+  moves.clear();
+  moves.reserve(2 * static_cast<std::size_t>(kb));
+  auto keep = [&](const RowMove& m) {
+    if (m.src != m.pos && (m.osrc == pr || m.odst == pr)) moves.push_back(m);
+  };
+  for (const RowMove& m : panel) keep(m);
+  for (const RowMove& m : below) keep(m);
+  auto key = [np](const RowMove& m) {
+    const std::uint64_t pair = static_cast<std::uint64_t>(m.osrc) *
+                                   static_cast<std::uint64_t>(np) +
+                               static_cast<std::uint64_t>(m.odst);
+    return (pair << 32) | static_cast<std::uint32_t>(m.pos);
+  };
+  std::sort(moves.begin(), moves.end(),
+            [&](const RowMove& a, const RowMove& b) { return key(a) < key(b); });
+  return moves;
+}
 
 namespace {
 
@@ -79,6 +161,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
 
   std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
   const int steps = n / nb;
+  PdlaswpScratch plan;         // pdlaswp buffers, reused every step
+  std::vector<double> staged;  // numeric: my local moves' rows
 
   for (int s = 0; s < steps; ++s) {
     const int k0 = s * nb;
@@ -232,33 +316,17 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
-      // Convert the kb sequential swaps into an explicit permutation
-      // (pdlapiv semantics) over the touched positions, sorted once (at most
-      // 2*kb): from[i] = original row whose data must end up at touched[i].
-      // Applying moves from original positions is then order-independent,
-      // so messages batch safely even when swap chains share rows. Every
-      // rank builds this in O(kb log kb) per step.
-      std::vector<int> touched;
-      touched.reserve(2 * static_cast<std::size_t>(kb));
-      for (int j = k0; j < k0 + kb; ++j) {
-        const int piv = ipiv[static_cast<std::size_t>(j)];
-        if (piv == j) continue;
-        touched.push_back(j);
-        touched.push_back(piv);
-      }
-      std::sort(touched.begin(), touched.end());
-      touched.erase(std::unique(touched.begin(), touched.end()),
-                    touched.end());
-      std::vector<int> from = touched;
-      auto index_of = [&](int pos) {
-        return static_cast<std::size_t>(
-            std::lower_bound(touched.begin(), touched.end(), pos) -
-            touched.begin());
-      };
-      for (int j = k0; j < k0 + kb; ++j) {
-        const int piv = ipiv[static_cast<std::size_t>(j)];
-        if (piv != j) std::swap(from[index_of(j)], from[index_of(piv)]);
-      }
+      // The kb swaps as pdlapiv's permutation, restricted to the moves my
+      // process row sends or receives (pdlaswp_moves, O(kb) per step).
+      // Moves are applied from original positions, so the order within the
+      // step does not matter and messages batch safely even when swap
+      // chains share rows. Each (source, destination, step) channel carries
+      // at most one group, so the tag's sub id is 0.
+      const std::span<const RowMove> moves = pdlaswp_moves(
+          std::span<const int>(ipiv).subspan(static_cast<std::size_t>(k0),
+                                             static_cast<std::size_t>(kb)),
+          k0, me.rowmap, me.pr, plan);
+      const Tag tag = make_tag(23, ts, 0);
       // Columns outside the panel that I own (sender and receiver live in
       // the same process column, so both sides see the same width): local
       // indices [0, panel_lo) and [panel_hi, ncols), ascending.
@@ -271,91 +339,56 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         for (int jl = 0; jl < panel_lo; ++jl) fn(jl);
         for (int jl = panel_hi; jl < ncols; ++jl) fn(jl);
       };
-
-      // Moves grouped by (source owner -> destination owner): one flat
-      // list, stable-sorted, so every rank sees the same groups in the same
-      // order and the per-pair move lists agree between sender and
-      // receiver. Group i (counting from 1) is pair i of the step's tags.
-      struct Move {
-        int osrc, odst, src, pos;
-      };
-      std::vector<Move> moves;
-      moves.reserve(touched.size());
-      for (std::size_t i = 0; i < touched.size(); ++i)
-        if (from[i] != touched[i])
-          moves.push_back({me.rowmap.owner_of(from[i]),
-                           me.rowmap.owner_of(touched[i]), from[i],
-                           touched[i]});
-      std::stable_sort(moves.begin(), moves.end(),
-                       [](const Move& a, const Move& b) {
-                         return std::tie(a.osrc, a.odst) <
-                                std::tie(b.osrc, b.odst);
-                       });
-      // fn(pair_id, first, last) over each owner pair's moves.
-      auto for_each_pair = [&](auto&& fn) {
-        unsigned pair_id = 0;
+      // fn(first, last) over each (source owner -> destination owner) group.
+      auto for_each_group = [&](auto&& fn) {
         for (auto first = moves.begin(); first != moves.end();) {
           auto last = first;
           while (last != moves.end() && last->osrc == first->osrc &&
                  last->odst == first->odst)
             ++last;
-          fn(++pair_id, first, last);
+          fn(first, last);
           first = last;
         }
       };
-      // Stage all outgoing data before any write, then send, then receive.
-      std::vector<Move> local_moves;  // same owner, mine
-      struct Outgoing {
-        int dst_rank;
-        Tag tag;
-        std::vector<double> buf;
-        std::size_t count;
-      };
-      std::vector<Outgoing> outbox;
-      for_each_pair([&](unsigned pair_id, auto first, auto last) {
-        if (me.pr != first->osrc) return;
-        if (first->osrc == first->odst) {
-          local_moves.insert(local_moves.end(), first, last);
+      // Nothing is written before every outgoing and local row is read:
+      // send each outgoing group (ascending destination), stage my local
+      // moves, write them, then receive (ascending source).
+      std::span<const RowMove> local_moves;
+      for_each_group([&](auto first, auto last) {
+        if (first->osrc != me.pr) return;
+        if (first->odst == me.pr) {
+          local_moves = std::span<const RowMove>(first, last);
           return;
         }
-        Outgoing out;
-        out.dst_rank = rank_of(first->odst, me.pc);
-        out.tag = make_tag(23, ts, pair_id);
-        out.count = static_cast<std::size_t>(last - first) * out_count;
+        const std::size_t count =
+            static_cast<std::size_t>(last - first) * out_count;
+        std::vector<double> buf;
         if (numeric) {
-          out.buf.reserve(out.count);
+          buf.reserve(count);
           for (auto mv = first; mv != last; ++mv) {
             const int r = me.lrow(mv->src);
-            for_each_out_col([&](int jl) { out.buf.push_back(me.loc(r, jl)); });
+            for_each_out_col([&](int jl) { buf.push_back(me.loc(r, jl)); });
           }
         }
-        outbox.push_back(std::move(out));
+        comm.send(rank_of(first->odst, me.pc), tag, std::move(buf),
+                  count * sizeof(double));
       });
-      // Stage local (same-owner) moves: read everything, then write.
-      std::vector<std::vector<double>> staged;
-      if (numeric) {
-        for (const Move& mv : local_moves) {
-          std::vector<double> row;
-          row.reserve(out_count);
+      if (numeric && !local_moves.empty()) {
+        staged.clear();
+        for (const RowMove& mv : local_moves) {
           const int r = me.lrow(mv.src);
-          for_each_out_col([&](int jl) { row.push_back(me.loc(r, jl)); });
-          staged.push_back(std::move(row));
+          for_each_out_col([&](int jl) { staged.push_back(me.loc(r, jl)); });
+        }
+        const double* in = staged.data();
+        for (const RowMove& mv : local_moves) {
+          const int r = me.lrow(mv.pos);
+          for_each_out_col([&](int jl) { me.loc(r, jl) = *in++; });
         }
       }
-      for (auto& out : outbox)
-        comm.send(out.dst_rank, out.tag, std::move(out.buf),
-                  out.count * sizeof(double));
-      if (numeric) {
-        for (std::size_t i = 0; i < local_moves.size(); ++i) {
-          const int r = me.lrow(local_moves[i].pos);
-          std::size_t idx = 0;
-          for_each_out_col([&](int jl) { me.loc(r, jl) = staged[i][idx++]; });
-        }
-      }
-      for_each_pair([&](unsigned pair_id, auto first, auto last) {
-        if (first->osrc == first->odst || me.pr != first->odst) return;
-        const simnet::BufferView buf = comm.recv_view(
-            rank_of(first->osrc, me.pc), make_tag(23, ts, pair_id));
+      for_each_group([&](auto first, auto last) {
+        if (first->osrc == me.pr || first->odst != me.pr) return;
+        const simnet::BufferView buf =
+            comm.recv_view(rank_of(first->osrc, me.pc), tag);
         if (!numeric) return;
         const double* in = buf.data();
         for (auto mv = first; mv != last; ++mv) {

@@ -9,10 +9,42 @@
 ///   - SLATE: near-square grid that may idle a few ranks, default block 16.
 #pragma once
 
+#include <span>
+#include <vector>
+
+#include "grid/block_cyclic.hpp"
 #include "grid/grid3d.hpp"
 #include "lu/lu_common.hpp"
 
 namespace conflux::lu {
+
+/// One row move of a pdlaswp step: the row at original position `src` ends
+/// at position `pos`; `osrc` and `odst` are the process rows owning them.
+struct RowMove {
+  int osrc = 0, odst = 0, src = 0, pos = 0;
+  friend bool operator==(const RowMove&, const RowMove&) = default;
+};
+
+/// Buffers pdlaswp_moves reuses from step to step, so a step allocates
+/// nothing once they have grown to the panel width.
+struct PdlaswpScratch {
+  std::vector<RowMove> panel;  ///< slot i: position k0 + i
+  std::vector<RowMove> below;  ///< touched positions >= k0 + kb
+  std::vector<int> table;      ///< open-addressed index into `below`
+  std::vector<RowMove> moves;  ///< the returned view
+};
+
+/// The pdlaswp plan of one panel step as process row `pr` sees it. `piv[i]`
+/// is the row swapped with row k0 + i, applied in order (k0 + i <= piv[i] <
+/// rowmap.extent()). The swaps compose into a permutation of the touched
+/// positions in O(kb): a position's slot holds the original row that ends
+/// there. Returned are the moves (src != pos) whose source or destination
+/// owner is `pr`, sorted by (osrc, odst, pos), so each (osrc -> odst) group
+/// is contiguous and lists its rows in ascending position on sender and
+/// receiver alike. The view is valid until the next call on `scratch`.
+[[nodiscard]] std::span<const RowMove> pdlaswp_moves(
+    std::span<const int> piv, int k0, const grid::BlockCyclic1D& rowmap,
+    int pr, PdlaswpScratch& scratch);
 
 /// The one 2D LU driver: `layers` replicated copies of the right-looking
 /// pdgetrf schedule, one per face of `face.active()` ranks (face l holds

@@ -1,5 +1,7 @@
 #include "factor/step_records.hpp"
 
+#include <algorithm>
+
 #include "linalg/blas.hpp"
 #include "support/assert.hpp"
 
@@ -75,17 +77,9 @@ double masked_lu_residual(const linalg::Matrix& a, const AssembledFactors& f) {
   const int n = a.rows();
   CONFLUX_EXPECTS(a.cols() == n && f.l.rows() == n);
 
-  linalg::Matrix prod(n, n);
-  linalg::gemm(1.0, f.l.view(), f.u.view(), 0.0, prod.view());
-
-  double err = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const int src = f.pivot_order[static_cast<std::size_t>(i)];
-    auto pa = a.row(src);
-    auto lu = prod.row(i);
-    for (int j = 0; j < n; ++j)
-      err = std::max(err, std::abs(pa[j] - lu[j]));
-  }
+  const double err = linalg::triangular_product_max_diff(
+      linalg::TriangularProduct::LU, f.l.view(), f.u.view(), a.view(),
+      f.pivot_order);
   const double scale = std::max(1.0, linalg::max_abs(a.view())) * n;
   return err / scale;
 }

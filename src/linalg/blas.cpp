@@ -1,6 +1,8 @@
 #include "linalg/blas.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -134,14 +136,15 @@ constexpr int kKC = 1024;  ///< k-panel depth
 /// is faster once the whole working set fits in L1/L2.
 constexpr long long kSmallGemmFlops = 2LL * 48 * 48 * 48;
 
-/// Pack a mc x kc block of A (row-major view) into MR-tall micro-panels:
-/// panel i holds columns p as contiguous groups pa[p*MR + ir], zero-padded
-/// past mc.
-void pack_a(ConstMatrixView a, int i0, int k0, int mc, int kc, double* pa) {
+/// Pack a mc x kc block of A into MR-tall micro-panels: panel i holds
+/// columns p as contiguous groups pa[p*MR + ir], zero-padded past mc.
+/// `at(i, p)` reads the block's entry (i, p).
+template <class At>
+void pack_a(At at, int mc, int kc, double* pa) {
   for (int ip = 0; ip < mc; ip += kMR) {
     const int mr = std::min(kMR, mc - ip);
     for (int p = 0; p < kc; ++p) {
-      for (int ir = 0; ir < mr; ++ir) pa[p * kMR + ir] = a(i0 + ip + ir, k0 + p);
+      for (int ir = 0; ir < mr; ++ir) pa[p * kMR + ir] = at(ip + ir, p);
       for (int ir = mr; ir < kMR; ++ir) pa[p * kMR + ir] = 0.0;
     }
     pa += static_cast<std::ptrdiff_t>(kc) * kMR;
@@ -149,12 +152,13 @@ void pack_a(ConstMatrixView a, int i0, int k0, int mc, int kc, double* pa) {
 }
 
 /// Pack a kc x n panel of B into NR-wide micro-panels, zero-padded past n.
-void pack_b(ConstMatrixView b, int k0, int kc, int n, double* pb) {
+/// `at(p, j)` reads the panel's entry (p, j).
+template <class At>
+void pack_b(At at, int kc, int n, double* pb) {
   for (int jp = 0; jp < n; jp += kNR) {
     const int nr = std::min(kNR, n - jp);
     for (int p = 0; p < kc; ++p) {
-      const double* bp = &b(k0 + p, jp);
-      for (int jr = 0; jr < nr; ++jr) pb[p * kNR + jr] = bp[jr];
+      for (int jr = 0; jr < nr; ++jr) pb[p * kNR + jr] = at(p, jp + jr);
       for (int jr = nr; jr < kNR; ++jr) pb[p * kNR + jr] = 0.0;
     }
     pb += static_cast<std::ptrdiff_t>(kc) * kNR;
@@ -170,6 +174,31 @@ void micro_kernel(int kc, const double* pa, const double* pb,
     const double* bp = pb + static_cast<std::ptrdiff_t>(p) * kNR;
     for (int ir = 0; ir < kMR; ++ir)
       for (int jr = 0; jr < kNR; ++jr) acc[ir][jr] += ap[ir] * bp[jr];
+  }
+}
+
+/// C += alpha * A * B for a packed mc x kc block of A and a packed
+/// kc x nc panel of B, with c the mc x nc block of C. Kept out of line:
+/// inlined into gemm_optimized, GCC 12 spills the micro-kernel's loop bound
+/// and reloads it from the stack on every k step.
+[[gnu::noinline]] void macro_kernel(double alpha, int kc, const double* packed_a,
+                  const double* packed_b, MatrixView c) {
+  const int mc = c.rows(), nc = c.cols();
+  for (int jp = 0; jp < nc; jp += kNR) {
+    const int nr = std::min(kNR, nc - jp);
+    const double* pb =
+        packed_b + static_cast<std::ptrdiff_t>(jp / kNR) * kc * kNR;
+    for (int ip = 0; ip < mc; ip += kMR) {
+      const int mr = std::min(kMR, mc - ip);
+      const double* pa =
+          packed_a + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR;
+      double acc[kMR][kNR] = {};
+      micro_kernel(kc, pa, pb, acc);
+      for (int ir = 0; ir < mr; ++ir) {
+        double* ci = &c(ip + ir, jp);
+        for (int jr = 0; jr < nr; ++jr) ci[jr] += alpha * acc[ir][jr];
+      }
+    }
   }
 }
 
@@ -204,7 +233,8 @@ void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
 
   for (int k0 = 0; k0 < k; k0 += kKC) {
     const int kc = std::min(kKC, k - k0);
-    pack_b(b, k0, kc, n, packed_b.data());
+    pack_b([&](int p, int j) { return b(k0 + p, j); }, kc, n,
+           packed_b.data());
 
     const int i_blocks = (m + kMC - 1) / kMC;
     support::parallel_for(0, i_blocks, [&](int ib) {
@@ -213,24 +243,10 @@ void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
       // Per-call pack buffer; the block is at most MC x KC doubles = 1 MiB.
       std::vector<double> packed_a(
           static_cast<std::size_t>((mc + kMR - 1) / kMR) * kc * kMR);
-      pack_a(a, i0, k0, mc, kc, packed_a.data());
-
-      for (int jp = 0; jp < n; jp += kNR) {
-        const int nr = std::min(kNR, n - jp);
-        const double* pb =
-            packed_b.data() + static_cast<std::ptrdiff_t>(jp / kNR) * kc * kNR;
-        for (int ip = 0; ip < mc; ip += kMR) {
-          const int mr = std::min(kMR, mc - ip);
-          const double* pa =
-              packed_a.data() + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR;
-          double acc[kMR][kNR] = {};
-          micro_kernel(kc, pa, pb, acc);
-          for (int ir = 0; ir < mr; ++ir) {
-            double* ci = &c(i0 + ip + ir, jp);
-            for (int jr = 0; jr < nr; ++jr) ci[jr] += alpha * acc[ir][jr];
-          }
-        }
-      }
+      pack_a([&](int i, int p) { return a(i0 + i, k0 + p); }, mc, kc,
+             packed_a.data());
+      macro_kernel(alpha, kc, packed_a.data(), packed_b.data(),
+                   c.block(i0, 0, mc, n));
     });
   }
 }
@@ -318,6 +334,107 @@ void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
                        b.block(0, 0, m, d0));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fused triangular product for the residual checks: output tiles in a queue,
+// longest k range first, pulled by one worker per pool thread. Each worker
+// packs its tile's operands with the triangle masks applied, runs the GEMM
+// macro kernel into a tile buffer and compares the buffer with the
+// reference rows; nothing of size m x n is ever built.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr int kProductTile = 256;  ///< output tile edge
+static_assert(kProductTile % kMR == 0 && kProductTile % kNR == 0,
+              "a tile's pack buffers hold whole micro-panels");
+
+struct ProductTile {
+  int i0, j0, kend;  ///< top-left corner; k range [0, kend)
+};
+
+}  // namespace
+
+double triangular_product_max_diff(TriangularProduct kind, ConstMatrixView l,
+                                   ConstMatrixView u, ConstMatrixView ref,
+                                   std::span<const int> row_of) {
+  const bool llt = kind == TriangularProduct::LLt;
+  const int m = l.rows();
+  const int n = llt ? m : u.cols();
+  const int kmin = llt ? m : std::min(l.cols(), u.rows());
+  if (llt) CONFLUX_EXPECTS(l.cols() == m && u.rows() == m && u.cols() == m);
+  CONFLUX_EXPECTS(ref.cols() == n);
+  CONFLUX_EXPECTS(row_of.empty() ? ref.rows() == m
+                                 : static_cast<int>(row_of.size()) == m);
+
+  // L(i, k) = 0 for k > i and U(k, j) = 0 for k > j, so a tile's k range
+  // ends at its last row or last column, whichever comes first.
+  std::vector<ProductTile> tiles;
+  for (int i0 = 0; i0 < m; i0 += kProductTile) {
+    const int i1 = std::min(m, i0 + kProductTile);
+    for (int j0 = 0; j0 < (llt ? i1 : n); j0 += kProductTile) {
+      const int j1 = std::min(n, j0 + kProductTile);
+      tiles.push_back({i0, j0, std::min({i1, j1, kmin})});
+    }
+  }
+  std::stable_sort(tiles.begin(), tiles.end(),
+                   [](const ProductTile& x, const ProductTile& y) {
+                     return x.kend > y.kend;
+                   });
+
+  const int workers = std::min(support::global_pool().size(),
+                               static_cast<int>(tiles.size()));
+  std::vector<double> worst(static_cast<std::size_t>(workers), 0.0);
+  std::atomic<std::size_t> next{0};
+  support::parallel_for(0, workers, [&](int w) {
+    std::vector<double> c(static_cast<std::size_t>(kProductTile) *
+                          kProductTile);
+    std::vector<double> packed_a(static_cast<std::size_t>(kProductTile) * kKC);
+    std::vector<double> packed_b(static_cast<std::size_t>(kProductTile) * kKC);
+    double local = 0.0;
+    for (std::size_t t = next++; t < tiles.size(); t = next++) {
+      const auto [i0, j0, kend] = tiles[t];
+      const int mc = std::min(kProductTile, m - i0);
+      const int nc = std::min(kProductTile, n - j0);
+      MatrixView tile(c.data(), mc, nc, nc);
+      std::fill_n(c.begin(), static_cast<std::size_t>(mc) * nc, 0.0);
+      // k panels start at multiples of kKC, as in gemm_optimized, so each
+      // entry is summed in the same order as a dense product would be.
+      for (int k0 = 0; k0 < kend; k0 += kKC) {
+        const int kc = std::min(kKC, kend - k0);
+        pack_a(
+            [&](int i, int p) {
+              const int gi = i0 + i, gk = k0 + p;
+              if (gk < gi) return l(gi, gk);
+              if (gk > gi) return 0.0;
+              return llt ? l(gi, gi) : 1.0;
+            },
+            mc, kc, packed_a.data());
+        pack_b(
+            [&](int p, int j) {
+              const int gk = k0 + p, gj = j0 + j;
+              if (gk > gj) return 0.0;
+              return llt ? u(gj, gk) : u(gk, gj);
+            },
+            kc, nc, packed_b.data());
+        macro_kernel(1.0, kc, packed_a.data(), packed_b.data(), tile);
+      }
+      for (int i = 0; i < mc; ++i) {
+        const int gi = i0 + i;
+        auto want = ref.row(
+            row_of.empty() ? gi : row_of[static_cast<std::size_t>(gi)]);
+        const int jend = llt ? std::min(nc, gi - j0 + 1) : nc;
+        for (int j = 0; j < jend; ++j)
+          local = max_keep_nan(local, std::abs(want[j0 + j] - tile(i, j)));
+      }
+    }
+    worst[static_cast<std::size_t>(w)] = local;
+  });
+
+  double result = 0.0;
+  for (double x : worst) result = max_keep_nan(result, x);
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 /// \file blas.hpp
-/// BLAS-3-style kernels on views: blocked GEMM and the four TRSM variants
-/// used by blocked/distributed LU.
+/// BLAS-3-style kernels on views: blocked GEMM, the four TRSM variants
+/// used by blocked/distributed LU, and the fused triangular product the
+/// residual checks run.
 ///
 /// Two implementations of each kernel:
 ///  - reference: the original clarity-first single-threaded loops, kept as
@@ -11,8 +12,12 @@
 ///
 /// The public entry points (`gemm`, `trsm_left`, `trsm_right`) run the
 /// optimized kernels; the `*_reference` kernels are the oracle the tests
-/// pin them against.
+/// pin them against. The fused triangular product has one implementation,
+/// which shares the optimized GEMM's packing and macro kernel; its tests
+/// pin it against a dense `gemm_reference` product.
 #pragma once
+
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -40,6 +45,36 @@ void trsm_left(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b);
 /// Solve X * op(L/U) = B in place (X overwrites B), triangular matrix applied
 /// from the right. Shapes: a is n x n, b is m x n.
 void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b);
+
+/// The two triangular products a residual check multiplies out.
+enum class TriangularProduct {
+  /// L * U: L is unit lower from `l`'s strict lower triangle (m x kmin),
+  /// U is upper from `u`'s upper triangle, diagonal included (kmin x n),
+  /// kmin = min(l.cols(), u.rows()); every entry is compared. `l` and `u`
+  /// may be the same packed getrf view.
+  LU,
+  /// L * L^T: L is lower from `l`'s lower triangle, diagonal included, and
+  /// L^T is read from the lower triangle of `u` (pass the same n x n
+  /// view twice); only entries with j <= i are compared.
+  LLt,
+};
+
+/// max over the compared entries (i, j) of |ref(row_of[i], j) - (L*U)(i, j)|
+/// (an empty `row_of` means row_of[i] = i). Fused: the product is formed
+/// one 256 x 256 output tile at a time on the shared pool and compared as
+/// it is formed, so no m x n product, permuted copy or difference is ever
+/// built. A tile's k range stops at min(row end, column end), because
+/// L(i, k) = 0 for k > i and U(k, j) = 0 for k > j: 2/3 n^3 flops for an
+/// n x n LU, n^3 / 3 for L * L^T (a dense GEMM would take 2 n^3). NaN is
+/// kept: a non-finite factor entry gives a non-finite result. Each entry
+/// is summed in the order gemm_optimized's packed path sums it, so above
+/// that kernel's small-problem cutoff the result equals a dense product
+/// plus max_abs_diff bit for bit.
+[[nodiscard]] double triangular_product_max_diff(TriangularProduct kind,
+                                                 ConstMatrixView l,
+                                                 ConstMatrixView u,
+                                                 ConstMatrixView ref,
+                                                 std::span<const int> row_of);
 
 /// The reference kernels — the test suite pins the optimized path against
 /// these.

@@ -141,22 +141,22 @@ double lu_residual(const Matrix& original, ConstMatrixView factored,
   const int m = original.rows(), n = original.cols();
   CONFLUX_EXPECTS(factored.rows() == m && factored.cols() == n);
 
-  Matrix pa = original;
-  apply_pivots(pa.view(), ipiv);
-
-  const Matrix l = extract_lower_unit(factored);
-  const Matrix u = extract_upper(factored);
-  Matrix prod(m, n);
-  gemm(1.0, l.view(), u.view(), 0.0, prod.view());
-
+  const std::vector<int> perm = pivots_to_permutation(ipiv, m);
+  const double err = triangular_product_max_diff(
+      TriangularProduct::LU, factored, factored, original.view(), perm);
   const double scale = std::max(1.0, max_abs(original.view())) * std::max(1, n);
-  return max_abs_diff(pa.view(), prod.view()) / scale;
+  return err / scale;
 }
 
 double growth_factor(const Matrix& original, ConstMatrixView factored) {
   const double a = max_abs(original.view());
-  const Matrix u = extract_upper(factored);
-  return a == 0.0 ? 0.0 : max_abs(u.view()) / a;
+  // max|U|, read in place from the factored view's upper triangle.
+  const int kmin = std::min(factored.rows(), factored.cols());
+  double umax = 0.0;
+  for (int i = 0; i < kmin; ++i)
+    for (int j = i; j < factored.cols(); ++j)
+      umax = max_keep_nan(umax, std::abs(factored(i, j)));
+  return a == 0.0 ? 0.0 : umax / a;
 }
 
 }  // namespace conflux::linalg

@@ -42,15 +42,20 @@ void apply_pivots(MatrixView a, std::span<const int> ipiv);
 /// Extract the upper U factor (n x n top block) from a factored view.
 [[nodiscard]] Matrix extract_upper(ConstMatrixView lu);
 
-/// Scaled residual max|P*A - L*U| / (n * max|A|); small (~1e-14 * growth)
-/// for a healthy factorization.
+/// Scaled residual max|P*A - L*U| / (n * max|A|) of the m x n factored
+/// view (L m x min(m, n) unit lower, U min(m, n) x n upper); small
+/// (~1e-14 * growth) for a healthy factorization. Runs the fused
+/// triangular_product_max_diff (linalg/blas.hpp) on the packed view:
+/// 2/3 n^3 flops for n x n, with no L, U, PA or product copy built. NaN
+/// in a factor gives a NaN residual, never a small one.
 [[nodiscard]] double lu_residual(const Matrix& original,
                                  ConstMatrixView factored,
                                  std::span<const int> ipiv);
 
 /// Element growth factor max|U| / max|A| — the standard stability proxy for
 /// pivoting strategies (tournament pivoting is shown in [29] to behave like
-/// partial pivoting).
+/// partial pivoting). max|U| is read from the factored view's upper
+/// triangle; NaN there gives a NaN growth factor.
 [[nodiscard]] double growth_factor(const Matrix& original,
                                    ConstMatrixView factored);
 

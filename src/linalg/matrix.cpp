@@ -22,7 +22,7 @@ void copy(ConstMatrixView src, MatrixView dst) {
 double max_abs(ConstMatrixView a) {
   double m = 0.0;
   for (int i = 0; i < a.rows(); ++i)
-    for (double x : a.row(i)) m = std::max(m, std::abs(x));
+    for (double x : a.row(i)) m = max_keep_nan(m, std::abs(x));
   return m;
 }
 
@@ -40,7 +40,7 @@ double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
     auto ra = a.row(i);
     auto rb = b.row(i);
     for (int j = 0; j < a.cols(); ++j)
-      m = std::max(m, std::abs(ra[j] - rb[j]));
+      m = max_keep_nan(m, std::abs(ra[j] - rb[j]));
   }
   return m;
 }

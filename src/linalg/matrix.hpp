@@ -4,6 +4,7 @@
 /// under the verification harness.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -150,13 +151,22 @@ class Matrix {
 /// Copy `src` into `dst` (shapes must match).
 void copy(ConstMatrixView src, MatrixView dst);
 
-/// max_ij |A(i,j)|.
+/// max(m, x) that keeps NaN: once either argument is NaN the result is
+/// NaN (std::max drops a NaN `x`), so a max-reduction over non-finite data
+/// is not small. The LU and Cholesky residuals and growth factors reduce
+/// through it.
+[[nodiscard]] inline double max_keep_nan(double m, double x) {
+  return (x > m || std::isnan(x)) ? x : m;
+}
+
+/// max_ij |A(i,j)|; NaN when any entry is NaN.
 [[nodiscard]] double max_abs(ConstMatrixView a);
 
 /// Frobenius norm.
 [[nodiscard]] double frobenius(ConstMatrixView a);
 
-/// max_ij |A(i,j) - B(i,j)| (shapes must match).
+/// max_ij |A(i,j) - B(i,j)| (shapes must match); NaN when any difference
+/// is NaN.
 [[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);
 
 }  // namespace conflux::linalg

@@ -85,17 +85,8 @@ double cholesky_residual(const Matrix& original, ConstMatrixView factored) {
   const int n = original.rows();
   CONFLUX_EXPECTS(original.cols() == n && factored.rows() == n);
 
-  const Matrix l = extract_lower(factored);
-  Matrix lt(n, n);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j <= i; ++j) lt(j, i) = l(i, j);
-  Matrix prod(n, n);
-  gemm(1.0, l.view(), lt.view(), 0.0, prod.view());
-
-  double err = 0.0;
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j <= i; ++j)
-      err = std::max(err, std::abs(prod(i, j) - original(i, j)));
+  const double err = triangular_product_max_diff(
+      TriangularProduct::LLt, factored, factored, original.view(), {});
   const double scale = std::max(1.0, max_abs(original.view())) * n;
   return err / scale;
 }

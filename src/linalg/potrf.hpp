@@ -44,7 +44,10 @@ void trsm_right_lower_transposed(ConstMatrixView l00, MatrixView b);
 /// Scaled residual max_{i>=j} |(L L^T - A)(i,j)| / (n * max|A|), with L
 /// read from the lower triangle of `factored`. Only the lower triangle is
 /// compared: the upper one is A's by symmetry and may hold junk in
-/// `factored`. Small (~1e-15) for a healthy factorization.
+/// `factored`. Small (~1e-15) for a healthy factorization. Runs the fused
+/// triangular_product_max_diff (linalg/blas.hpp), which forms only the
+/// compared entries: n^3 / 3 flops, with no L, L^T or product copy built.
+/// NaN in L gives a NaN residual, never a small one.
 [[nodiscard]] double cholesky_residual(const Matrix& original,
                                        ConstMatrixView factored);
 

@@ -1,13 +1,19 @@
 // Tests for sequential LU with partial pivoting: residuals across matrix
-// families and shapes, blocked/unblocked agreement, pivot bookkeeping.
+// families and shapes, blocked/unblocked agreement, pivot bookkeeping, and
+// the fused residual product across its output tiles.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <tuple>
 
+#include "factor/step_records.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
+#include "linalg/potrf.hpp"
 
 namespace conflux::linalg {
 namespace {
@@ -71,6 +77,18 @@ TEST(Getrf, TallMatrixFactorsLeadingColumns) {
   Matrix prod(20, 6);
   gemm(1.0, l.view(), u.view(), 0.0, prod.view());
   EXPECT_LT(max_abs_diff(prod.view(), pa.view()), 1e-12);
+  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+}
+
+TEST(Getrf, WideMatrixResidual) {
+  // U is 6 x 20 upper trapezoidal; L is 6 x 6.
+  const Matrix a = generate(6, 20, MatrixKind::Uniform, 30);
+  Matrix f = a;
+  std::vector<int> ipiv(6);
+  EXPECT_EQ(getrf_unblocked(f.view(), ipiv), FactorStatus::Ok);
+  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  f(5, 19) += 1.0;
+  EXPECT_GT(lu_residual(a, f.view(), ipiv), 1e-4);
 }
 
 TEST(Getrf, SingularMatrixFlagged) {
@@ -155,6 +173,127 @@ TEST(Residual, DetectsCorruptedFactor) {
   f(8, 8) += 0.5;  // corrupt U
   EXPECT_GT(lu_residual(a, f.view(), ipiv), 1e-4);
 }
+
+TEST(Residual, NonFiniteFactorIsNotSmall) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a = generate(16, MatrixKind::Uniform, 31);
+  Matrix f = a;
+  std::vector<int> ipiv(16);
+  (void)getrf_unblocked(f.view(), ipiv);
+
+  // Packed LU (the 2D baselines): one NaN in U, then every factor NaN.
+  Matrix one_nan = f;
+  one_nan(8, 8) = kNaN;
+  EXPECT_FALSE(std::isfinite(lu_residual(a, one_nan.view(), ipiv)));
+  EXPECT_FALSE(std::isfinite(growth_factor(a, one_nan.view())));
+  Matrix all_nan(16, 16);
+  std::fill(all_nan.data(), all_nan.data() + all_nan.size(), kNaN);
+  EXPECT_FALSE(std::isfinite(lu_residual(a, all_nan.view(), ipiv)));
+  EXPECT_FALSE(std::isfinite(growth_factor(a, all_nan.view())));
+
+  // Assembled factors (COnfLUX, CALU): the same two corruptions.
+  factor::AssembledFactors asm_f{pivots_to_permutation(ipiv, 16),
+                                 extract_lower_unit(f.view()),
+                                 extract_upper(f.view())};
+  EXPECT_LT(factor::masked_lu_residual(a, asm_f), 1e-13);
+  asm_f.u(8, 8) = kNaN;
+  EXPECT_FALSE(std::isfinite(factor::masked_lu_residual(a, asm_f)));
+  EXPECT_FALSE(std::isfinite(factor::masked_growth_factor(a, asm_f)));
+  asm_f.l = all_nan;
+  asm_f.u = all_nan;
+  EXPECT_FALSE(std::isfinite(factor::masked_lu_residual(a, asm_f)));
+  EXPECT_FALSE(std::isfinite(factor::masked_growth_factor(a, asm_f)));
+
+  // Cholesky (ScaLAPACK, COnfCHOX): one NaN in L, then all of L NaN.
+  const Matrix spd = generate(16, MatrixKind::Spd, 32);
+  Matrix chol = spd;
+  ASSERT_EQ(potrf_unblocked(chol.view()), FactorStatus::Ok);
+  EXPECT_LT(cholesky_residual(spd, chol.view()), 1e-13);
+  chol(8, 8) = kNaN;
+  EXPECT_FALSE(std::isfinite(cholesky_residual(spd, chol.view())));
+  EXPECT_FALSE(std::isfinite(cholesky_residual(spd, all_nan.view())));
+}
+
+// The fused residual product against a dense gemm_reference product and a
+// max-abs difference taken here, at sizes below, on and across the 256-wide
+// output tiles.
+class LuResidualTiles : public ::testing::TestWithParam<int> {};
+
+std::vector<int> random_permutation(int n, unsigned seed) {
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::mt19937 rng(seed);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  return perm;
+}
+
+// max_ij |ref(row_of[i], j) - prod(i, j)|.
+double permuted_max_diff(const Matrix& ref, const Matrix& prod,
+                         const std::vector<int>& row_of) {
+  double worst = 0.0;
+  for (int i = 0; i < prod.rows(); ++i)
+    for (int j = 0; j < prod.cols(); ++j)
+      worst = std::max(worst, std::abs(ref(row_of[i], j) - prod(i, j)));
+  return worst;
+}
+
+TEST_P(LuResidualTiles, MatchesDenseProduct) {
+  const int n = GetParam();
+  // Any packed view works: L is read from below the diagonal, U from on
+  // and above it.
+  const Matrix f = generate(n, MatrixKind::Uniform, 33);
+  const std::vector<int> row_of = random_permutation(n, 34);
+  const Matrix l = extract_lower_unit(f.view());
+  const Matrix u = extract_upper(f.view());
+  Matrix prod(n, n);
+  gemm_reference(1.0, l.view(), u.view(), 0.0, prod.view());
+  // ref = P^T (L U + small noise): a skipped or misplaced nonzero term
+  // moves an entry by O(1) and shows above the noise.
+  const Matrix noise = generate(n, MatrixKind::Uniform, 35);
+  Matrix ref(n, n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      ref(row_of[i], j) = prod(i, j) + 1e-6 * noise(i, j);
+
+  const double got = triangular_product_max_diff(
+      TriangularProduct::LU, f.view(), f.view(), ref.view(), row_of);
+  const double want = permuted_max_diff(ref, prod, row_of);
+  EXPECT_GT(want, 0.0);
+  EXPECT_NEAR(got, want, 1e-12);
+  // Above gemm_optimized's small-problem cutoff the sums run in the same
+  // order as its packed path: every entry equal bit for bit.
+  if (n > 48) {
+    Matrix opt(n, n);
+    gemm_optimized(1.0, l.view(), u.view(), 0.0, opt.view());
+    Matrix opt_ref(n, n);
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j < n; ++j) opt_ref(row_of[i], j) = opt(i, j);
+    EXPECT_EQ(triangular_product_max_diff(TriangularProduct::LU, f.view(),
+                                          f.view(), opt_ref.view(), row_of),
+              0.0);
+  }
+}
+
+TEST_P(LuResidualTiles, DetectsOnePerturbedEntry) {
+  const int n = GetParam();
+  const Matrix a = generate(n, MatrixKind::Uniform, 36);
+  Matrix f = a;
+  std::vector<int> ipiv(static_cast<std::size_t>(n));
+  ASSERT_EQ(getrf_blocked(f.view(), ipiv, 32), FactorStatus::Ok);
+  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  // (n-1, n-1) has the longest k range, (255, 256) sits on a tile edge and
+  // (0, n-1) reaches every row of the last column.
+  std::vector<std::pair<int, int>> spots = {{n - 1, n - 1}, {0, n - 1}};
+  if (n > 256) spots.emplace_back(255, 256);
+  for (const auto& [r, c] : spots) {
+    Matrix bad = f;
+    bad(r, c) += max_abs(a.view());
+    EXPECT_GT(lu_residual(a, bad.view(), ipiv), 1e-4) << r << "," << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, LuResidualTiles,
+                         ::testing::Values(1, 255, 256, 257, 600));
 
 }  // namespace
 }  // namespace conflux::linalg

@@ -1,6 +1,9 @@
 // Tests for the Matrix value type and its views.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "linalg/generate.hpp"
 #include "linalg/matrix.hpp"
 
@@ -95,6 +98,19 @@ TEST(Norms, MaxAbsDiff) {
   Matrix a(2, 2), b(2, 2);
   b(0, 1) = 0.25;
   EXPECT_EQ(max_abs_diff(a.view(), b.view()), 0.25);
+}
+
+TEST(Norms, MaxReductionsKeepNaN) {
+  // std::max(m, NaN) returns m: a NaN anywhere but first would vanish.
+  Matrix a(2, 2), b(2, 2);
+  a(0, 0) = 3;
+  a(1, 0) = std::numeric_limits<double>::quiet_NaN();
+  a(1, 1) = -4;
+  EXPECT_TRUE(std::isnan(max_abs(a.view())));
+  EXPECT_TRUE(std::isnan(max_abs_diff(a.view(), b.view())));
+  EXPECT_TRUE(std::isnan(max_abs_diff(b.view(), a.view())));
+  EXPECT_TRUE(std::isnan(max_keep_nan(std::nan(""), 1.0)));
+  EXPECT_EQ(max_keep_nan(1.0, 2.0), 2.0);
 }
 
 class GeneratorTest : public ::testing::TestWithParam<MatrixKind> {};

@@ -1,11 +1,17 @@
 // Sequential Cholesky (potrf): unblocked vs blocked agreement, residuals on
 // the SPD matrix families, non-SPD detection, and the lower-triangle-only
 // contract that lets the distributed algorithms carry junk above the
-// diagonal.
+// diagonal, and the fused L * L^T residual product across its output tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
+#include <utility>
+#include <vector>
 
+#include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/potrf.hpp"
 
@@ -108,6 +114,75 @@ TEST(CholeskyResidual, DetectsWrongFactor) {
   f(8, 3) += 0.5;  // corrupt one entry of L
   EXPECT_GT(cholesky_residual(a, f.view()), 1e-4);
 }
+
+// The fused L * L^T product against a dense gemm_reference product and a
+// max-abs difference over j <= i taken here, at sizes below, on and across
+// the 256-wide output tiles.
+class CholeskyResidualTiles : public ::testing::TestWithParam<int> {};
+
+TEST_P(CholeskyResidualTiles, MatchesDenseProductOnLowerTriangle) {
+  const int n = GetParam();
+  // Any view works: L is read from on and below the diagonal.
+  const Matrix f = generate(n, MatrixKind::Uniform, 17);
+  const Matrix l = extract_lower(f.view());
+  Matrix lt(n, n);
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j <= i; ++j) lt(j, i) = l(i, j);
+  Matrix prod(n, n);
+  gemm_reference(1.0, l.view(), lt.view(), 0.0, prod.view());
+
+  std::vector<int> row_of(static_cast<std::size_t>(n));
+  std::iota(row_of.begin(), row_of.end(), 0);
+  std::mt19937 rng(18);
+  std::shuffle(row_of.begin(), row_of.end(), rng);
+  // ref = P^T (L L^T + small noise) on the compared entries and junk above
+  // the diagonal, which must not be compared.
+  const Matrix noise = generate(n, MatrixKind::Uniform, 19);
+  Matrix ref(n, n);
+  double want = 0.0;
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j) {
+      double& r = ref(row_of[i], j);
+      r = j <= i ? prod(i, j) + 1e-6 * noise(i, j) : 1e3;
+      if (j <= i) want = std::max(want, std::abs(r - prod(i, j)));
+    }
+
+  const double got = triangular_product_max_diff(
+      TriangularProduct::LLt, f.view(), f.view(), ref.view(), row_of);
+  EXPECT_GT(want, 0.0);
+  EXPECT_NEAR(got, want, 1e-12);
+  // Above gemm_optimized's small-problem cutoff the sums run in the same
+  // order as its packed path: every compared entry equal bit for bit.
+  if (n > 48) {
+    Matrix opt(n, n);
+    gemm_optimized(1.0, l.view(), lt.view(), 0.0, opt.view());
+    for (int i = 0; i < n; ++i)
+      for (int j = 0; j <= i; ++j) ref(row_of[i], j) = opt(i, j);
+    EXPECT_EQ(triangular_product_max_diff(TriangularProduct::LLt, f.view(),
+                                          f.view(), ref.view(), row_of),
+              0.0);
+  }
+}
+
+TEST_P(CholeskyResidualTiles, DetectsOnePerturbedEntry) {
+  const int n = GetParam();
+  const Matrix a = generate(n, MatrixKind::Spd, 20);
+  Matrix f = a;
+  ASSERT_EQ(potrf_blocked(f.view(), 32), FactorStatus::Ok);
+  EXPECT_LT(cholesky_residual(a, f.view()), kTol);
+  // The lower-triangle mirrors of the LU spots: (n-1, n-1) has the longest
+  // k range, (256, 255) sits on a tile edge, (n-1, 0) reaches the last row.
+  std::vector<std::pair<int, int>> spots = {{n - 1, n - 1}, {n - 1, 0}};
+  if (n > 256) spots.emplace_back(256, 255);
+  for (const auto& [r, c] : spots) {
+    Matrix bad = f;
+    bad(r, c) += max_abs(a.view());
+    EXPECT_GT(cholesky_residual(a, bad.view()), 1e-4) << r << "," << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyResidualTiles,
+                         ::testing::Values(1, 255, 256, 257, 600));
 
 }  // namespace
 }  // namespace conflux::linalg

@@ -111,7 +111,11 @@ void print_usage(std::ostream& os) {
         "  --p=P          rank count (default 8)\n"
         "  --layers=C     force the 2.5D replication depth (0 = auto)\n"
         "  --block=V      force the block size (0 = auto)\n"
-        "  --numeric      numeric run instead of the default dry run\n"
+        "  --numeric      numeric run instead of the default dry run,\n"
+        "                 on the backend's input_kind() matrix: diagonally\n"
+        "                 dominant for LU, so pivots rarely leave the\n"
+        "                 diagonal and pivot traffic is not comparable\n"
+        "                 with a dry profile's synthetic pivots\n"
         "  --virtual      keep the LogGP virtual clock instead of the host\n"
         "                 clock: spans, waits, the trace and the critical\n"
         "                 path are in *predicted* seconds\n"

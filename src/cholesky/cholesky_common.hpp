@@ -41,6 +41,12 @@ struct CholResult : factor::FactorResult {
   bool spd = true;
 };
 
+/// The finish both Cholesky drivers end in. `l` holds L on and below the
+/// diagonal and zeros above it. Under cfg.verify it fills the residual;
+/// under cfg.keep_factors it keeps `l` in the result.
+void finish_cholesky(CholResult& result, const linalg::Matrix& a,
+                     const CholConfig& cfg, linalg::Matrix l);
+
 /// Interface implemented by both Cholesky algorithms.
 class CholeskyAlgorithm : public factor::Factorization {
  public:

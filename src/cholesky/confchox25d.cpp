@@ -5,7 +5,6 @@
 #include <span>
 
 #include "factor/core25d.hpp"
-#include "factor/step_records.hpp"
 #include "grid/block_cyclic.hpp"
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
@@ -20,7 +19,6 @@ namespace conflux::cholesky {
 namespace {
 
 using factor::Plan25D;
-using factor::StepRecord;
 using factor::TileStore;
 using grid::chunk_range;
 using linalg::Matrix;
@@ -82,10 +80,11 @@ Matrix factor_and_bcast_a00(const Plan25D& plan, TileStore& store,
 /// owner px, on the column owners (px, py_c, l_star) — the same px-aligned
 /// 1D layout COnfLUX uses, so L10 := A10 * L00^{-T} runs in place with no
 /// redistribution. Returns the solved `rows` x v panel on numeric leaders,
-/// an empty matrix elsewhere.
+/// an empty matrix elsewhere, and writes it into `gathered` (when non-null)
+/// at its rows, columns t*v on.
 Matrix solve_panel(const Plan25D& plan, TileStore& store, int t, int l_star,
                    int py_c, std::span<const int> rows, const Matrix& a00,
-                   std::vector<StepRecord>* records) {
+                   Matrix* gathered) {
   Matrix panel;
   const grid::Coord3& me = store.me();
   if (me.py != py_c || me.l != l_star) return panel;
@@ -101,14 +100,11 @@ Matrix solve_panel(const Plan25D& plan, TileStore& store, int t, int l_star,
   }
   // L10 := A10 * L00^{-T}.
   linalg::trsm_right_lower_transposed(a00.view(), panel.view());
-  if (records != nullptr) {
-    StepRecord& rec = (*records)[static_cast<std::size_t>(t)];
+  if (gathered != nullptr)
     for (std::size_t i = 0; i < rows.size(); ++i) {
       auto srow = panel.row(static_cast<int>(i));
-      auto drow = rec.a10.row(rows[i]);
-      std::copy(srow.begin(), srow.end(), drow.begin());
+      std::copy(srow.begin(), srow.end(), &(*gathered)(rows[i], col0));
     }
-  }
   return panel;
 }
 
@@ -245,10 +241,12 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
   const Plan25D plan =
       factor::resolve_plan25d(cfg, grid::confchox_cost_per_rank);
 
-  std::vector<StepRecord> records;
-  const bool want_records = plan.numeric && (cfg.verify || cfg.keep_factors);
-  if (want_records)
-    records = factor::make_step_records(plan.n, plan.v, /*with_a01=*/false);
+  // Numeric runs that check or keep L collect it out of band (not part of
+  // the measured volume): every rank writes the entries it finishes into
+  // `gathered`.
+  const bool gather = plan.numeric && (cfg.verify || cfg.keep_factors);
+  Matrix gathered;
+  if (gather) gathered = Matrix(plan.n, plan.n);
   std::atomic<bool> not_spd{false};
 
   simnet::Network net(plan.active, cfg.fabric);
@@ -298,17 +296,17 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
         a00 = factor_and_bcast_a00(plan, store, comm, t,           // step 2
                                    l_star, py_c, world, &not_spd);
       }
-      if (want_records && me == 0) {
-        StepRecord& rec = records[static_cast<std::size_t>(t)];
-        for (int q = 0; q < plan.v; ++q)
-          rec.pivots[static_cast<std::size_t>(q)] = t * plan.v + q;
-        rec.a00 = a00;
-      }
+      if (gather && me == 0)
+        for (int q = 0; q < plan.v; ++q) {
+          auto src = a00.row(q);
+          std::copy(src.begin(), src.end(),
+                    &gathered(t * plan.v + q, t * plan.v));
+        }
       Matrix panel;
       {
         const telemetry::ScopedSpan span(plan.tel, me, telemetry::kTrsm, t);
         panel = solve_panel(plan, store, t, l_star, py_c, below,   // step 3
-                            a00, want_records ? &records : nullptr);
+                            a00, gather ? &gathered : nullptr);
       }
       {
         const telemetry::ScopedSpan span(plan.tel, me,
@@ -328,13 +326,7 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
   result.grid = plan.g.to_string();
   result.block = plan.v;
   result.spd = !not_spd.load(std::memory_order_relaxed);
-  if (want_records) {
-    const Matrix l =
-        factor::assemble_cholesky_factor(records, plan.n, plan.v);
-    if (cfg.verify) result.residual = linalg::cholesky_residual(*a, l.view());
-    if (cfg.keep_factors)
-      result.factors = std::make_shared<linalg::Matrix>(std::move(l));
-  }
+  if (gather) finish_cholesky(result, *a, cfg, std::move(gathered));
   return result;
 }
 

@@ -228,13 +228,7 @@ CholResult Scalapack2DCholesky::run(const linalg::Matrix* a,
   result.grid = g.to_string();
   result.block = nb;
   result.spd = !not_spd.load(std::memory_order_relaxed);
-  if (gather) {
-    if (cfg.verify)
-      result.residual = linalg::cholesky_residual(*a, gathered.view());
-    if (cfg.keep_factors)
-      result.factors = std::make_shared<Matrix>(
-          linalg::extract_lower(gathered.view()));
-  }
+  if (gather) finish_cholesky(result, *a, cfg, std::move(gathered));
   return result;
 }
 

@@ -61,7 +61,7 @@ struct FactorConfig {
   // --- ablation knobs (bench_ablation) ------------------------------------
   bool grid_optimization = true;  ///< 2.5D: search the best [Px,Py,c] grid
   int force_layers = 0;           ///< force the replication depth c (0 = auto)
-  bool verify = true;             ///< Numeric: assemble factors and check
+  bool verify = true;             ///< Numeric: collect factors and check
   bool keep_factors = false;      ///< Numeric: retain the factors in the
                                   ///< result (lu/solve.hpp consumes them)
 

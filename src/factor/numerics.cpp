@@ -20,9 +20,10 @@ PivotStats pivot_stats(std::span<const int> permutation,
     if (p != i) ++stats.off_natural;
     stats.max_displacement = std::max(stats.max_displacement,
                                       std::abs(p - i));
+    // Both extremes keep NaN, so a NaN on U's diagonal shows in the summary.
     const double d = std::abs(u_diag[static_cast<std::size_t>(i)]);
-    stats.min_abs_u_diag = std::min(stats.min_abs_u_diag, d);
-    stats.max_abs_u_diag = std::max(stats.max_abs_u_diag, d);
+    if (d < stats.min_abs_u_diag || std::isnan(d)) stats.min_abs_u_diag = d;
+    stats.max_abs_u_diag = linalg::max_keep_nan(stats.max_abs_u_diag, d);
   }
   return stats;
 }

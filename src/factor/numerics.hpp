@@ -23,6 +23,7 @@ struct PivotStats {
   int max_displacement = 0;  ///< max |permutation[i] - i|
   double min_abs_u_diag = 0;  ///< smallest |U(i,i)| — distance to breakdown
   double max_abs_u_diag = 0;  ///< largest |U(i,i)| — growth's diagonal face
+                              ///< (both NaN when a diagonal entry is NaN)
 };
 
 /// Compute pivot statistics from a run's row permutation and the diagonal

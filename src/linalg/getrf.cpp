@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "linalg/blas.hpp"
@@ -137,11 +138,17 @@ Matrix extract_upper(ConstMatrixView lu) {
 }
 
 double lu_residual(const Matrix& original, ConstMatrixView factored,
-                   std::span<const int> ipiv) {
+                   std::span<const int> perm) {
   const int m = original.rows(), n = original.cols();
   CONFLUX_EXPECTS(factored.rows() == m && factored.cols() == n);
+  CONFLUX_EXPECTS(static_cast<int>(perm.size()) == m);
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(m), 0);
+  for (int r : perm) {
+    CONFLUX_EXPECTS_MSG(r >= 0 && r < m && !seen[static_cast<std::size_t>(r)],
+                        "lu_residual needs a row permutation, not an ipiv");
+    seen[static_cast<std::size_t>(r)] = 1;
+  }
 
-  const std::vector<int> perm = pivots_to_permutation(ipiv, m);
   const double err = triangular_product_max_diff(
       TriangularProduct::LU, factored, factored, original.view(), perm);
   const double scale = std::max(1.0, max_abs(original.view())) * std::max(1, n);

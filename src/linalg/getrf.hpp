@@ -42,15 +42,17 @@ void apply_pivots(MatrixView a, std::span<const int> ipiv);
 /// Extract the upper U factor (n x n top block) from a factored view.
 [[nodiscard]] Matrix extract_upper(ConstMatrixView lu);
 
-/// Scaled residual max|P*A - L*U| / (n * max|A|) of the m x n factored
-/// view (L m x min(m, n) unit lower, U min(m, n) x n upper); small
-/// (~1e-14 * growth) for a healthy factorization. Runs the fused
-/// triangular_product_max_diff (linalg/blas.hpp) on the packed view:
-/// 2/3 n^3 flops for n x n, with no L, U, PA or product copy built. NaN
-/// in a factor gives a NaN residual, never a small one.
+/// Scaled residual max|A[perm, :] - L*U| / (n * max|A|) of the m x n
+/// factored view (L m x min(m, n) unit lower, U min(m, n) x n upper) and
+/// its row permutation (size m: factored row i is original row perm[i];
+/// pivots_to_permutation converts a LAPACK ipiv). Small (~1e-14 * growth)
+/// for a healthy factorization. Runs the fused triangular_product_max_diff
+/// (linalg/blas.hpp) on the packed view: 2/3 n^3 flops for n x n, with no
+/// L, U, PA or product copy built. NaN in a factor gives a NaN residual,
+/// never a small one.
 [[nodiscard]] double lu_residual(const Matrix& original,
                                  ConstMatrixView factored,
-                                 std::span<const int> ipiv);
+                                 std::span<const int> perm);
 
 /// Element growth factor max|U| / max|A| — the standard stability proxy for
 /// pivoting strategies (tournament pivoting is shown in [29] to behave like

@@ -7,7 +7,6 @@
 #include "grid/grid_opt.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/panel.hpp"
-#include "factor/step_records.hpp"
 #include "simnet/collectives.hpp"
 #include "simnet/spmd.hpp"
 #include "support/random.hpp"
@@ -18,12 +17,6 @@ namespace conflux::lu {
 
 namespace {
 
-using factor::assemble_factors;
-using factor::AssembledFactors;
-using factor::make_step_records;
-using factor::masked_growth_factor;
-using factor::masked_lu_residual;
-using factor::StepRecord;
 using grid::chunk_of;
 using grid::chunk_range;
 using grid::Coord3;
@@ -44,7 +37,6 @@ struct RankState {
   factor::TileStore store;
   // Globally consistent pivot bookkeeping.
   std::vector<std::uint8_t> pivoted;
-  std::vector<int> pivot_order;
 };
 
 /// Everything the ranks derive per outer step from the shared pivot state.
@@ -212,10 +204,7 @@ void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
   outcome.a00 = Matrix(v, v);
   std::copy(got.data() + got.size() - vv, got.data() + got.size(),
             outcome.a00.data());
-  for (int r : outcome.pivots) {
-    st.pivoted[static_cast<std::size_t>(r)] = 1;
-    st.pivot_order.push_back(r);
-  }
+  for (int r : outcome.pivots) st.pivoted[static_cast<std::size_t>(r)] = 1;
 }
 
 /// The rows remaining after this step's pivots are masked out, and the
@@ -262,11 +251,11 @@ struct DryStep {
 /// block-row layout of Algorithm 1 (a px-aligned assignment costs no
 /// redistribution), so step 7's triangular solve runs in place on the Px
 /// row leaders. Returns the solved rem2.by_px[me.px] x v panel on numeric
-/// leaders (me.py == py_c, me.l == l_star), an empty matrix elsewhere.
+/// leaders (me.py == py_c, me.l == l_star), an empty matrix elsewhere, and
+/// writes it into `gathered` (when non-null) at its rows, columns t*v on.
 Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
                             const StepView& sv, const Rem2& rem2,
-                            const Matrix& a00,
-                            std::vector<StepRecord>* records) {
+                            const Matrix& a00, Matrix* gathered) {
   Matrix panel;
   const int v = plan.v;
   const int col0 = sv.t * v;
@@ -283,14 +272,11 @@ Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
   // Step 7: A10 := A10 * U00^{-1} (right, upper, non-unit).
   linalg::trsm_right(linalg::Triangle::Upper, linalg::Diag::NonUnit,
                      a00.view(), panel.view());
-  if (records != nullptr) {
-    StepRecord& rec = (*records)[static_cast<std::size_t>(sv.t)];
+  if (gathered != nullptr)
     for (std::size_t i = 0; i < mine.size(); ++i) {
       auto srow = panel.row(static_cast<int>(i));
-      auto drow = rec.a10.row(mine[i]);
-      std::copy(srow.begin(), srow.end(), drow.begin());
+      std::copy(srow.begin(), srow.end(), &(*gathered)(mine[i], col0));
     }
-  }
   return panel;
 }
 
@@ -298,7 +284,8 @@ Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
 /// Each process column's pivot-row partials are summed (across tile-row
 /// owners and layers) onto the aggregator (px_c, py, l_star), which then
 /// owns the true v x (its trailing columns) strip and solves it in place —
-/// the py-aligned 1D block-column layout of Algorithm 1.
+/// the py-aligned 1D block-column layout of Algorithm 1. The solved strip
+/// goes into `gathered` (when non-null) at the pivot rows.
 struct A01Panel {
   Matrix agg;                 ///< v x my trailing cols (aggregators, numeric)
   std::vector<int> my_cols;   ///< this rank's trailing columns (all ranks)
@@ -309,8 +296,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
                                   const Comm& comm, const StepView& sv,
                                   const Rem2& rem2,
                                   const std::vector<int>& pivots,
-                                  const Matrix& a00,
-                                  std::vector<StepRecord>* records) {
+                                  const Matrix& a00, Matrix* gathered) {
   A01Panel panel;
   if (sv.t + 1 == plan.steps) return panel;
   const int v = plan.v;
@@ -379,13 +365,12 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
     // Step 9: A01 := L00^{-1} * A01 (left, lower, unit).
     linalg::trsm_left(linalg::Triangle::Lower, linalg::Diag::Unit, a00.view(),
                       panel.agg.view());
-    if (records != nullptr) {
-      StepRecord& rec = (*records)[static_cast<std::size_t>(sv.t)];
-      for (int j = 0; j < my_width; ++j)
-        for (int q = 0; q < v; ++q)
-          rec.a01(q, panel.my_cols[static_cast<std::size_t>(j)]) =
+    if (gathered != nullptr)
+      for (int q = 0; q < v; ++q)
+        for (int j = 0; j < my_width; ++j)
+          (*gathered)(pivots[static_cast<std::size_t>(q)],
+                      panel.my_cols[static_cast<std::size_t>(j)]) =
               panel.agg(q, j);
-    }
   }
   return panel;
 }
@@ -476,9 +461,17 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   Plan plan{factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank),
             cfg.seed, tournament};
 
-  std::vector<StepRecord> records;
-  const bool want_records = plan.numeric && (cfg.verify || cfg.keep_factors);
-  if (want_records) records = make_step_records(plan.n, plan.v);
+  // Numeric runs that check or keep the factors collect them out of band
+  // (not part of the measured volume): every rank writes the entries it
+  // finishes into `gathered`, indexed by original row, and rank 0 records
+  // the pivot order.
+  const bool gather = plan.numeric && (cfg.verify || cfg.keep_factors);
+  Matrix gathered;
+  std::vector<int> pivot_order;
+  if (gather) {
+    gathered = Matrix(plan.n, plan.n);
+    pivot_order.reserve(static_cast<std::size_t>(plan.n));
+  }
 
   // Dry runs: precompute the pivot schedule and per-step index sets once.
   std::vector<DryStep> dry_sched;
@@ -502,9 +495,9 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
     const Coord3 coord = plan.g.coord_of(comm.rank());
-    RankState st{coord, factor::TileStore(plan, coord),
-                 std::vector<std::uint8_t>(static_cast<std::size_t>(plan.n), 0),
-                 {}};
+    RankState st{
+        coord, factor::TileStore(plan, coord),
+        std::vector<std::uint8_t>(static_cast<std::size_t>(plan.n), 0)};
 
     if (plan.numeric && st.me.l == 0) {
       // Layer 0 holds A; the other layers hold zero partial sums.
@@ -546,10 +539,13 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
                                          telemetry::kPivotApply, t);
         broadcast_pivot_block(plan, st, comm, sv, outcome, world);  // step 3
       }
-      if (want_records && comm.rank() == 0) {
-        StepRecord& rec = records[static_cast<std::size_t>(t)];
-        rec.pivots = outcome.pivots;
-        rec.a00 = outcome.a00;
+      if (gather && me == 0) {
+        for (int q = 0; q < plan.v; ++q) {
+          const int r = outcome.pivots[static_cast<std::size_t>(q)];
+          auto src = outcome.a00.row(q);
+          std::copy(src.begin(), src.end(), &gathered(r, t * plan.v));
+          pivot_order.push_back(r);
+        }
       }
       Rem2 rem2_storage;
       if (plan.numeric) rem2_storage = make_rem2(plan, sv, outcome.pivots);
@@ -562,12 +558,11 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
       A01Panel a01_panel;
       {
         const telemetry::ScopedSpan span(plan.tel, me, telemetry::kTrsm, t);
-        a10_panel = solve_a10_at_leaders(                            // 4 + 7
-            plan, st, sv, rem2, outcome.a00,
-            want_records ? &records : nullptr);
+        Matrix* const out = gather ? &gathered : nullptr;
+        a10_panel = solve_a10_at_leaders(plan, st, sv, rem2,         // 4 + 7
+                                         outcome.a00, out);
         a01_panel = solve_a01_at_aggregators(                        // 5 + 9
-            plan, st, comm, sv, rem2, outcome.pivots, outcome.a00,
-            want_records ? &records : nullptr);
+            plan, st, comm, sv, rem2, outcome.pivots, outcome.a00, out);
       }
       {
         const telemetry::ScopedSpan span(plan.tel, me,
@@ -587,25 +582,16 @@ LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
   factor::fill_comm_stats(result, net, plan.active, cfg.p);
   result.grid = plan.g.to_string();
   result.block = plan.v;
-  if (want_records) {
-    const AssembledFactors f = assemble_factors(records, plan.n, plan.v);
-    if (cfg.verify) {
-      result.residual = masked_lu_residual(*a, f);
-      result.growth = masked_growth_factor(*a, f);
-      result.residual_eps = factor::residual_in_eps(result.residual);
-      std::vector<double> u_diag(static_cast<std::size_t>(plan.n));
-      for (int i = 0; i < plan.n; ++i)
-        u_diag[static_cast<std::size_t>(i)] = f.u(i, i);
-      result.pivot_stats = factor::pivot_stats(f.pivot_order, u_diag);
+  if (gather) {
+    // Rows never moved: one row-permuted copy gives the packed factor, and
+    // the gathered matrix is freed before the check runs.
+    Matrix packed(plan.n, plan.n);
+    for (int i = 0; i < plan.n; ++i) {
+      auto src = gathered.row(pivot_order[static_cast<std::size_t>(i)]);
+      std::copy(src.begin(), src.end(), packed.row(i).begin());
     }
-    if (cfg.keep_factors) {
-      auto packed = std::make_shared<linalg::Matrix>(plan.n, plan.n);
-      for (int i = 0; i < plan.n; ++i)
-        for (int j = 0; j < plan.n; ++j)
-          (*packed)(i, j) = j < i ? f.l(i, j) : f.u(i, j);
-      result.factors = std::move(packed);
-      result.permutation = f.pivot_order;
-    }
+    gathered = Matrix();
+    finish_lu(result, *a, cfg, std::move(packed), std::move(pivot_order));
   }
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "linalg/getrf.hpp"
 #include "lu/calu25d.hpp"
 #include "lu/candmc25d.hpp"
 #include "lu/conflux25d.hpp"
@@ -9,6 +10,23 @@
 #include "support/random.hpp"
 
 namespace conflux::lu {
+
+void finish_lu(LuResult& result, const linalg::Matrix& a, const LuConfig& cfg,
+               linalg::Matrix packed, std::vector<int> permutation) {
+  if (cfg.verify) {
+    result.residual = linalg::lu_residual(a, packed.view(), permutation);
+    result.growth = linalg::growth_factor(a, packed.view());
+    result.residual_eps = factor::residual_in_eps(result.residual);
+    std::vector<double> u_diag(permutation.size());
+    for (std::size_t i = 0; i < u_diag.size(); ++i)
+      u_diag[i] = packed(static_cast<int>(i), static_cast<int>(i));
+    result.pivot_stats = factor::pivot_stats(permutation, u_diag);
+  }
+  if (cfg.keep_factors) {
+    result.factors = std::make_shared<linalg::Matrix>(std::move(packed));
+    result.permutation = std::move(permutation);
+  }
+}
 
 std::unique_ptr<LuAlgorithm> make_algorithm(const std::string& name) {
   if (name == "COnfLUX") return std::make_unique<Conflux25D>();

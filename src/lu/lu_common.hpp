@@ -59,6 +59,13 @@ struct LuResult : factor::FactorResult {
   std::vector<int> permutation;
 };
 
+/// The finish every LU driver ends in. `packed` holds L below the diagonal
+/// and U on and above it, in pivot order: L*U = A[permutation, :]. Under
+/// cfg.verify it fills residual, growth, residual_eps and pivot_stats; under
+/// cfg.keep_factors it keeps `packed` and `permutation` in the result.
+void finish_lu(LuResult& result, const linalg::Matrix& a, const LuConfig& cfg,
+               linalg::Matrix packed, std::vector<int> permutation);
+
 /// Interface implemented by all five LU algorithms.
 class LuAlgorithm : public factor::Factorization {
  public:

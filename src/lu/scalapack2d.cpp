@@ -523,20 +523,9 @@ LuResult run_2d_faces(const linalg::Matrix* a, const LuConfig& cfg,
   factor::fill_comm_stats(result, net, active, cfg.p);
   result.grid = std::move(grid_label);
   result.block = nb;
-  if (numeric && cfg.verify) {
-    result.residual = linalg::lu_residual(*a, gathered.view(), ipiv);
-    result.growth = linalg::growth_factor(*a, gathered.view());
-    result.residual_eps = factor::residual_in_eps(result.residual);
-    std::vector<double> u_diag(static_cast<std::size_t>(cfg.n));
-    for (int i = 0; i < cfg.n; ++i)
-      u_diag[static_cast<std::size_t>(i)] = gathered(i, i);
-    result.pivot_stats = factor::pivot_stats(
-        linalg::pivots_to_permutation(ipiv, cfg.n), u_diag);
-  }
-  if (numeric && cfg.keep_factors) {
-    result.permutation = linalg::pivots_to_permutation(ipiv, cfg.n);
-    result.factors = std::make_shared<linalg::Matrix>(std::move(gathered));
-  }
+  if (gather)
+    finish_lu(result, *a, cfg, std::move(gathered),
+              linalg::pivots_to_permutation(ipiv, cfg.n));
   return result;
 }
 

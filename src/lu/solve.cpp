@@ -54,13 +54,14 @@ double solve_residual(const linalg::Matrix& a, std::span<const double> x,
   const int n = a.rows();
   CONFLUX_EXPECTS(a.cols() == n && static_cast<int>(x.size()) == n &&
                   static_cast<int>(b.size()) == n);
+  // Both maxima keep NaN: a NaN solution must not pass a `< tol` gate.
   double err = 0.0, xmax = 0.0;
-  for (double v : x) xmax = std::max(xmax, std::abs(v));
+  for (double v : x) xmax = linalg::max_keep_nan(xmax, std::abs(v));
   for (int i = 0; i < n; ++i) {
     double acc = -b[static_cast<std::size_t>(i)];
     auto row = a.row(i);
     for (int j = 0; j < n; ++j) acc += row[j] * x[static_cast<std::size_t>(j)];
-    err = std::max(err, std::abs(acc));
+    err = linalg::max_keep_nan(err, std::abs(acc));
   }
   const double scale =
       std::max(1.0, linalg::max_abs(a.view())) * std::max(1.0, xmax) * n;

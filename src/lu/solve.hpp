@@ -26,7 +26,7 @@ namespace conflux::lu {
                                       const linalg::Matrix& b);
 
 /// Scaled solve residual max|A x - b| / (n * max|A| * max|x|) — the
-/// standard backward-error proxy.
+/// standard backward-error proxy. NaN in x gives a NaN residual.
 [[nodiscard]] double solve_residual(const linalg::Matrix& a,
                                     std::span<const double> x,
                                     std::span<const double> b);

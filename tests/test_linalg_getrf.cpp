@@ -9,14 +9,19 @@
 #include <random>
 #include <tuple>
 
-#include "factor/step_records.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
 #include "linalg/potrf.hpp"
+#include "lu/lu_common.hpp"
 
 namespace conflux::linalg {
 namespace {
+
+// lu_residual takes the row permutation; getrf hands back a LAPACK ipiv.
+std::vector<int> perm_of(const Matrix& a, const std::vector<int>& ipiv) {
+  return pivots_to_permutation(ipiv, a.rows());
+}
 
 class GetrfFamily
     : public ::testing::TestWithParam<std::tuple<MatrixKind, int>> {};
@@ -27,7 +32,7 @@ TEST_P(GetrfFamily, UnblockedResidualSmall) {
   Matrix f = a;
   std::vector<int> ipiv(static_cast<std::size_t>(n));
   EXPECT_EQ(getrf_unblocked(f.view(), ipiv), FactorStatus::Ok);
-  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
 }
 
 TEST_P(GetrfFamily, BlockedMatchesUnblocked) {
@@ -58,7 +63,7 @@ TEST_P(GetrfBlocking, AnyPanelWidthWorks) {
   Matrix f = a;
   std::vector<int> ipiv(static_cast<std::size_t>(n));
   EXPECT_EQ(getrf_blocked(f.view(), ipiv, nb), FactorStatus::Ok);
-  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, GetrfBlocking,
@@ -77,7 +82,7 @@ TEST(Getrf, TallMatrixFactorsLeadingColumns) {
   Matrix prod(20, 6);
   gemm(1.0, l.view(), u.view(), 0.0, prod.view());
   EXPECT_LT(max_abs_diff(prod.view(), pa.view()), 1e-12);
-  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
 }
 
 TEST(Getrf, WideMatrixResidual) {
@@ -86,9 +91,9 @@ TEST(Getrf, WideMatrixResidual) {
   Matrix f = a;
   std::vector<int> ipiv(6);
   EXPECT_EQ(getrf_unblocked(f.view(), ipiv), FactorStatus::Ok);
-  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
   f(5, 19) += 1.0;
-  EXPECT_GT(lu_residual(a, f.view(), ipiv), 1e-4);
+  EXPECT_GT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-4);
 }
 
 TEST(Getrf, SingularMatrixFlagged) {
@@ -119,6 +124,16 @@ TEST(Pivots, PermutationRoundTrip) {
   apply_pivots(rows.view(), ipiv);
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(static_cast<int>(rows(i, 0)), perm[static_cast<std::size_t>(i)]);
+}
+
+TEST(Pivots, ResidualRejectsAnIpiv) {
+  const Matrix a = generate(4, MatrixKind::Uniform, 26);
+  Matrix f = a;
+  std::vector<int> ipiv(4);
+  (void)getrf_unblocked(f.view(), ipiv);
+  const std::vector<int> not_a_permutation = {2, 2, 3, 3};
+  EXPECT_THROW((void)lu_residual(a, f.view(), not_a_permutation),
+               ContractViolation);
 }
 
 TEST(Pivots, PermutationIsBijective) {
@@ -171,7 +186,7 @@ TEST(Residual, DetectsCorruptedFactor) {
   std::vector<int> ipiv(16);
   (void)getrf_unblocked(f.view(), ipiv);
   f(8, 8) += 0.5;  // corrupt U
-  EXPECT_GT(lu_residual(a, f.view(), ipiv), 1e-4);
+  EXPECT_GT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-4);
 }
 
 TEST(Residual, NonFiniteFactorIsNotSmall) {
@@ -181,28 +196,33 @@ TEST(Residual, NonFiniteFactorIsNotSmall) {
   std::vector<int> ipiv(16);
   (void)getrf_unblocked(f.view(), ipiv);
 
-  // Packed LU (the 2D baselines): one NaN in U, then every factor NaN.
+  // Packed LU: one NaN in U, then every factor NaN.
+  const std::vector<int> perm = perm_of(a, ipiv);
   Matrix one_nan = f;
   one_nan(8, 8) = kNaN;
-  EXPECT_FALSE(std::isfinite(lu_residual(a, one_nan.view(), ipiv)));
+  EXPECT_FALSE(std::isfinite(lu_residual(a, one_nan.view(), perm)));
   EXPECT_FALSE(std::isfinite(growth_factor(a, one_nan.view())));
   Matrix all_nan(16, 16);
   std::fill(all_nan.data(), all_nan.data() + all_nan.size(), kNaN);
-  EXPECT_FALSE(std::isfinite(lu_residual(a, all_nan.view(), ipiv)));
+  EXPECT_FALSE(std::isfinite(lu_residual(a, all_nan.view(), perm)));
   EXPECT_FALSE(std::isfinite(growth_factor(a, all_nan.view())));
 
-  // Assembled factors (COnfLUX, CALU): the same two corruptions.
-  factor::AssembledFactors asm_f{pivots_to_permutation(ipiv, 16),
-                                 extract_lower_unit(f.view()),
-                                 extract_upper(f.view())};
-  EXPECT_LT(factor::masked_lu_residual(a, asm_f), 1e-13);
-  asm_f.u(8, 8) = kNaN;
-  EXPECT_FALSE(std::isfinite(factor::masked_lu_residual(a, asm_f)));
-  EXPECT_FALSE(std::isfinite(factor::masked_growth_factor(a, asm_f)));
-  asm_f.l = all_nan;
-  asm_f.u = all_nan;
-  EXPECT_FALSE(std::isfinite(factor::masked_lu_residual(a, asm_f)));
-  EXPECT_FALSE(std::isfinite(factor::masked_growth_factor(a, asm_f)));
+  // The LU finish every LU driver ends in (COnfLUX and CALU included):
+  // the same two corruptions, through the packed factor and its row
+  // permutation, reach the residual, growth and pivot summary.
+  lu::LuConfig cfg;
+  cfg.verify = true;
+  for (const Matrix* bad : {&one_nan, &all_nan}) {
+    lu::LuResult res;
+    lu::finish_lu(res, a, cfg, f, perm);
+    EXPECT_LT(res.residual, 1e-13);
+    lu::finish_lu(res, a, cfg, *bad, perm);
+    EXPECT_FALSE(std::isfinite(res.residual));
+    EXPECT_FALSE(std::isfinite(res.residual_eps));
+    EXPECT_FALSE(std::isfinite(res.growth));
+    EXPECT_TRUE(std::isnan(res.pivot_stats.min_abs_u_diag));
+    EXPECT_TRUE(std::isnan(res.pivot_stats.max_abs_u_diag));
+  }
 
   // Cholesky (ScaLAPACK, COnfCHOX): one NaN in L, then all of L NaN.
   const Matrix spd = generate(16, MatrixKind::Spd, 32);
@@ -280,7 +300,8 @@ TEST_P(LuResidualTiles, DetectsOnePerturbedEntry) {
   Matrix f = a;
   std::vector<int> ipiv(static_cast<std::size_t>(n));
   ASSERT_EQ(getrf_blocked(f.view(), ipiv, 32), FactorStatus::Ok);
-  EXPECT_LT(lu_residual(a, f.view(), ipiv), 1e-13);
+  const std::vector<int> perm = perm_of(a, ipiv);
+  EXPECT_LT(lu_residual(a, f.view(), perm), 1e-13);
   // (n-1, n-1) has the longest k range, (255, 256) sits on a tile edge and
   // (0, n-1) reaches every row of the last column.
   std::vector<std::pair<int, int>> spots = {{n - 1, n - 1}, {0, n - 1}};
@@ -288,7 +309,7 @@ TEST_P(LuResidualTiles, DetectsOnePerturbedEntry) {
   for (const auto& [r, c] : spots) {
     Matrix bad = f;
     bad(r, c) += max_abs(a.view());
-    EXPECT_GT(lu_residual(a, bad.view(), ipiv), 1e-4) << r << "," << c;
+    EXPECT_GT(lu_residual(a, bad.view(), perm), 1e-4) << r << "," << c;
   }
 }
 

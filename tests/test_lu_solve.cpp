@@ -1,17 +1,23 @@
 // Tests for the linear-system solve layer: factor once with any of the
 // five distributed algorithms, then solve by permuted forward/backward
 // substitution. Backward-error checks across algorithms, matrix families
-// and multiple right-hand sides.
+// and multiple right-hand sides, and the factor-output contract the solve
+// relies on, over every registered backend of both families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 
+#include "cholesky/cholesky_common.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
+#include "linalg/getrf.hpp"
+#include "linalg/potrf.hpp"
 #include "lu/solve.hpp"
 #include "support/random.hpp"
+#include "verify/commcheck.hpp"
 
 namespace conflux::lu {
 namespace {
@@ -181,6 +187,56 @@ TEST(Solve, PermutationIsRecorded) {
       EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i) << algo;
   }
 }
+
+TEST(Solve, NonFiniteSolutionIsNotSmall) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a = generate(16, MatrixKind::Uniform, 94);
+  std::vector<double> b(16, 1.0);
+  EXPECT_FALSE(std::isfinite(solve_residual(a, std::vector(16, kNaN), b)));
+  // A finite x with one NaN in A x - b: only the error reduction sees it.
+  b[5] = kNaN;
+  EXPECT_FALSE(std::isfinite(solve_residual(a, std::vector(16, 1.0), b)));
+}
+
+// The output contract of every registered backend: a numeric run with
+// verify and keep_factors reports the residual of exactly the factors it
+// hands back (LU: with its row permutation), bit for bit.
+class OutputContract : public ::testing::TestWithParam<verify::Backend> {};
+
+TEST_P(OutputContract, ResidualIsThatOfTheKeptFactors) {
+  const verify::Backend& backend = GetParam();
+  const int n = 96;
+  const Matrix a = generate(n, backend.input_kind(), 97);
+  factor::FactorConfig cfg;
+  cfg.n = n;
+  cfg.p = 8;
+  cfg.verify = true;
+  cfg.keep_factors = true;
+  if (backend.family == "LU") {
+    const LuResult res = make_algorithm(backend.name)->run(&a, cfg);
+    ASSERT_NE(res.factors, nullptr);
+    ASSERT_EQ(res.permutation.size(), static_cast<std::size_t>(n));
+    EXPECT_LT(res.residual, 1e-12);
+    EXPECT_EQ(linalg::lu_residual(a, res.factors->view(), res.permutation),
+              res.residual);
+  } else {
+    const cholesky::CholResult res =
+        cholesky::make_cholesky_algorithm(backend.name)->run(&a, cfg);
+    ASSERT_NE(res.factors, nullptr);
+    const Matrix& l = *res.factors;
+    for (int i = 0; i < n; ++i)
+      for (int j = i + 1; j < n; ++j) ASSERT_EQ(l(i, j), 0.0) << i << "," << j;
+    EXPECT_LT(res.residual, 1e-12);
+    EXPECT_EQ(linalg::cholesky_residual(a, l.view()), res.residual);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBackend, OutputContract,
+    ::testing::ValuesIn(verify::registered_backends()),
+    [](const ::testing::TestParamInfo<verify::Backend>& info) {
+      return info.param.name;
+    });
 
 TEST(Solve, WithoutKeepFactorsThrows) {
   const Matrix a = generate(32, MatrixKind::Uniform, 92);

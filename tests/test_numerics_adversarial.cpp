@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "linalg/generate.hpp"
@@ -30,6 +31,16 @@ LuResult run_verified(const std::string& algo, const Matrix& a, int p) {
   cfg.mode = Mode::Numeric;
   cfg.verify = true;
   return make_algorithm(algo)->run(&a, cfg);
+}
+
+TEST(PivotStats, NaNOnTheDiagonalShowsInBothExtremes) {
+  const std::vector<int> perm = {0, 1, 2};
+  const std::vector<double> u_diag = {
+      1.0, std::numeric_limits<double>::quiet_NaN(), 2.0};
+  const factor::PivotStats stats = factor::pivot_stats(perm, u_diag);
+  EXPECT_TRUE(std::isnan(stats.min_abs_u_diag));
+  EXPECT_TRUE(std::isnan(stats.max_abs_u_diag));
+  EXPECT_EQ(stats.off_natural, 0);
 }
 
 constexpr const char* kAllAlgos[] = {"LibSci", "SLATE", "CANDMC", "COnfLUX",

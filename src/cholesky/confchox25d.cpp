@@ -207,29 +207,31 @@ void schur_update_local(const Plan25D& plan, TileStore& store,
                  rows.slice.end == cols.slice.end);
   const int v = plan.v;
 
-  // One GEMM per column tile, restricted to the row tiles at or below it
+  // One update per column tile, restricted to the row tiles at or below it
   // (both tile lists are ascending), so the strict-upper half of the
   // symmetric update is never computed — the same block-column trick as
   // potrf_blocked.
   const int slice = rows.slice.size();
+  // The rows of `rows.values` are the rows of the owned row tiles.
+  const std::vector<int> global_rows = tile_rows(row_tiles, v);
+  CONFLUX_ASSERT(static_cast<int>(global_rows.size()) == rows.values.rows());
+  std::vector<std::size_t> row_off(global_rows.size());
+  std::transform(global_rows.begin(), global_rows.end(), row_off.begin(),
+                 [&](int r) { return store.row_offset(r); });
+  std::vector<std::size_t> col_off(static_cast<std::size_t>(v));
   for (std::size_t tj = 0; tj < cols.tiles.size(); ++tj) {
     std::size_t ti0 = 0;
     while (ti0 < row_tiles.size() && row_tiles[ti0] < cols.tiles[tj]) ++ti0;
     if (ti0 == row_tiles.size()) continue;
     const int row0 = static_cast<int>(ti0) * v;
     const int nrows = rows.values.rows() - row0;
-    Matrix prod(nrows, v);
-    linalg::gemm(1.0, rows.values.view().block(row0, 0, nrows, slice),
-                 cols.values.view().block(0, static_cast<int>(tj) * v, slice,
-                                          v),
-                 0.0, prod.view());
-    for (int i = 0; i < nrows; ++i) {
-      const int gi = row0 + i;
-      const int r = row_tiles[static_cast<std::size_t>(gi) / v] * v + gi % v;
-      auto pr = prod.row(i);
-      double* dst = &store.elem_at(r, cols.tiles[tj] * v);
-      for (int k = 0; k < v; ++k) dst[k] -= pr[k];
-    }
+    for (int k = 0; k < v; ++k)
+      col_off[static_cast<std::size_t>(k)] =
+          store.col_offset(cols.tiles[tj] * v + k);
+    linalg::schur_update_mapped(
+        store.data(), std::span(row_off).subspan(ti0 * v), col_off,
+        rows.values.view().block(row0, 0, nrows, slice),
+        cols.values.view().block(0, static_cast<int>(tj) * v, slice, v));
   }
 }
 

@@ -64,15 +64,31 @@ class TileStore {
 
   /// Pointer to the owned (It, Jt) tile.
   [[nodiscard]] double* tile_at(int tile_row, int tile_col) {
-    return tiles_.data() +
-           (static_cast<std::size_t>(tile_row / px_) * ltc_ + tile_col / py_) *
-               (static_cast<std::size_t>(v_) * v_);
+    return data() + row_offset(tile_row * v_) + col_offset(tile_col * v_);
+  }
+
+  /// The packed tiles: the owned element (row, col) lives at
+  /// data()[row_offset(row) + col_offset(col)]. The address is separable,
+  /// so a kernel can take a tile-row list and a tile-column list as
+  /// offsets (linalg::schur_update_mapped).
+  [[nodiscard]] double* data() { return tiles_.data(); }
+
+  /// Row part of an owned element's offset: tile row It = row / v, then
+  /// row % v rows into the tile.
+  [[nodiscard]] std::size_t row_offset(int row) const {
+    return (static_cast<std::size_t>(row / v_ / px_) * ltc_ * v_ + row % v_) *
+           v_;
+  }
+
+  /// Column part of an owned element's offset: tile column Jt = col / v,
+  /// then col % v columns into the tile.
+  [[nodiscard]] std::size_t col_offset(int col) const {
+    return static_cast<std::size_t>(col / v_ / py_) * v_ * v_ + col % v_;
   }
 
   /// Element reference inside the owned tile covering (row, col).
   [[nodiscard]] double& elem_at(int row, int col) {
-    double* t = tile_at(row / v_, col / v_);
-    return t[static_cast<std::size_t>(row % v_) * v_ + col % v_];
+    return data()[row_offset(row) + col_offset(col)];
   }
 
  private:

@@ -177,13 +177,20 @@ void micro_kernel(int kc, const double* pa, const double* pb,
   }
 }
 
-/// C += alpha * A * B for a packed mc x kc block of A and a packed
-/// kc x nc panel of B, with c the mc x nc block of C. Kept out of line:
-/// inlined into gemm_optimized, GCC 12 spills the micro-kernel's loop bound
-/// and reloads it from the stack on every k step.
-[[gnu::noinline]] void macro_kernel(double alpha, int kc, const double* packed_a,
-                  const double* packed_b, MatrixView c) {
-  const int mc = c.rows(), nc = c.cols();
+/// One register tile's k-panel sum, handed to a macro kernel's write-back.
+using Acc = double[kMR][kNR];
+
+/// Runs the micro kernel over a packed mc x kc block of A and a packed
+/// kc x nc panel of B, and hands each register tile's sum, formed from
+/// zero, to `write(i, j, mr, nr, acc)`: acc[ir][jr] is the k-panel sum of
+/// entry (i + ir, j + jr) of the mc x nc block, for ir < mr, jr < nr. The
+/// write decides how that sum reaches C. Kept out of line: inlined into
+/// gemm_optimized, GCC 12 spills the micro-kernel's loop bound and reloads
+/// it from the stack on every k step.
+template <class Write>
+[[gnu::noinline]] void macro_kernel(int mc, int nc, int kc,
+                                    const double* packed_a,
+                                    const double* packed_b, Write write) {
   for (int jp = 0; jp < nc; jp += kNR) {
     const int nr = std::min(kNR, nc - jp);
     const double* pb =
@@ -194,11 +201,54 @@ void micro_kernel(int kc, const double* pa, const double* pb,
           packed_a + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR;
       double acc[kMR][kNR] = {};
       micro_kernel(kc, pa, pb, acc);
-      for (int ir = 0; ir < mr; ++ir) {
-        double* ci = &c(ip + ir, jp);
-        for (int jr = 0; jr < nr; ++jr) ci[jr] += alpha * acc[ir][jr];
-      }
+      write(ip, jp, mr, nr, acc);
     }
+  }
+}
+
+/// The write-back of C += alpha * tile sum into the view c.
+auto add_into(MatrixView c, double alpha) {
+  return [c, alpha](int i, int j, int mr, int nr, const Acc& acc) {
+    for (int ir = 0; ir < mr; ++ir) {
+      double* ci = &c(i + ir, j);
+      for (int jr = 0; jr < nr; ++jr) ci[jr] += alpha * acc[ir][jr];
+    }
+  };
+}
+
+/// The packed path of the m x n product A * B (m = a.rows(),
+/// n = b.cols(), k = a.cols() >= 1): B is packed once per kKC-deep k
+/// panel, and the kMC-row blocks of A are packed and run on the pool.
+/// `write` receives each register tile's k-panel sum as in macro_kernel,
+/// with (i, j) the tile's corner in the m x n product. Blocks of rows run
+/// concurrently, so writes to different rows must not alias.
+template <class Write>
+void packed_product(ConstMatrixView a, ConstMatrixView b, Write write) {
+  const int m = a.rows(), n = b.cols(), k = a.cols();
+  const int n_panels = (n + kNR - 1) / kNR;
+  const int max_kc = std::min(kKC, k);
+  std::vector<double> packed_b(static_cast<std::size_t>(n_panels) * max_kc *
+                               kNR);
+
+  for (int k0 = 0; k0 < k; k0 += kKC) {
+    const int kc = std::min(kKC, k - k0);
+    pack_b([&](int p, int j) { return b(k0 + p, j); }, kc, n,
+           packed_b.data());
+
+    const int i_blocks = (m + kMC - 1) / kMC;
+    support::parallel_for(0, i_blocks, [&](int ib) {
+      const int i0 = ib * kMC;
+      const int mc = std::min(kMC, m - i0);
+      // Per-call pack buffer; the block is at most MC x KC doubles = 1 MiB.
+      std::vector<double> packed_a(
+          static_cast<std::size_t>((mc + kMR - 1) / kMR) * kc * kMR);
+      pack_a([&](int i, int p) { return a(i0 + i, k0 + p); }, mc, kc,
+             packed_a.data());
+      macro_kernel(mc, n, kc, packed_a.data(), packed_b.data(),
+                   [&write, i0](int i, int j, int mr, int nr, const Acc& acc) {
+                     write(i0 + i, j, mr, nr, acc);
+                   });
+    });
   }
 }
 
@@ -225,30 +275,48 @@ void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
     });
   }
   if (alpha == 0.0 || k == 0) return;
+  packed_product(a, b, add_into(c, alpha));
+}
 
-  const int n_panels = (n + kNR - 1) / kNR;
-  const int max_kc = std::min(kKC, k);
-  std::vector<double> packed_b(static_cast<std::size_t>(n_panels) * max_kc *
-                               kNR);
+void schur_update_mapped(double* c, std::span<const std::size_t> row_off,
+                         std::span<const std::size_t> col_off,
+                         ConstMatrixView a, ConstMatrixView b) {
+  const int m = static_cast<int>(row_off.size());
+  const int n = static_cast<int>(col_off.size());
+  const int k = a.cols();
+  CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
+  if (m == 0 || n == 0 || k == 0) return;
 
-  for (int k0 = 0; k0 < k; k0 += kKC) {
-    const int kc = std::min(kKC, k - k0);
-    pack_b([&](int p, int j) { return b(k0 + p, j); }, kc, n,
-           packed_b.data());
-
-    const int i_blocks = (m + kMC - 1) / kMC;
-    support::parallel_for(0, i_blocks, [&](int ib) {
-      const int i0 = ib * kMC;
-      const int mc = std::min(kMC, m - i0);
-      // Per-call pack buffer; the block is at most MC x KC doubles = 1 MiB.
-      std::vector<double> packed_a(
-          static_cast<std::size_t>((mc + kMR - 1) / kMR) * kc * kMR);
-      pack_a([&](int i, int p) { return a(i0 + i, k0 + p); }, mc, kc,
-             packed_a.data());
-      macro_kernel(alpha, kc, packed_a.data(), packed_b.data(),
-                   c.block(i0, 0, mc, n));
-    });
+  // A kNR group of columns whose offsets run on by one is written through
+  // a row pointer; any other group entry by entry.
+  std::vector<unsigned char> contiguous(
+      static_cast<std::size_t>((n + kNR - 1) / kNR));
+  for (int jp = 0; jp < n; jp += kNR) {
+    bool run = true;
+    for (int jr = 1; jr < std::min(kNR, n - jp); ++jr)
+      run = run && col_off[static_cast<std::size_t>(jp + jr)] ==
+                       col_off[static_cast<std::size_t>(jp)] +
+                           static_cast<std::size_t>(jr);
+    contiguous[static_cast<std::size_t>(jp / kNR)] = run;
   }
+
+  const std::size_t* rows = row_off.data();
+  const std::size_t* cols = col_off.data();
+  const unsigned char* runs = contiguous.data();
+  packed_product(a, b, [=](int i, int j, int mr, int nr, const Acc& acc) {
+    const std::size_t* co = cols + j;
+    if (runs[j / kNR]) {
+      for (int ir = 0; ir < mr; ++ir) {
+        double* ci = c + rows[i + ir] + co[0];
+        for (int jr = 0; jr < nr; ++jr) ci[jr] -= acc[ir][jr];
+      }
+    } else {
+      for (int ir = 0; ir < mr; ++ir) {
+        double* ci = c + rows[i + ir];
+        for (int jr = 0; jr < nr; ++jr) ci[co[jr]] -= acc[ir][jr];
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +486,8 @@ double triangular_product_max_diff(TriangularProduct kind, ConstMatrixView l,
               return llt ? u(gj, gk) : u(gk, gj);
             },
             kc, nc, packed_b.data());
-        macro_kernel(1.0, kc, packed_a.data(), packed_b.data(), tile);
+        macro_kernel(mc, nc, kc, packed_a.data(), packed_b.data(),
+                     add_into(tile, 1.0));
       }
       for (int i = 0; i < mc; ++i) {
         const int gi = i0 + i;

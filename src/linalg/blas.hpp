@@ -12,11 +12,12 @@
 ///
 /// The public entry points (`gemm`, `trsm_left`, `trsm_right`) run the
 /// optimized kernels; the `*_reference` kernels are the oracle the tests
-/// pin them against. The fused triangular product has one implementation,
-/// which shares the optimized GEMM's packing and macro kernel; its tests
-/// pin it against a dense `gemm_reference` product.
+/// pin them against. The mapped Schur update and the fused triangular
+/// product have one implementation each, which shares the optimized GEMM's
+/// packing and macro kernel; their tests pin them against dense products.
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "linalg/matrix.hpp"
@@ -30,6 +31,20 @@ void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
 
 /// C := C - A * B — the Schur-complement update used by every LU variant.
 void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b);
+
+/// C(i, j) -= (A * B)(i, j) for an m x n matrix C stored at
+/// c[row_off[i] + col_off[j]], m = row_off.size(), n = col_off.size():
+/// the Schur update written straight into a layout that is not one view,
+/// such as the 2.5D tile store (factor::TileStore). The offsets must
+/// address distinct entries. It runs gemm_optimized's packed path; each
+/// entry's sum over a kKC-deep (1024) k panel is formed from zero and
+/// subtracted from C once, so for k <= 1024 the result equals
+/// gemm_optimized(1, A, B, 0, P) followed by C -= P bit for bit. Deeper
+/// products subtract one panel sum at a time. m, n or k = 0 leaves C
+/// untouched.
+void schur_update_mapped(double* c, std::span<const std::size_t> row_off,
+                         std::span<const std::size_t> col_off,
+                         ConstMatrixView a, ConstMatrixView b);
 
 /// Triangle selector for TRSM.
 enum class Triangle { Lower, Upper };

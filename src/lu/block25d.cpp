@@ -442,14 +442,13 @@ void schur_update_local(const Plan& plan, RankState& st,
   CONFLUX_ASSERT(a10.slice.begin == a01.slice.begin &&
                  a10.slice.end == a01.slice.end);
 
-  Matrix prod(static_cast<int>(rows.size()),
-              static_cast<int>(a01.cols.size()));
-  linalg::gemm(1.0, a10.values.view(), a01.values.view(), 0.0, prod.view());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    auto pr = prod.row(static_cast<int>(i));
-    for (std::size_t j = 0; j < a01.cols.size(); ++j)
-      st.store.elem_at(rows[i], a01.cols[j]) -= pr[j];
-  }
+  std::vector<std::size_t> row_off(rows.size()), col_off(a01.cols.size());
+  std::transform(rows.begin(), rows.end(), row_off.begin(),
+                 [&](int r) { return st.store.row_offset(r); });
+  std::transform(a01.cols.begin(), a01.cols.end(), col_off.begin(),
+                 [&](int col) { return st.store.col_offset(col); });
+  linalg::schur_update_mapped(st.store.data(), row_off, col_off,
+                              a10.values.view(), a01.values.view());
 }
 
 }  // namespace

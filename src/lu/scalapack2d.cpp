@@ -176,14 +176,20 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
+        // The kb panel columns are one block, so their local columns are
+        // jl0 .. jl0 + kb - 1: each panel row is kb contiguous entries.
+        const int jl0 = me.lcol(k0);
+        CONFLUX_ASSERT(me.lcol(k0 + kb - 1) == jl0 + kb - 1);
+        auto panel_row = [&](int il) { return &me.loc(il, jl0); };
+        std::vector<double> prod(static_cast<std::size_t>(kb));
         for (int j = k0; j < k0 + kb; ++j) {
-          const std::uint32_t js = static_cast<std::uint32_t>(j - k0);
+          const int jj = j - k0;
+          const std::uint32_t js = static_cast<std::uint32_t>(jj);
           // Local pivot search in column j, rows >= j.
           simnet::MaxLoc mine;
-          const int jl = me.lcol(j);
           for (int il = me.lrow_lower_bound(j);
                il < static_cast<int>(me.my_rows.size()); ++il) {
-            const double val = std::abs(me.loc(il, jl));
+            const double val = std::abs(panel_row(il)[jj]);
             if (val > mine.value) {
               mine.value = val;
               mine.location = me.my_rows[static_cast<std::size_t>(il)];
@@ -200,47 +206,46 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
             const int o2 = me.rowmap.owner_of(piv);
             if (o1 == o2) {
               if (me.pr == o1) {
-                const int r1 = me.lrow(j), r2 = me.lrow(piv);
-                for (int col = k0; col < k0 + kb; ++col)
-                  std::swap(me.loc(r1, me.lcol(col)),
-                            me.loc(r2, me.lcol(col)));
+                double* r1 = panel_row(me.lrow(j));
+                std::swap_ranges(r1, r1 + kb, panel_row(me.lrow(piv)));
               }
             } else if (me.pr == o1 || me.pr == o2) {
               const int other = rank_of(me.pr == o1 ? o2 : o1, pck);
-              const int my_row = me.lrow(me.pr == o1 ? j : piv);
-              std::vector<double> buf;
-              buf.reserve(static_cast<std::size_t>(kb));
-              for (int col = k0; col < k0 + kb; ++col)
-                buf.push_back(me.loc(my_row, me.lcol(col)));
+              double* row = panel_row(me.lrow(me.pr == o1 ? j : piv));
               const std::vector<double> theirs =
-                  comm.exchange(other, make_tag(21, ts, js), buf);
-              for (int col = k0; col < k0 + kb; ++col)
-                me.loc(my_row, me.lcol(col)) =
-                    theirs[static_cast<std::size_t>(col - k0)];
+                  comm.exchange(other, make_tag(21, ts, js),
+                                {row, static_cast<std::size_t>(kb)});
+              std::copy(theirs.begin(), theirs.end(), row);
             }
           }
 
           // Broadcast the (swapped-in) pivot row segment [j .. k0+kb).
-          std::vector<double> seg(static_cast<std::size_t>(k0 + kb - j));
+          std::vector<double> seg(static_cast<std::size_t>(kb - jj));
           const int powner = me.rowmap.owner_of(j);
           if (me.pr == powner) {
-            const int r = me.lrow(j);
-            for (int col = j; col < k0 + kb; ++col)
-              seg[static_cast<std::size_t>(col - j)] = me.loc(r, me.lcol(col));
+            const double* r = panel_row(me.lrow(j)) + jj;
+            std::copy(r, r + (kb - jj), seg.begin());
           }
           simnet::bcast(comm, my_col, powner, seg, make_tag(22, ts, js));
 
           // Scale column j below the diagonal and rank-1 update the panel.
+          // Each product is rounded before it is subtracted: the products
+          // go into `prod` first and a second loop subtracts them. A single
+          // `row[q] -= lij * seg[q]` loop is contracted into fused
+          // multiply-adds and rounds differently.
           const double diag = seg[0];
           const double inv = diag != 0.0 ? 1.0 / diag : 0.0;
+          const int rest = kb - jj - 1;
           for (int il = me.lrow_lower_bound(j + 1);
                il < static_cast<int>(me.my_rows.size()); ++il) {
-            const int jl2 = me.lcol(j);
-            me.loc(il, jl2) *= inv;
-            const double lij = me.loc(il, jl2);
-            for (int col = j + 1; col < k0 + kb; ++col)
-              me.loc(il, me.lcol(col)) -=
-                  lij * seg[static_cast<std::size_t>(col - j)];
+            double* row = panel_row(il) + jj;
+            row[0] *= inv;
+            const double lij = row[0];
+            for (int q = 0; q < rest; ++q)
+              prod[static_cast<std::size_t>(q)] =
+                  lij * seg[static_cast<std::size_t>(q + 1)];
+            for (int q = 0; q < rest; ++q)
+              row[q + 1] -= prod[static_cast<std::size_t>(q)];
           }
         }
       }
@@ -410,9 +415,9 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       std::vector<double> buf;
       if (numeric && me.pc == pck) {
         buf.reserve(count);
+        const int jl0 = me.lcol(k0);  // the panel block's local columns
         for (int il = mrow0; il < static_cast<int>(me.my_rows.size()); ++il)
-          for (int col = k0; col < k0 + kb; ++col)
-            buf.push_back(me.loc(il, me.lcol(col)));
+          buf.insert(buf.end(), &me.loc(il, jl0), &me.loc(il, jl0) + kb);
       }
       const simnet::BufferView got = simnet::bcast(
           comm, my_row, pck, simnet::payload_or_ghost(std::move(buf)),

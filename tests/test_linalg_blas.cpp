@@ -1,10 +1,14 @@
-// Tests for the BLAS-3 kernels: GEMM against a naive reference, the four
-// TRSM variants against explicit residuals, over parameterized shape sweeps.
+// Tests for the BLAS-3 kernels: GEMM against a naive reference, the mapped
+// Schur update against a dense product, the four TRSM variants against
+// explicit residuals, over parameterized shape sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
@@ -81,6 +85,119 @@ TEST(SchurUpdate, SubtractsProduct) {
   const Matrix want = naive_gemm(-1.0, a, b, 1.0, c);
   schur_update(c.view(), a.view(), b.view());
   EXPECT_LT(max_abs_diff(c.view(), want.view()), 1e-13);
+}
+
+// ---------------------------------------------------------------------------
+// The mapped Schur update: C lives at base[row_off[i] + col_off[j]], laid
+// out like the 2.5D tile store — column tiles of width w, each an m x w
+// row-major block, with the rows in shuffled order.
+// ---------------------------------------------------------------------------
+
+struct MappedC {
+  std::vector<double> store;
+  std::vector<std::size_t> row_off, col_off;
+
+  MappedC(const Matrix& c, int w) {
+    const int m = c.rows(), n = c.cols();
+    const int tiles = (n + w - 1) / w;
+    store.assign(static_cast<std::size_t>(tiles) * m * w, 0.0);
+    // Row i sits at position (7 i + 3) mod m of each tile: a fixed shuffle
+    // (7 is coprime to every m the tests use).
+    for (int i = 0; i < m; ++i)
+      row_off.push_back(static_cast<std::size_t>((7 * i + 3) % m) * w);
+    for (int j = 0; j < n; ++j)
+      col_off.push_back(static_cast<std::size_t>(j / w) * m * w + j % w);
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < n; ++j) at(i, j) = c(i, j);
+  }
+  double& at(int i, int j) {
+    return store[row_off[static_cast<std::size_t>(i)] +
+                 col_off[static_cast<std::size_t>(j)]];
+  }
+  void update(const Matrix& a, const Matrix& b) {
+    schur_update_mapped(store.data(), row_off, col_off, a.view(), b.view());
+  }
+};
+
+class MappedUpdate
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// Bit for bit the dense GEMM into a zeroed product followed by C -= P, for
+// k within one k panel, over m and n that cross the 4 x 8 register tile
+// and the 128-row block. Tile width 16 makes every 8-column group
+// contiguous; widths 12 and 20 split some groups across two tiles.
+TEST_P(MappedUpdate, EqualsDenseProductThenSubtract) {
+  const auto [k, w] = GetParam();
+  const int sizes[] = {1, 3, 4, 5, 127, 128, 129, 300};
+  for (const int m : sizes)
+    for (const int n : sizes) {
+      const Matrix a = generate(m, k, MatrixKind::Uniform, 31);
+      const Matrix b = generate(k, n, MatrixKind::Uniform, 32);
+      Matrix want = generate(m, n, MatrixKind::Uniform, 33);
+      MappedC got(want, w);
+      Matrix prod(m, n);
+      gemm_optimized(1.0, a.view(), b.view(), 0.0, prod.view());
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j) want(i, j) -= prod(i, j);
+      got.update(a, b);
+      int mismatches = 0;
+      for (int i = 0; i < m; ++i)
+        for (int j = 0; j < n; ++j)
+          mismatches += std::memcmp(&got.at(i, j), &want(i, j),
+                                    sizeof(double)) != 0;
+      EXPECT_EQ(mismatches, 0) << "m=" << m << " n=" << n;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DepthsAndTileWidths, MappedUpdate,
+    ::testing::Combine(::testing::Values(1, 4, 16, 64, 1024),
+                       ::testing::Values(16, 12, 20)));
+
+TEST(MappedUpdateEdges, EmptyShapesLeaveCUntouched) {
+  for (const auto& [m, n, k] :
+       {std::make_tuple(0, 5, 3), std::make_tuple(5, 0, 3),
+        std::make_tuple(5, 5, 0)}) {
+    const Matrix a = generate(m, k, MatrixKind::Uniform, 41);
+    const Matrix b = generate(k, n, MatrixKind::Uniform, 42);
+    Matrix c = generate(std::max(m, 1), std::max(n, 1), MatrixKind::Uniform,
+                        43);
+    c(0, 0) = -0.0;
+    MappedC mapped(c, 4);
+    const std::vector<double> before = mapped.store;
+    mapped.row_off.resize(static_cast<std::size_t>(m));
+    mapped.col_off.resize(static_cast<std::size_t>(n));
+    mapped.update(a, b);
+    EXPECT_EQ(std::memcmp(mapped.store.data(), before.data(),
+                          before.size() * sizeof(double)),
+              0)
+        << "m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
+// Past one k panel (1024) each panel's sum is subtracted on its own, so the
+// result is a GEMM up to rounding, not bit for bit.
+TEST(MappedUpdateEdges, TwoKPanelsMatchReference) {
+  const int m = 71, n = 45, k = 1100;
+  const Matrix a = generate(m, k, MatrixKind::Uniform, 51);
+  const Matrix b = generate(k, n, MatrixKind::Uniform, 52);
+  Matrix want = generate(m, n, MatrixKind::Uniform, 53);
+  MappedC got(want, 12);
+  gemm_reference(-1.0, a.view(), b.view(), 1.0, want.view());
+  got.update(a, b);
+  double worst = 0.0;
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j)
+      worst = std::max(worst, std::abs(got.at(i, j) - want(i, j)));
+  EXPECT_LT(worst, 1e-12);
+}
+
+TEST(MappedUpdateEdges, ShapeMismatchThrows) {
+  const Matrix a(3, 2), b(2, 4);
+  std::vector<double> c(12);
+  const std::vector<std::size_t> rows = {0, 4}, cols = {0, 1, 2, 3};
+  EXPECT_THROW(schur_update_mapped(c.data(), rows, cols, a.view(), b.view()),
+               ContractViolation);
 }
 
 /// Build a well-conditioned triangular matrix.

@@ -6,6 +6,7 @@
 #include <set>
 #include <tuple>
 
+#include "factor/core25d.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 
@@ -86,6 +87,48 @@ TEST_P(ConfluxBlocks, ExplicitBlockSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, ConfluxBlocks,
                          ::testing::Values(4, 8, 12, 16, 24, 32, 48, 96));
+
+// The tile store's separable address (row_offset + col_offset, which the
+// mapped Schur update consumes) must land on the documented layout: tile
+// (It, Jt) at [(It / Px) * ltc + Jt / Py] * v^2, row-major within the tile,
+// every owned element at its own offset inside the store.
+TEST(TileStore, OffsetsAddressTheDocumentedLayout) {
+  factor::Plan25D plan;
+  plan.v = 12;
+  plan.steps = 7;  // 7 tiles: ragged over both 2 and 3
+  plan.n = plan.steps * plan.v;
+  plan.g = grid::Grid3D(2, 3, 2);
+  plan.active = plan.g.active();
+  for (int rank = 0; rank < plan.active; ++rank) {
+    const grid::Coord3 me = plan.g.coord_of(rank);
+    factor::TileStore store(plan, me);
+    const int px = plan.g.px_extent(), py = plan.g.py_extent();
+    const int ltc = (plan.steps - me.py + py - 1) / py;
+    std::set<std::size_t> seen;
+    for (int row = 0; row < plan.n; ++row) {
+      if ((row / plan.v) % px != me.px) continue;
+      for (int col = 0; col < plan.n; ++col) {
+        if ((col / plan.v) % py != me.py) continue;
+        const std::size_t off = store.row_offset(row) + store.col_offset(col);
+        EXPECT_EQ(store.data() + off, &store.elem_at(row, col));
+        const std::size_t tile =
+            static_cast<std::size_t>(row / plan.v / px) * ltc +
+            col / plan.v / py;
+        EXPECT_EQ(off, tile * plan.v * plan.v +
+                           static_cast<std::size_t>(row % plan.v) * plan.v +
+                           col % plan.v)
+            << "rank " << rank << " (" << row << ", " << col << ")";
+        seen.insert(off);
+      }
+    }
+    // A bijection onto the store: distinct offsets, none past the end.
+    const int ltr = (plan.steps - me.px + px - 1) / px;
+    const std::size_t owned =
+        static_cast<std::size_t>(ltr) * ltc * plan.v * plan.v;
+    EXPECT_EQ(seen.size(), owned);
+    EXPECT_LT(*seen.rbegin(), owned);
+  }
+}
 
 class ConfluxLayers : public ::testing::TestWithParam<int> {};
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation lint, run by the CI "docs" job (and locally via
-# `scripts/check_docs.sh`). Four invariants:
+# `scripts/check_docs.sh`). Six invariants:
 #
 #  1. Every header under src/ opens with a `/// \file` doc comment (the
 #     house style of conflux25d.hpp/spmd.hpp).
@@ -8,7 +8,7 @@
 #     External links (http/https/mailto) and pure #anchors are ignored;
 #     `path#anchor` links are checked for the path part only.
 #  3. No stale CLI flags: every `--flag` a Markdown line mentions after one
-#     of the repo's binaries (commcheck, confscope, bench_*) must appear
+#     of the repo's binaries (confscope, bench_*) must appear
 #     literally in the source of the nearest such binary before it, so docs
 #     cannot outlive a renamed or removed option.
 #  4. No malformed Doxygen member markers: a bare `/<` (a typo for the
@@ -17,6 +17,9 @@
 #  5. No stale CTest labels: every `ctest ... -L <label>` (or -LE) a
 #     Markdown file mentions must be a label CMakeLists.txt actually
 #     assigns, so docs cannot advertise a renamed or removed test wall.
+#  6. No calls to a removed binary: every `build/<name>` path a Markdown
+#     file mentions must have a `<name>.cpp` source under tools/, bench/,
+#     examples/ or tests/, so docs cannot run a binary that is gone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -50,7 +53,6 @@ done < <(find . -name build -prune -o -name '*.md' -print | sort)
 # Map a documented binary name to the source file defining its flags.
 flag_source_for() {
   case "$1" in
-    commcheck) echo "tools/commcheck.cpp" ;;
     confscope) echo "tools/confscope.cpp" ;;
     bench_*) echo "bench/$1.cpp" ;;
   esac
@@ -61,7 +63,7 @@ while IFS= read -r md; do
     # Walk the line's binary names and flags in order: each flag belongs to
     # the nearest binary named before it (flags before any name are skipped).
     bin=""
-    for tok in $(grep -oE '\b(commcheck|confscope|bench_[a-z0-9_]+)\b|--[a-z][a-z0-9_-]*' <<<"$line"); do
+    for tok in $(grep -oE '\b(confscope|bench_[a-z0-9_]+)\b|--[a-z][a-z0-9_-]*' <<<"$line"); do
       case "$tok" in
         --*) ;;
         *) bin=$tok; continue ;;
@@ -74,7 +76,7 @@ while IFS= read -r md; do
         fail=1
       fi
     done
-  done < <(grep -E '\b(commcheck|confscope|bench_[a-z0-9_]+)\b.*--[a-z]' "$md" || true)
+  done < <(grep -E '\b(confscope|bench_[a-z0-9_]+)\b.*--[a-z]' "$md" || true)
 done < <(find . -mindepth 1 \( -name build -o -name '.*' \) -prune -o \
          -name '*.md' ! -name CHANGES.md -print | sort)
 # CHANGES.md is exempt: it is history, and its entries name flags that have
@@ -107,7 +109,21 @@ while IFS= read -r md; do
            grep -oE '\-LE? [a-z]+$' | awk '{print $2}' | sort -u)
 done < <(find . -name build -prune -o -name '*.md' -print | sort)
 
+# --- 6: documented binaries exist --------------------------------------------
+while IFS= read -r md; do
+  while IFS= read -r name; do
+    found=0
+    for dir in tools bench examples tests; do
+      [ -f "$dir/$name.cpp" ] && found=1
+    done
+    if [ "$found" -eq 0 ]; then
+      echo "error: $md mentions build/$name, which no tools/, bench/, examples/ or tests/ source builds" >&2
+      fail=1
+    fi
+  done < <(grep -oE '\bbuild/[A-Za-z0-9_]+' "$md" | sed 's|^build/||' | sort -u)
+done < <(find . -name build -prune -o -name '*.md' ! -name CHANGES.md -print | sort)
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs lint OK: src headers carry \\file comments, intra-repo links resolve, documented CLI flags exist, no malformed '/<' Doxygen markers, documented ctest labels exist"
+  echo "docs lint OK: src headers carry \\file comments, intra-repo links resolve, documented CLI flags exist, no malformed '/<' Doxygen markers, documented ctest labels exist, documented binaries exist"
 fi
 exit "$fail"

@@ -68,7 +68,7 @@ struct FactorConfig {
   /// Optional schedule export: when set, the run's Network attaches this
   /// recorder, so every send and receive lands in a per-rank event
   /// log (simnet/trace.hpp). This is how the static verifier
-  /// (src/verify, tools/commcheck) extracts the communication graph of a
+  /// (src/verify, `confscope --check`) extracts the communication graph of a
   /// dry run; numeric runs can attach it too to check the dry-run contract.
   simnet::TraceRecorder* trace = nullptr;
 

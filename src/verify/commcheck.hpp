@@ -10,9 +10,9 @@
 /// (ghost messages carry byte counts only), lifts the recorded streams into
 /// the CommGraph IR, and proves the schedule clean with the passes.hpp
 /// analyses plus the buffer-ownership lint of the trace.hpp debug hooks.
-/// tools/commcheck (and the commcheck CTest suite / CI job) sweeps every
-/// registered backend across (P, grid) configurations before any of its
-/// figures count.
+/// `confscope --check` (and the confscope_check_* CTest entries / CI's
+/// commcheck job) sweeps every registered backend across (P, grid)
+/// configurations before any of its figures count.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +96,7 @@ struct CheckResult {
 [[nodiscard]] CheckResult check_schedule(const Backend& backend,
                                          const CheckConfig& config);
 
-/// The sweep tools/commcheck --all runs: each of `backends` over the given
+/// The sweep `confscope --check --all` runs: each of `backends` over the given
 /// N and P lists crossed with replication depths {auto, 1, 2} where the
 /// backend is layered (grids beyond its reach degrade gracefully to what it
 /// picks).

@@ -43,7 +43,7 @@ struct Diagnostic {
   CommContext context;  ///< structured location (support/assert.hpp)
 };
 
-/// Render "error[pass]: message" (the tools/commcheck report line).
+/// Render "error[pass]: message" (the `confscope --check` report line).
 [[nodiscard]] std::string to_string(const Diagnostic& d);
 
 /// True if any diagnostic is an Error.

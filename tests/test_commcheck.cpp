@@ -443,7 +443,7 @@ TEST(CommCheck, SweepCoversEveryBackend) {
   // Every schedule's event, message and byte counts are pinned, so any
   // change to what a backend sends fails here, not only a defect the
   // passes classify. Regenerate with
-  // `commcheck --all --n=128 --p=4,8,9 --verbose` when a schedule change
+  // `confscope --check --n=128 --p=4,8,9` when a schedule change
   // is intended.
   struct Pinned {
     const char* backend;  ///< family/name

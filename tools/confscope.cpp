@@ -12,24 +12,22 @@
 ///   - totals: wall time, busy/blocked split, queue high-water marks, and
 ///     the whole-run volume next to the Table 2 cost model.
 ///
-/// Usage:
-///   confscope --algo=COnfLUX,CALU --n=256 --p=8    profile two backends
-///   confscope --all --n=128 --p=8                  profile every backend
-///   confscope ... --trace=trace.json               merged Chrome/Perfetto
-///                                                  trace (one pid/backend)
-///   confscope ... --json=profile.json              machine-readable report
-///   confscope ... --check-volume [--band=1.1]      gate measured per-phase
-///                                                  volume against the model
-///   confscope --chaos --n=128 --p=8                ConfChaos sweep: seeded
-///                                                  fault matrix x backend,
-///                                                  in virtual time
+/// Two more modes share its backend selection: --chaos, the ConfChaos
+/// fault-matrix sweep in virtual time, and --check, CommCheck, which lifts
+/// each dry run's trace into the CommGraph IR and runs the src/verify
+/// analysis passes over it (--seed-defect checks a broken schedule).
+///
+///   confscope --algo=COnfLUX,CALU --n=256 --p=8 --check-volume --trace=t.json
+///   confscope --chaos --n=128 --p=8
+///   confscope --check --all --n=128,256 --p=4,8,9
 ///
 /// Exit status: 0 clean, 1 when --check-volume finds a phase outside the
-/// band, --chaos finds a violation, or a run fails; 2 on usage errors.
+/// band or compares none, --chaos finds a violation, --check finds an
+/// Error diagnostic, --seed-defect's defect is detected, or a run fails;
+/// 2 on usage errors.
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -48,6 +46,7 @@
 #include "support/json_writer.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
+#include "support/timer.hpp"
 #include "verify/comm_graph.hpp"
 #include "verify/commcheck.hpp"
 #include "verify/critical_path.hpp"
@@ -68,6 +67,8 @@ struct Options {
   double band = 1.1;
   int n = 256;
   int p = 8;
+  std::vector<int> n_list;  ///< --n= as given; more than one needs --check
+  std::vector<int> p_list;  ///< --p= as given; likewise
   int layers = 0;
   int block = 0;
   std::string trace_path;
@@ -77,6 +78,10 @@ struct Options {
   bool chaos = false;
   std::uint64_t chaos_seed = 1;  ///< --chaos-seed= fault-matrix seed
   int attempts = 3;              ///< --attempts= retry budget per scenario
+
+  // --- CommCheck (--check, --seed-defect) ----------------------------------
+  bool check = false;
+  std::string seed_defect;  ///< deadlock | orphan-recv | tag-collision | volume
 };
 
 /// One backend's collected profile. The board is heap-held so the Chrome
@@ -98,7 +103,9 @@ void print_usage(std::ostream& os) {
         "[--numeric]\n"
         "                 [--virtual] [--machine=NAME]\n"
         "                 [--trace=FILE] [--json=FILE] [--check-volume]\n"
-        "                 [--band=X] [--list] [--help]\n"
+        "                 [--band=X] [--chaos] [--check] "
+        "[--seed-defect=CLASS]\n"
+        "                 [--list] [--help]\n"
         "\n"
         "Profiles factorization backends on the simulated fabric: per-phase\n"
         "span times and wire bytes vs the per-phase volume model, fabric\n"
@@ -107,15 +114,13 @@ void print_usage(std::ostream& os) {
         "  --algo=LIST    backend names to profile (see --list)\n"
         "  --all          profile every registered backend\n"
         "  --family=F     with --all: restrict to LU or Cholesky\n"
-        "  --n=N          matrix dimension (default 256)\n"
-        "  --p=P          rank count (default 8)\n"
+        "  --n=N          matrix dimension (default 256; a list with --check)\n"
+        "  --p=P          rank count (default 8; a list with --check)\n"
         "  --layers=C     force the 2.5D replication depth (0 = auto)\n"
         "  --block=V      force the block size (0 = auto)\n"
-        "  --numeric      numeric run instead of the default dry run,\n"
-        "                 on the backend's input_kind() matrix: diagonally\n"
-        "                 dominant for LU, so pivots rarely leave the\n"
-        "                 diagonal and pivot traffic is not comparable\n"
-        "                 with a dry profile's synthetic pivots\n"
+        "  --numeric      numeric run on the backend's input_kind() matrix\n"
+        "                 instead of a dry run (LU pivots then rarely leave\n"
+        "                 the diagonal, unlike a dry run's synthetic ones)\n"
         "  --virtual      keep the LogGP virtual clock instead of the host\n"
         "                 clock: spans, waits, the trace and the critical\n"
         "                 path are in *predicted* seconds\n"
@@ -125,18 +130,24 @@ void print_usage(std::ostream& os) {
         "                 (one process per backend, one thread per rank)\n"
         "  --json=FILE    write the machine-readable profile report\n"
         "  --check-volume fail (exit 1) when a measured phase volume falls\n"
-        "                 outside the model band (backends with a model)\n"
+        "                 outside the model band, or when no phase had a\n"
+        "                 model (COnfLUX and CALU, auto grid and block)\n"
         "  --band=X       model band for --check-volume (default 1.1)\n"
-        "  --chaos        ConfChaos sweep: run every selected backend in\n"
-        "                 virtual time (--machine) under a seeded fault\n"
-        "                 matrix (link delays, rank stalls, payload\n"
-        "                 corruption, virtual-clock deadline expiry) and\n"
-        "                 fail unless every fault is contained: no hangs,\n"
-        "                 no silent corruption, recovered runs\n"
-        "                 bit-identical in volume to the fault-free\n"
-        "                 baseline. --json=FILE writes the recovery report\n"
+        "  --chaos        ConfChaos: run each selected backend in virtual\n"
+        "                 time (--machine) under a seeded fault matrix\n"
+        "                 (delays, stalls, corruption, deadline expiry);\n"
+        "                 fail unless every fault is contained. --json=FILE\n"
+        "                 writes the recovery report\n"
         "  --chaos-seed=S fault-matrix seed for --chaos (default 1)\n"
         "  --attempts=K   retry budget per chaos scenario (default 3)\n"
+        "  --check        CommCheck: verify dry-run schedules (matching,\n"
+        "                 deadlock, tags, volume, buffer ownership). With\n"
+        "                 --algo: each backend at each --n x --p. Else sweep\n"
+        "                 every backend (default N=128,256; P=4,8,9; layers\n"
+        "                 auto,1,2 where it has them)\n"
+        "  --seed-defect=CLASS\n"
+        "                 verify a defective schedule (deadlock, orphan-recv,\n"
+        "                 tag-collision, volume); exit 1 when detected\n"
         "  --list         print the registered (family, backend) table\n"
         "  --help         this text\n";
 }
@@ -181,15 +192,12 @@ Profile profile_backend(const Backend& backend, const Options& opt) {
   return out;
 }
 
-double model_bytes_for_phase(const Profile& prof, const std::string& phase,
-                             bool* found) {
+/// The phase model's entry for `phase`, or null when it has none.
+const conflux::models::PhaseVolume* phase_model(const Profile& prof,
+                                                const std::string& phase) {
   for (const conflux::models::PhaseVolume& pv : prof.model)
-    if (pv.phase == phase) {
-      *found = true;
-      return pv.bytes;
-    }
-  *found = false;
-  return 0;
+    if (pv.phase == phase) return &pv;
+  return nullptr;
 }
 
 /// Measured/model ratio gate: both sides must be nonzero and within `band`
@@ -201,7 +209,17 @@ bool phase_in_band(double measured, double model, double band) {
   return ratio <= band;
 }
 
-void print_profile(const Profile& prof, const Options& opt, bool* volume_ok) {
+/// `measured`'s deviation from a nonzero `model`, as a one-decimal percentage.
+std::string deviation(double measured, double model) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.1f%%", 100.0 * (measured - model) / model);
+  return buf;
+}
+
+/// Print one backend's profile; returns how many phases had a model to
+/// compare against, and clears `*volume_ok` when --check-volume finds one
+/// outside the band.
+int print_profile(const Profile& prof, const Options& opt, bool* volume_ok) {
   using conflux::Table;
   using conflux::fmt;
   using conflux::human_bytes;
@@ -222,27 +240,23 @@ void print_profile(const Profile& prof, const Options& opt, bool* volume_ok) {
   std::vector<std::string> order;
   for (const char* name : kOrder)
     if (prof.phases.count(name) != 0) order.emplace_back(name);
-  for (const auto& [name, total] : prof.phases) {
-    (void)total;
-    bool known = false;
-    for (const std::string& o : order) known = known || o == name;
-    if (!known) order.push_back(name);
-  }
+  for (const auto& entry : prof.phases)
+    if (std::find(order.begin(), order.end(), entry.first) == order.end())
+      order.push_back(entry.first);
 
+  int compared = 0;
   for (const std::string& name : order) {
     const conflux::telemetry::PhaseTotal& t = prof.phases.at(name);
-    bool has_model = false;
-    const double model = model_bytes_for_phase(prof, name, &has_model);
     std::string model_cell = "-";
     std::string dev_cell = "-";
-    if (has_model) {
+    if (const conflux::models::PhaseVolume* pv = phase_model(prof, name)) {
+      ++compared;
+      const double model = pv->bytes;
       model_cell = human_bytes(model);
       if (model > 0)
-        dev_cell =
-            fmt(100.0 * (static_cast<double>(t.bytes) - model) / model, 1) +
-            "%";
+        dev_cell = deviation(static_cast<double>(t.bytes), model);
       else if (t.bytes == 0)
-        dev_cell = "0%";
+        dev_cell = "0.0%";
       if (opt.check_volume &&
           !phase_in_band(static_cast<double>(t.bytes), model, opt.band)) {
         *volume_ok = false;
@@ -283,12 +297,9 @@ void print_profile(const Profile& prof, const Options& opt, bool* volume_ok) {
             << prof.run.total.messages_sent << " messages";
   if (prof.model_total_bytes > 0)
     std::cout << "; model " << human_bytes(prof.model_total_bytes) << ", "
-              << fmt(100.0 *
-                         (prof.run.total_bytes() - prof.model_total_bytes) /
-                         prof.model_total_bytes,
-                     1)
-              << "%";
+              << deviation(prof.run.total_bytes(), prof.model_total_bytes);
   std::cout << ")\n\n";
+  return compared;
 }
 
 void write_json(std::ostream& os, const std::vector<Profile>& profiles,
@@ -330,9 +341,8 @@ void write_json(std::ostream& os, const std::vector<Profile>& profiles,
       w.kv("wait_seconds", t.wait_seconds);
       w.kv("bytes", t.bytes);
       w.kv("count", t.count);
-      bool has_model = false;
-      const double model = model_bytes_for_phase(prof, name, &has_model);
-      if (has_model) w.kv("model_bytes", model);
+      if (const conflux::models::PhaseVolume* pv = phase_model(prof, name))
+        w.kv("model_bytes", pv->bytes);
       w.end_object();
     }
     w.end_array();
@@ -407,11 +417,6 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       conflux::models::machine_by_name(opt.machine));
 
   std::vector<ChaosOutcome> outcomes;
-  const auto wall = [] {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
 
   for (const Backend& b : selected) {
     const conflux::linalg::Matrix a =
@@ -466,7 +471,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       cfg.faults = &plan;
       RetryPolicy rp;
       rp.max_attempts = opt.attempts;
-      const double t0 = wall();
+      const conflux::Stopwatch clock;
       try {
         const FactorResult r = run_with_retry(
             [&] { return b.run(&a, cfg); }, rp, &plan);
@@ -479,7 +484,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       } catch (const std::exception& e) {
         out.detail = e.what();
       }
-      out.wall_s = wall() - t0;
+      out.wall_s = clock.seconds();
       out.counters = plan.counters();
       outcomes.push_back(out);
     }
@@ -492,7 +497,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       ChaosOutcome out;
       out.backend = id;
       out.scenario = "corrupt";
-      const double t0 = wall();
+      const conflux::Stopwatch clock;
       bool fired = false;
       for (std::uint64_t seed = opt.chaos_seed;
            seed < opt.chaos_seed + 32 && !out.ok; ++seed) {
@@ -532,7 +537,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       if (!out.ok && out.detail.empty())
         out.detail = fired ? "corruption detected but never recovered"
                            : "injection never fired (probability too low)";
-      out.wall_s = wall() - t0;
+      out.wall_s = clock.seconds();
       outcomes.push_back(out);
     }
 
@@ -552,7 +557,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       FactorConfig cfg = base;
       cfg.faults = &plan;
       cfg.policy.virtual_deadline_s = 1.0;
-      const double t0 = wall();
+      const conflux::Stopwatch clock;
       try {
         (void)b.run(&a, cfg);
         out.detail = "deadline never fired";
@@ -566,7 +571,7 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
       } catch (const std::exception& e) {
         out.detail = std::string("untyped failure: ") + e.what();
       }
-      out.wall_s = wall() - t0;
+      out.wall_s = clock.seconds();
       out.counters = plan.counters();
       outcomes.push_back(out);
     }
@@ -631,6 +636,95 @@ int run_chaos(const std::vector<Backend>& selected, const Options& opt) {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// CommCheck (--check, --seed-defect): static schedule verification.
+// ---------------------------------------------------------------------------
+
+/// --check: with --all, the registry sweep over the --n x --p lists;
+/// otherwise each selected backend at each (n, p) and the forced grid.
+/// Prints one ok/FAIL line per schedule, each failure with its diagnostics.
+int run_check(const std::vector<Backend>& selected, Options opt) {
+  if (opt.n_list.empty())
+    opt.n_list = opt.all ? std::vector<int>{128, 256} : std::vector<int>{opt.n};
+  if (opt.p_list.empty())
+    opt.p_list = opt.all ? std::vector<int>{4, 8, 9} : std::vector<int>{opt.p};
+  std::vector<conflux::verify::CheckResult> results;
+  if (opt.all)
+    results = conflux::verify::sweep(selected, opt.p_list, opt.n_list);
+  else
+    for (const Backend& b : selected)
+      for (int n : opt.n_list)
+        for (int p : opt.p_list) {
+          conflux::verify::CheckConfig config;
+          config.n = n;
+          config.p = p;
+          config.force_layers = opt.layers;
+          config.block = opt.block;
+          results.push_back(conflux::verify::check_schedule(b, config));
+        }
+
+  int failed = 0;
+  for (const conflux::verify::CheckResult& r : results) {
+    std::cout << (r.ok() ? "ok   " : "FAIL ") << r.describe() << "\n";
+    if (r.ok()) continue;
+    ++failed;
+    for (const conflux::verify::Diagnostic& d : r.diags)
+      std::cout << "  " << to_string(d) << "\n";
+  }
+  std::cout << "\nCommCheck: " << results.size() - failed
+            << " schedule(s) clean, " << failed << " with errors\n";
+  return failed == 0 ? 0 : 1;
+}
+
+/// --seed-defect: verify a deliberately defective two-rank schedule. Each
+/// class the verifier claims to catch must produce a located Error and
+/// exit 1; a clean exit (0) means the defect slipped through, which the
+/// CTest WILL_FAIL entries flag.
+int run_seeded_defect(const std::string& which) {
+  conflux::simnet::TraceRecorder rec(2);
+  conflux::verify::VolumeExpectation expect;
+  if (which == "deadlock") {
+    // Head-to-head exchange: both ranks receive before they send.
+    rec.record_recv(0, 1, 11, 8);
+    rec.record_send(0, 1, 10, 8);
+    rec.record_recv(1, 0, 10, 8);
+    rec.record_send(1, 0, 11, 8);
+    expect.total.bytes_sent = 16;
+    expect.total.messages_sent = 2;
+  } else if (which == "orphan-recv") {
+    // Rank 1 waits for a message nobody ever sends.
+    rec.record_recv(1, 0, 6, 8);
+  } else if (which == "tag-collision") {
+    // Two messages share one (src, dst, tag) channel with no ordering.
+    rec.record_send(0, 1, 9, 8);
+    rec.record_send(0, 1, 9, 8);
+    rec.record_recv(1, 0, 9, 8);
+    rec.record_recv(1, 0, 9, 8);
+    expect.total.bytes_sent = 16;
+    expect.total.messages_sent = 2;
+  } else if (which == "volume") {
+    // Stats board disagreeing with the schedule (accounting bug).
+    rec.record_send(0, 1, 3, 100);
+    rec.record_recv(1, 0, 3, 100);
+    expect.total.bytes_sent = 142;
+    expect.total.messages_sent = 1;
+  } else {
+    std::cerr << "confscope: unknown defect class '" << which
+              << "' (deadlock, orphan-recv, tag-collision, volume)\n";
+    return 2;
+  }
+
+  const auto diags = conflux::verify::run_all_passes(
+      conflux::verify::CommGraph::build(rec), expect);
+  std::cout << "seeded defect '" << which << "': " << diags.size()
+            << " diagnostic(s)\n";
+  for (const conflux::verify::Diagnostic& d : diags)
+    std::cout << "  " << to_string(d) << "\n";
+  if (conflux::verify::has_errors(diags)) return 1;
+  std::cout << "seeded defect was NOT detected: the verifier is broken\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -650,6 +744,8 @@ int main(int argc, char** argv) {
         opt.check_volume = true;
       else if (arg == "--chaos")
         opt.chaos = true;
+      else if (arg == "--check")
+        opt.check = true;
       else if (arg == "--help" || arg == "-h") {
         print_usage(std::cout);
         return 0;
@@ -660,10 +756,13 @@ int main(int argc, char** argv) {
       else if (arg.rfind("--machine=", 0) == 0)
         opt.machine = arg.substr(10);
       else if (arg.rfind("--n=", 0) == 0)
-        opt.n = conflux::cli::parse_number(arg.substr(4), 1);
+        opt.n_list = conflux::cli::parse_int_list(arg.substr(4), 1);
       else if (arg.rfind("--p=", 0) == 0)
-        opt.p = conflux::cli::parse_number(arg.substr(4), 1);
-      else if (arg.rfind("--layers=", 0) == 0)
+        opt.p_list = conflux::cli::parse_int_list(arg.substr(4), 1);
+      else if (arg.rfind("--seed-defect=", 0) == 0) {
+        opt.seed_defect = arg.substr(14);
+        opt.check = true;
+      } else if (arg.rfind("--layers=", 0) == 0)
         opt.layers = conflux::cli::parse_number(arg.substr(9), 0);
       else if (arg.rfind("--block=", 0) == 0)
         opt.block = conflux::cli::parse_number(arg.substr(8), 0);
@@ -695,8 +794,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // --chaos with no explicit selection sweeps every registered backend.
-  if (opt.chaos && opt.algos.empty()) opt.all = true;
+  if (opt.check) {
+    if (opt.chaos || opt.numeric || opt.virtual_time || opt.check_volume ||
+        !opt.trace_path.empty() || !opt.json_path.empty()) {
+      std::cerr << "confscope: --check verifies dry-run schedules and takes "
+                   "no --chaos or profiling option\n";
+      return 2;
+    }
+    if (!opt.seed_defect.empty()) return run_seeded_defect(opt.seed_defect);
+  } else if (opt.n_list.size() > 1 || opt.p_list.size() > 1) {
+    std::cerr << "confscope: a list of --n or --p values needs --check\n";
+    return 2;
+  } else {
+    if (!opt.n_list.empty()) opt.n = opt.n_list.front();
+    if (!opt.p_list.empty()) opt.p = opt.p_list.front();
+  }
+
+  // --chaos and --check with no explicit selection sweep every registered
+  // backend.
+  if ((opt.chaos || opt.check) && opt.algos.empty()) opt.all = true;
+  if (opt.check && opt.all && (opt.layers != 0 || opt.block != 0)) {
+    std::cerr << "confscope: the --check sweep picks its own grids and "
+                 "blocks; --layers/--block need --algo=...\n";
+    return 2;
+  }
 
   if (opt.algos.empty() && !opt.all) {
     std::cerr << "confscope: nothing selected (use --algo=... or --all)\n";
@@ -715,12 +836,14 @@ int main(int argc, char** argv) {
   if (opt.chaos) return run_chaos(selected, opt);
 
   bool volume_ok = true;
+  int compared = 0;
   std::vector<Profile> profiles;
   try {
+    if (opt.check) return run_check(selected, opt);
     for (const Backend& b : selected)
       profiles.push_back(profile_backend(b, opt));
     for (const Profile& prof : profiles)
-      print_profile(prof, opt, &volume_ok);
+      compared += print_profile(prof, opt, &volume_ok);
   } catch (const std::exception& e) {
     std::cerr << "confscope: " << e.what() << "\n";
     return 1;
@@ -751,6 +874,12 @@ int main(int argc, char** argv) {
     std::cout << "wrote profile JSON to " << opt.json_path << "\n";
   }
 
+  if (opt.check_volume && compared == 0) {
+    std::cerr << "confscope: --check-volume compared no phase: no selected "
+                 "backend has a per-phase model here (COnfLUX and CALU "
+                 "only, and a forced --layers/--block skips it)\n";
+    return 1;
+  }
   if (opt.check_volume && !volume_ok) {
     std::cerr << "confscope: measured per-phase volume outside the "
               << opt.band << "x model band\n";

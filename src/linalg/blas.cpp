@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -123,14 +124,28 @@ void trsm_right_reference(Triangle tri, Diag diag, ConstMatrixView a,
 
 namespace {
 
-// Tile sizes tuned empirically on a 1024^3 multiply, the shape
-// conflux-bench's linalg.gemm_peak probe times: GCC turns the 4x8
-// accumulator tile into clean FMA code, and the deep k-panel amortizes C
-// write-back traffic. Larger MR/NR shapes spill.
-constexpr int kMR = 4;     ///< microkernel rows (C register tile height)
-constexpr int kNR = 8;     ///< microkernel cols (one 512-bit vector)
+// One native-width vector of doubles: W = 8 lanes on AVX-512, 4 on AVX,
+// 2 (SSE2) otherwise. The register tile is chosen once from W, the best
+// measured shape on a 3072^3 multiply: 8 x 16 on AVX-512 (16 of the 32 zmm
+// registers accumulate; about 145 GF/s on a 4-vCPU AVX-512 Xeon, where the
+// former auto-vectorized 4 x 8 loop ran at about 78) and 4 x 8 on AVX2 (8
+// of the 16 ymm registers). Written as a scalar loop the 8 x 16 tile
+// spills (about 20 GF/s on the same host), and a 64-byte vector emulated
+// on AVX2 runs at 3 GF/s, so each ISA keeps its own native width.
+#if defined(__AVX512F__)
+constexpr int kW = 8;
+#elif defined(__AVX__)
+constexpr int kW = 4;
+#else
+constexpr int kW = 2;
+#endif
+using Vec = double __attribute__((vector_size(kW * sizeof(double))));
+
+constexpr int kMR = kW == 8 ? 8 : 4;  ///< microkernel rows (C tile height)
+constexpr int kNR = 2 * kW;           ///< microkernel cols (two vectors)
 constexpr int kMC = 128;   ///< rows of A packed per thread block
 constexpr int kKC = 1024;  ///< k-panel depth
+static_assert(kMC % kMR == 0, "a thread block holds whole micro-panels");
 
 /// Problems below this flop count skip packing entirely; the reference loop
 /// is faster once the whole working set fits in L1/L2.
@@ -165,20 +180,33 @@ void pack_b(At at, int kc, int n, double* pb) {
   }
 }
 
-/// acc[ir][jr] += sum_p pa[p*MR+ir] * pb[p*NR+jr]. With fixed MR/NR the
-/// inner loops fully unroll and vectorize into FMA register tiles.
-void micro_kernel(int kc, const double* pa, const double* pb,
-                  double acc[kMR][kNR]) {
-  for (int p = 0; p < kc; ++p) {
-    const double* ap = pa + static_cast<std::ptrdiff_t>(p) * kMR;
-    const double* bp = pb + static_cast<std::ptrdiff_t>(p) * kNR;
-    for (int ir = 0; ir < kMR; ++ir)
-      for (int jr = 0; jr < kNR; ++jr) acc[ir][jr] += ap[ir] * bp[jr];
-  }
-}
-
 /// One register tile's k-panel sum, handed to a macro kernel's write-back.
 using Acc = double[kMR][kNR];
+
+/// acc[ir][jr] = sum_p pa[p*MR+ir] * pb[p*NR+jr] for kc >= 1, summed from
+/// zero in increasing p with one FMA per term (where the target has FMA),
+/// exactly as a scalar loop over the one entry would sum it. The kMR x
+/// kNR/kW accumulator vectors stay in registers; the do-while tells GCC
+/// the loop runs, so it does not also keep them in a stack copy.
+void micro_kernel(int kc, const double* pa, const double* pb, Acc& acc) {
+  constexpr int kNV = kNR / kW;
+  Vec c[kMR][kNV] = {};
+  int p = 0;
+  do {
+    const double* ap = pa + static_cast<std::ptrdiff_t>(p) * kMR;
+    const double* bp = pb + static_cast<std::ptrdiff_t>(p) * kNR;
+    Vec b[kNV];
+    for (int jv = 0; jv < kNV; ++jv)
+      std::memcpy(&b[jv], bp + static_cast<std::ptrdiff_t>(jv) * kW,
+                  sizeof(Vec));
+    for (int ir = 0; ir < kMR; ++ir)
+      for (int jv = 0; jv < kNV; ++jv) c[ir][jv] += ap[ir] * b[jv];
+  } while (++p < kc);
+  for (int ir = 0; ir < kMR; ++ir)
+    for (int jv = 0; jv < kNV; ++jv)
+      std::memcpy(&acc[ir][static_cast<std::ptrdiff_t>(jv) * kW], &c[ir][jv],
+                  sizeof(Vec));
+}
 
 /// Runs the micro kernel over a packed mc x kc block of A and a packed
 /// kc x nc panel of B, and hands each register tile's sum, formed from
@@ -199,7 +227,7 @@ template <class Write>
       const int mr = std::min(kMR, mc - ip);
       const double* pa =
           packed_a + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR;
-      double acc[kMR][kNR] = {};
+      Acc acc;
       micro_kernel(kc, pa, pb, acc);
       write(ip, jp, mr, nr, acc);
     }
@@ -287,33 +315,38 @@ void schur_update_mapped(double* c, std::span<const std::size_t> row_off,
   CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
   if (m == 0 || n == 0 || k == 0) return;
 
-  // A kNR group of columns whose offsets run on by one is written through
-  // a row pointer; any other group entry by entry.
+  // A kW-wide segment of columns whose offsets run on by one is written
+  // through a row pointer, any other entry by entry. Testing segments
+  // rather than whole kNR groups keeps the row-pointer write for tile
+  // widths that are multiples of 8 (or of kW) but not of kNR.
   std::vector<unsigned char> contiguous(
-      static_cast<std::size_t>((n + kNR - 1) / kNR));
-  for (int jp = 0; jp < n; jp += kNR) {
+      static_cast<std::size_t>((n + kW - 1) / kW));
+  for (int js = 0; js < n; js += kW) {
     bool run = true;
-    for (int jr = 1; jr < std::min(kNR, n - jp); ++jr)
-      run = run && col_off[static_cast<std::size_t>(jp + jr)] ==
-                       col_off[static_cast<std::size_t>(jp)] +
+    for (int jr = 1; jr < std::min(kW, n - js); ++jr)
+      run = run && col_off[static_cast<std::size_t>(js + jr)] ==
+                       col_off[static_cast<std::size_t>(js)] +
                            static_cast<std::size_t>(jr);
-    contiguous[static_cast<std::size_t>(jp / kNR)] = run;
+    contiguous[static_cast<std::size_t>(js / kW)] = run;
   }
 
   const std::size_t* rows = row_off.data();
   const std::size_t* cols = col_off.data();
   const unsigned char* runs = contiguous.data();
   packed_product(a, b, [=](int i, int j, int mr, int nr, const Acc& acc) {
-    const std::size_t* co = cols + j;
-    if (runs[j / kNR]) {
-      for (int ir = 0; ir < mr; ++ir) {
-        double* ci = c + rows[i + ir] + co[0];
-        for (int jr = 0; jr < nr; ++jr) ci[jr] -= acc[ir][jr];
-      }
-    } else {
-      for (int ir = 0; ir < mr; ++ir) {
-        double* ci = c + rows[i + ir];
-        for (int jr = 0; jr < nr; ++jr) ci[co[jr]] -= acc[ir][jr];
+    for (int js = 0; js < nr; js += kW) {
+      const int w = std::min(kW, nr - js);
+      const std::size_t* co = cols + j + js;
+      if (runs[(j + js) / kW]) {
+        for (int ir = 0; ir < mr; ++ir) {
+          double* ci = c + rows[i + ir] + co[0];
+          for (int jr = 0; jr < w; ++jr) ci[jr] -= acc[ir][js + jr];
+        }
+      } else {
+        for (int ir = 0; ir < mr; ++ir) {
+          double* ci = c + rows[i + ir];
+          for (int jr = 0; jr < w; ++jr) ci[co[jr]] -= acc[ir][js + jr];
+        }
       }
     }
   });

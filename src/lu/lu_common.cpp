@@ -60,7 +60,9 @@ std::vector<int> synthetic_pivots(const std::vector<std::uint8_t>& pivoted,
         r);
   }
   CONFLUX_EXPECTS(static_cast<int>(ranked.size()) >= v);
-  std::sort(ranked.begin(), ranked.end());
+  // Only the first v in (hash, row) order are kept, and the keys are
+  // unique (distinct rows), so a partial sort picks the same rows.
+  std::partial_sort(ranked.begin(), ranked.begin() + v, ranked.end());
   std::vector<int> out;
   out.reserve(static_cast<std::size_t>(v));
   for (int q = 0; q < v; ++q)

@@ -1,12 +1,16 @@
 // Tests for the BLAS-3 kernels: GEMM against a naive reference, the mapped
 // Schur update against a dense product, the four TRSM variants against
-// explicit residuals, over parameterized shape sweeps.
+// explicit residuals, over parameterized shape sweeps; and the packed
+// kernels bit for bit against a scalar model of their rounding contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -101,10 +105,11 @@ struct MappedC {
     const int m = c.rows(), n = c.cols();
     const int tiles = (n + w - 1) / w;
     store.assign(static_cast<std::size_t>(tiles) * m * w, 0.0);
-    // Row i sits at position (7 i + 3) mod m of each tile: a fixed shuffle
-    // (7 is coprime to every m the tests use).
-    for (int i = 0; i < m; ++i)
-      row_off.push_back(static_cast<std::size_t>((7 * i + 3) % m) * w);
+    // Row i sits at position slot[i] of each tile: a fixed shuffle.
+    std::vector<int> slot(static_cast<std::size_t>(m));
+    std::iota(slot.begin(), slot.end(), 0);
+    std::shuffle(slot.begin(), slot.end(), std::mt19937(37));
+    for (const int r : slot) row_off.push_back(static_cast<std::size_t>(r) * w);
     for (int j = 0; j < n; ++j)
       col_off.push_back(static_cast<std::size_t>(j / w) * m * w + j % w);
     for (int i = 0; i < m; ++i)
@@ -123,9 +128,9 @@ class MappedUpdate
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 // Bit for bit the dense GEMM into a zeroed product followed by C -= P, for
-// k within one k panel, over m and n that cross the 4 x 8 register tile
-// and the 128-row block. Tile width 16 makes every 8-column group
-// contiguous; widths 12 and 20 split some groups across two tiles.
+// k within one k panel, over m and n that cross the AVX2 4 x 8 register
+// tile and the 128-row block. Tile width 16 makes every 8-column segment
+// contiguous; widths 12 and 20 split some segments across two tiles.
 TEST_P(MappedUpdate, EqualsDenseProductThenSubtract) {
   const auto [k, w] = GetParam();
   const int sizes[] = {1, 3, 4, 5, 127, 128, 129, 300};
@@ -198,6 +203,198 @@ TEST(MappedUpdateEdges, ShapeMismatchThrows) {
   const std::vector<std::size_t> rows = {0, 4}, cols = {0, 1, 2, 3};
   EXPECT_THROW(schur_update_mapped(c.data(), rows, cols, a.view(), b.view()),
                ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// The rounding contract of the packed kernels, pinned bit for bit against
+// an independent scalar model: per kKC = 1024-deep k panel, each entry's
+// sum is formed from zero in increasing k, one FMA per term where the
+// target has FMA, and only then written back to C. The register tile's
+// shape does not enter, so the pins hold for every ISA's tile; the sizes
+// straddle the 4 x 8 (AVX2) and 8 x 16 (AVX-512) tiles, the 128-row block
+// and the 256-wide residual tile, and the depths straddle the k panel.
+// ---------------------------------------------------------------------------
+
+constexpr int kPanelDepth = 1024;
+constexpr int kPinSizes[] = {1, 3, 5, 7, 9, 15, 17, 127, 128, 129, 300};
+constexpr int kPinDepths[] = {1, 16, 64, 1024, 1100};
+
+double fma_term(double a, double b, double sum) {
+#ifdef __FMA__
+  return std::fma(a, b, sum);
+#else
+  return a * b + sum;
+#endif
+}
+
+/// The k-panel sums of A * B: entry (i, j) of panel q sums
+/// a(i, p) * b(p, j) over p in [q * 1024, min(k, (q + 1) * 1024)).
+std::vector<Matrix> panel_sums(const Matrix& a, const Matrix& b) {
+  const int m = a.rows(), n = b.cols(), k = a.cols();
+  std::vector<Matrix> sums;
+  for (int k0 = 0; k0 < k; k0 += kPanelDepth) {
+    Matrix s(m, n);
+    for (int i = 0; i < m; ++i) {
+      double* si = &s(i, 0);
+      for (int p = k0; p < std::min(k, k0 + kPanelDepth); ++p) {
+        const double aip = a(i, p);
+        const double* bp = &b(p, 0);
+        for (int j = 0; j < n; ++j) si[j] = fma_term(aip, bp[j], si[j]);
+      }
+    }
+    sums.push_back(std::move(s));
+  }
+  return sums;
+}
+
+int mismatched_rows(const Matrix& got, const Matrix& want) {
+  int count = 0;
+  for (int i = 0; i < got.rows(); ++i)
+    count += static_cast<int>(std::memcmp(&got(i, 0), &want(i, 0),
+                                          sizeof(double) * got.cols()) != 0);
+  return count;
+}
+
+// gemm_optimized above its small-problem cutoff (2 * 48^3 flops), and the
+// mapped update at tile widths 7, 12 and 24. With the AVX-512 tile's
+// 16-wide column groups, width 24 splits every other group between its
+// two 8-wide vectors, and 12 splits groups mid-vector; width 7 splits the
+// vectors of every ISA, so the entry-by-entry write runs on each.
+// |alpha| = 1 keeps the write-back to one rounding whether or not it is
+// contracted.
+TEST(KernelContract, PackedKernelsMatchScalarModel) {
+  int shapes = 0;
+  for (const int k : kPinDepths)
+    for (const int m : kPinSizes)
+      for (const int n : kPinSizes) {
+        const Matrix a = generate(m, k, MatrixKind::Uniform, 61);
+        const Matrix b = generate(k, n, MatrixKind::Uniform, 62);
+        const Matrix c0 = generate(m, n, MatrixKind::Uniform, 63);
+        const std::vector<Matrix> sums = panel_sums(a, b);
+        const auto where = [&] {
+          return "m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                 " k=" + std::to_string(k);
+        };
+
+        if (static_cast<long long>(m) * n * k > 48LL * 48 * 48) {
+          ++shapes;
+          const double alpha = shapes % 2 ? 1.0 : -1.0;
+          const double beta = shapes % 3 == 0 ? 0.0 : shapes % 3 == 1 ? 1.0
+                                                                      : 0.5;
+          Matrix want = c0;
+          for (int i = 0; i < m; ++i)
+            for (int j = 0; j < n; ++j) {
+              double& w = want(i, j);
+              if (beta != 1.0) w = beta == 0.0 ? 0.0 : w * beta;
+              for (const Matrix& s : sums) w += alpha * s(i, j);
+            }
+          Matrix got = c0;
+          gemm_optimized(alpha, a.view(), b.view(), beta, got.view());
+          EXPECT_EQ(mismatched_rows(got, want), 0) << "gemm " << where();
+        }
+
+        Matrix want = c0;
+        for (int i = 0; i < m; ++i)
+          for (int j = 0; j < n; ++j)
+            for (const Matrix& s : sums) want(i, j) -= s(i, j);
+        for (const int w : {7, 12, 24}) {
+          MappedC mapped(c0, w);
+          mapped.update(a, b);
+          Matrix got(m, n);
+          for (int i = 0; i < m; ++i)
+            for (int j = 0; j < n; ++j) got(i, j) = mapped.at(i, j);
+          EXPECT_EQ(mismatched_rows(got, want), 0)
+              << "mapped w=" << w << " " << where();
+        }
+      }
+  EXPECT_GT(shapes, 100);  // most shapes are above the cutoff
+}
+
+/// The model of triangular_product_max_diff's product: L * U with the
+/// kind's triangle masks, summed per k panel like panel_sums. L(i, p) is
+/// zero for p > i, so row i's terms stop there; the zero terms the kernel
+/// adds past that point leave a finite sum unchanged.
+Matrix triangular_model(TriangularProduct kind, const Matrix& l,
+                        const Matrix& u) {
+  const bool llt = kind == TriangularProduct::LLt;
+  const int m = l.rows();
+  const int n = llt ? m : u.cols();
+  const int kmin = llt ? m : std::min(l.cols(), u.rows());
+  Matrix upper(kmin, n);  // U with its mask applied
+  for (int p = 0; p < kmin; ++p)
+    for (int j = p; j < n; ++j) upper(p, j) = llt ? u(j, p) : u(p, j);
+  Matrix prod(m, n);
+  std::vector<double> s(static_cast<std::size_t>(n));
+  for (int i = 0; i < m; ++i)
+    for (int k0 = 0; k0 < std::min(i + 1, kmin); k0 += kPanelDepth) {
+      std::fill(s.begin(), s.end(), 0.0);
+      for (int p = k0; p < std::min({i + 1, kmin, k0 + kPanelDepth}); ++p) {
+        const double lip = p < i ? l(i, p) : llt ? l(i, i) : 1.0;
+        for (int j = 0; j < n; ++j)
+          s[static_cast<std::size_t>(j)] =
+              fma_term(lip, upper(p, j), s[static_cast<std::size_t>(j)]);
+      }
+      for (int j = 0; j < n; ++j) prod(i, j) += s[static_cast<std::size_t>(j)];
+    }
+  return prod;
+}
+
+// With ref set to the model's product (rows permuted for LU) every
+// compared entry must match bit for bit, so the max difference is exactly
+// 0; against a perturbed ref the max must equal the model's.
+TEST(KernelContract, TriangularProductMatchesScalarModel) {
+  struct Case {
+    TriangularProduct kind;
+    int m, k, n;
+  };
+  const Case cases[] = {
+      {TriangularProduct::LU, 1, 1, 1},
+      {TriangularProduct::LU, 17, 9, 129},
+      {TriangularProduct::LU, 129, 300, 17},
+      {TriangularProduct::LU, 300, 128, 300},
+      {TriangularProduct::LU, 1100, 1100, 1100},
+      {TriangularProduct::LLt, 1, 1, 1},
+      {TriangularProduct::LLt, 129, 129, 129},
+      {TriangularProduct::LLt, 300, 300, 300},
+      {TriangularProduct::LLt, 1100, 1100, 1100},
+  };
+  for (const auto& [kind, m, k, n] : cases) {
+    const bool llt = kind == TriangularProduct::LLt;
+    const Matrix l = generate(m, k, MatrixKind::Uniform, 71);
+    const Matrix u = llt ? l : generate(k, n, MatrixKind::Uniform, 72);
+    std::vector<int> row_of;
+    if (!llt) {
+      row_of.resize(static_cast<std::size_t>(m));
+      std::iota(row_of.begin(), row_of.end(), 0);
+      std::shuffle(row_of.begin(), row_of.end(), std::mt19937(73));
+    }
+    const auto row = [&](int i) {
+      return row_of.empty() ? i : row_of[static_cast<std::size_t>(i)];
+    };
+    const Matrix prod = triangular_model(kind, l, u);
+    const Matrix noise = generate(m, n, MatrixKind::Uniform, 74);
+    Matrix exact(m, n), perturbed(m, n);
+    double want = 0.0;
+    for (int i = 0; i < m; ++i)
+      for (int j = 0; j < n; ++j) {
+        exact(row(i), j) = prod(i, j);
+        perturbed(row(i), j) = prod(i, j) + 1e-6 * noise(i, j);
+        if (!llt || j <= i)
+          want = std::max(want,
+                          std::abs(perturbed(row(i), j) - prod(i, j)));
+      }
+    const std::string where = (llt ? "LLt" : "LU") + std::string(" m=") +
+                              std::to_string(m) + " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n);
+    EXPECT_EQ(triangular_product_max_diff(kind, l.view(), u.view(),
+                                          exact.view(), row_of),
+              0.0)
+        << where;
+    EXPECT_EQ(triangular_product_max_diff(kind, l.view(), u.view(),
+                                          perturbed.view(), row_of),
+              want)
+        << where;
+  }
 }
 
 /// Build a well-conditioned triangular matrix.

@@ -61,9 +61,7 @@ int main(int argc, char** argv) {
   Table gtab({"P", "impl", "per-node MB", "grid", "idle"});
   for (int pa : full ? std::vector<int>{60, 61, 96} : std::vector<int>{13, 24}) {
     {
-      const auto res = conflux_lu.run(
-          nullptr,
-          {.n = n, .p = pa, .mode = kDry, .grid_optimization = true});
+      const auto res = run_dry(conflux_lu, n, pa);
       gtab.add_row({std::to_string(pa), "COnfLUX(opt)",
                     fmt(res.bytes_per_rank() / 1e6, 4), res.grid,
                     std::to_string(pa - res.ranks_used)});

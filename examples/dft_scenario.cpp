@@ -12,6 +12,7 @@
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
 #include "support/table.hpp"
+#include "verify/commcheck.hpp"
 
 int main(int argc, char** argv) {
   using namespace conflux;
@@ -26,13 +27,13 @@ int main(int argc, char** argv) {
     const int n = 384;
     const auto a = linalg::generate(n, linalg::MatrixKind::Interaction);
     std::cout << "numeric check at N = " << n << ", P = " << p << ":\n";
-    for (const auto& algo : lu::all_algorithms()) {
+    for (const verify::Backend& b : verify::select_backends("LU", {})) {
       lu::LuConfig cfg;
       cfg.n = n;
       cfg.p = p;
       cfg.mode = lu::Mode::Numeric;
-      const auto res = algo->run(&a, cfg);
-      std::cout << "  " << algo->name() << ": residual " << res.residual
+      const auto res = lu::make_algorithm(b.name)->run(&a, cfg);
+      std::cout << "  " << b.name << ": residual " << res.residual
                 << ", growth " << res.growth << "\n";
       if (!(res.residual < 1e-10)) return 1;
     }

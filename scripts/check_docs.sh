@@ -3,7 +3,7 @@
 # `scripts/check_docs.sh`). Six invariants:
 #
 #  1. Every header under src/ opens with a `/// \file` doc comment (the
-#     house style of conflux25d.hpp/spmd.hpp).
+#     house style of block25d.hpp/spmd.hpp).
 #  2. Every intra-repo Markdown link resolves to an existing file.
 #     External links (http/https/mailto) and pure #anchors are ignored;
 #     `path#anchor` links are checked for the path part only.

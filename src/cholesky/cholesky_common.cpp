@@ -22,11 +22,4 @@ std::unique_ptr<CholeskyAlgorithm> make_cholesky_algorithm(
   return nullptr;  // unreachable
 }
 
-std::vector<std::unique_ptr<CholeskyAlgorithm>> all_cholesky_algorithms() {
-  std::vector<std::unique_ptr<CholeskyAlgorithm>> algos;
-  algos.push_back(make_cholesky_algorithm("ScaLAPACK"));
-  algos.push_back(make_cholesky_algorithm("COnfCHOX"));
-  return algos;
-}
-
 }  // namespace conflux::cholesky

@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "factor/factorization.hpp"
 #include "linalg/matrix.hpp"
@@ -48,8 +47,10 @@ void finish_cholesky(CholResult& result, const linalg::Matrix& a,
                      const CholConfig& cfg, linalg::Matrix l);
 
 /// Interface implemented by both Cholesky algorithms.
-class CholeskyAlgorithm : public factor::Factorization {
+class CholeskyAlgorithm {
  public:
+  virtual ~CholeskyAlgorithm() = default;
+
   /// Factor the SPD matrix `a` (lower triangle read) under `cfg`. In
   /// DryRun mode `a` may be null. In Numeric mode with cfg.verify, the
   /// result carries the scaled residual max|L L^T - A| / (N max|A|).
@@ -61,9 +62,5 @@ class CholeskyAlgorithm : public factor::Factorization {
 /// ContractViolation for unknown names.
 [[nodiscard]] std::unique_ptr<CholeskyAlgorithm> make_cholesky_algorithm(
     const std::string& name);
-
-/// Both algorithms, baseline first (ScaLAPACK, COnfCHOX).
-[[nodiscard]] std::vector<std::unique_ptr<CholeskyAlgorithm>>
-all_cholesky_algorithms();
 
 }  // namespace conflux::cholesky

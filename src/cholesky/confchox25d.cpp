@@ -209,8 +209,8 @@ void schur_update_local(const Plan25D& plan, TileStore& store,
 
   // One update per column tile, restricted to the row tiles at or below it
   // (both tile lists are ascending), so the strict-upper half of the
-  // symmetric update is never computed — the same block-column trick as
-  // potrf_blocked.
+  // symmetric update is never computed, as in a blocked right-looking
+  // potrf.
   const int slice = rows.slice.size();
   // The rows of `rows.values` are the rows of the owned row tiles.
   const std::vector<int> global_rows = tile_rows(row_tiles, v);

@@ -24,7 +24,6 @@ namespace conflux::cholesky {
 
 class Confchox25D final : public CholeskyAlgorithm {
  public:
-  [[nodiscard]] std::string name() const override { return "COnfCHOX"; }
   [[nodiscard]] CholResult run(const linalg::Matrix* a,
                                const CholConfig& cfg) override;
 };

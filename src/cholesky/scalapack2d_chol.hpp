@@ -21,7 +21,6 @@ namespace conflux::cholesky {
 
 class Scalapack2DCholesky final : public CholeskyAlgorithm {
  public:
-  [[nodiscard]] std::string name() const override { return "ScaLAPACK"; }
   [[nodiscard]] CholResult run(const linalg::Matrix* a,
                                const CholConfig& cfg) override;
 };

@@ -13,33 +13,25 @@ using simnet::make_tag;
 using simnet::Tag;
 
 double memory_budget(const FactorConfig& cfg) {
-  return cfg.mem_elements > 0
-             ? cfg.mem_elements
-             : static_cast<double>(cfg.n) * cfg.n /
-                   std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
+  return static_cast<double>(cfg.n) * cfg.n /
+         std::pow(static_cast<double>(cfg.p), 2.0 / 3.0);
 }
 
 Plan25D resolve_plan25d(const FactorConfig& cfg, grid::GridCostFn cost) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
-  const double mem = memory_budget(cfg);
-
   Plan25D plan;
   plan.n = cfg.n;
   plan.numeric = (cfg.mode == Mode::Numeric);
   plan.tel = cfg.telemetry;
-  if (cfg.force_layers > 0 || !cfg.grid_optimization) {
-    int c = cfg.force_layers > 0
-                ? cfg.force_layers
-                : std::max(1, static_cast<int>(std::lround(
-                                  cfg.p * mem /
-                                  (static_cast<double>(cfg.n) * cfg.n))));
-    c = std::min(c, cfg.p);
+  if (cfg.force_layers > 0) {
+    const int c = std::min(cfg.force_layers, cfg.p);
     const int front = std::max(1, cfg.p / c);
     const int px = std::max(1, static_cast<int>(std::sqrt(
                                    static_cast<double>(front))));
     plan.g = Grid3D(px, std::max(1, front / px), c);
   } else {
-    plan.g = grid::optimize_grid(cfg.p, cfg.n, mem, 0, cost).grid;
+    plan.g = grid::optimize_grid(cfg.p, cfg.n, memory_budget(cfg), 0, cost)
+                 .grid;
   }
   plan.active = plan.g.active();
   plan.v = cfg.block > 0

@@ -30,8 +30,8 @@ class Comm;
 
 namespace conflux::factor {
 
-/// Per-rank memory budget M in elements: cfg.mem_elements when positive,
-/// else the paper's max-replication rule M = N^2 / P^(2/3).
+/// Per-rank memory budget M in elements: the paper's max-replication rule
+/// M = N^2 / P^(2/3), the budget its evaluation fixes (Fig. 6 caption).
 [[nodiscard]] double memory_budget(const FactorConfig& cfg);
 
 /// Resolved run parameters shared by every rank of a 2.5D run.
@@ -45,10 +45,10 @@ struct Plan25D {
   telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope board (nullable)
 };
 
-/// Resolve grid and block size for `cfg`. A forced layer count (or grid
-/// optimization switched off) picks c from the memory budget and a
-/// near-square front face; otherwise grid::optimize_grid searches with the
-/// family's `cost`. v is cfg.block or the §7.2 default, and must divide N.
+/// Resolve grid and block size for `cfg`. A forced layer count c gets a
+/// near-square front face of P / c ranks; otherwise grid::optimize_grid
+/// searches with the family's `cost` under the memory budget. v is
+/// cfg.block or the §7.2 default, and must divide N.
 [[nodiscard]] Plan25D resolve_plan25d(const FactorConfig& cfg,
                                       grid::GridCostFn cost);
 

@@ -1,5 +1,5 @@
 /// \file factorization.hpp
-/// The shared configuration/result/interface layer for the distributed
+/// The shared configuration and result layer of the distributed
 /// factorization families:
 ///   - LU (src/lu): COnfLUX and the three §8 comparison targets;
 ///   - Cholesky (src/cholesky): COnfCHOX and the ScaLAPACK-style 2D
@@ -7,7 +7,7 @@
 ///
 /// Both families run on the same simnet SPMD fabric, report the same
 /// CommVolume metrics (the paper's Score-P byte counts), support the same
-/// Numeric/DryRun duality, and share the 2.5D ablation knobs. Everything a
+/// Numeric/DryRun duality, and share the 2.5D ablation knob. Everything a
 /// factorization result has in common — grid, block size, per-rank volume,
 /// residual, wall time — lives here; family-specific extras (LU's pivot
 /// growth and permutation, Cholesky's L factor semantics) live in the
@@ -52,18 +52,15 @@ struct FactorConfig {
   int n = 0;       ///< matrix dimension; must be a multiple of the block size
   int p = 1;       ///< ranks available (nodes in the paper's terminology)
   int block = 0;   ///< v (2.5D algorithms) or nb (2D); 0 = auto-tune
-  double mem_elements = 0;  ///< per-rank memory budget M in elements;
-                            ///< <= 0 selects the paper's max-replication rule
-                            ///< M = N^2 / P^(2/3)
   Mode mode = Mode::Numeric;
   std::uint64_t seed = 42;  ///< synthetic pivot seed (DryRun, LU only)
 
-  // --- ablation knobs (bench_ablation) ------------------------------------
-  bool grid_optimization = true;  ///< 2.5D: search the best [Px,Py,c] grid
-  int force_layers = 0;           ///< force the replication depth c (0 = auto)
-  bool verify = true;             ///< Numeric: collect factors and check
-  bool keep_factors = false;      ///< Numeric: retain the factors in the
-                                  ///< result (lu/solve.hpp consumes them)
+  // --- ablation knob (bench_ablation) -------------------------------------
+  int force_layers = 0;       ///< force the replication depth c (0 = auto:
+                              ///< the grid optimizer picks it)
+  bool verify = true;         ///< Numeric: collect factors and check
+  bool keep_factors = false;  ///< Numeric: retain the factors in the
+                              ///< result (lu/solve.hpp consumes them)
 
   /// Optional schedule export: when set, the run's Network attaches this
   /// recorder, so every send and receive lands in a per-rank event
@@ -149,19 +146,6 @@ struct FactorResult {
   [[nodiscard]] double bytes_per_rank() const {
     return total_bytes() / std::max(1, ranks_available);
   }
-};
-
-/// Root interface of every distributed factorization. The per-family
-/// interfaces (lu::LuAlgorithm, cholesky::CholeskyAlgorithm) extend it with
-/// a typed run() entry point; the base keeps naming and reporting uniform
-/// across families.
-class Factorization {
- public:
-  virtual ~Factorization() = default;
-
-  /// Name as used in the paper's tables ("COnfLUX", "LibSci", "COnfCHOX",
-  /// ...).
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Populate the common CommVolume fields of `result` from a finished SPMD

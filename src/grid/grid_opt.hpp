@@ -68,9 +68,9 @@ using GridCostFn = double (*)(double n, int px, int py, int c);
 /// The 2.5D implementations' shared block-size target (§7.2): v = a * c
 /// for a small constant a — big enough for per-message efficiency, small
 /// enough that the per-step A00/L00 broadcast stays a lower-order term —
-/// with the n/256 floor bounding the number of outer steps. The algorithms
-/// (Conflux25D, Confchox25D) and their cost models all consume this one
-/// rule, so the modeled lower-order terms track the implemented v.
+/// with the n/256 floor bounding the number of outer steps. The engines
+/// (lu::Block25D, cholesky::Confchox25D) and their cost models all consume
+/// this one rule, so the modeled lower-order terms track the implemented v.
 [[nodiscard]] int default_block_target(int n, int c);
 
 /// Pick the COnfLUX block size v: a small multiple of the replication depth

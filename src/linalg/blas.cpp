@@ -213,7 +213,7 @@ void micro_kernel(int kc, const double* pa, const double* pb, Acc& acc) {
 /// zero, to `write(i, j, mr, nr, acc)`: acc[ir][jr] is the k-panel sum of
 /// entry (i + ir, j + jr) of the mc x nc block, for ir < mr, jr < nr. The
 /// write decides how that sum reaches C. Kept out of line: inlined into
-/// gemm_optimized, GCC 12 spills the micro-kernel's loop bound and reloads
+/// gemm, GCC 12 spills the micro-kernel's loop bound and reloads
 /// it from the stack on every k step.
 template <class Write>
 [[gnu::noinline]] void macro_kernel(int mc, int nc, int kc,
@@ -282,8 +282,8 @@ void packed_product(ConstMatrixView a, ConstMatrixView b, Write write) {
 
 }  // namespace
 
-void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, MatrixView c) {
+void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
+          MatrixView c) {
   const int m = c.rows(), n = c.cols(), k = a.cols();
   CONFLUX_EXPECTS(a.rows() == m && b.rows() == k && b.cols() == n);
 
@@ -304,6 +304,10 @@ void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
   }
   if (alpha == 0.0 || k == 0) return;
   packed_product(a, b, add_into(c, alpha));
+}
+
+void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
+  gemm(-1.0, a, b, 1.0, c);
 }
 
 void schur_update_mapped(double* c, std::span<const std::size_t> row_off,
@@ -370,8 +374,7 @@ bool trsm_is_small(int tri_dim, int other_dim) {
 
 }  // namespace
 
-void trsm_left_optimized(Triangle tri, Diag diag, ConstMatrixView a,
-                         MatrixView b) {
+void trsm_left(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
   const int m = b.rows(), n = b.cols();
   CONFLUX_EXPECTS(a.rows() == m && a.cols() == m);
   if (trsm_is_small(m, n)) {
@@ -386,8 +389,8 @@ void trsm_left_optimized(Triangle tri, Diag diag, ConstMatrixView a,
       trsm_left_reference(tri, diag, a.block(d0, d0, d, d), b.block(d0, 0, d, n));
       const int rest = m - d0 - d;
       if (rest > 0)
-        gemm_optimized(-1.0, a.block(d0 + d, d0, rest, d), b.block(d0, 0, d, n),
-                       1.0, b.block(d0 + d, 0, rest, n));
+        gemm(-1.0, a.block(d0 + d, d0, rest, d), b.block(d0, 0, d, n), 1.0,
+             b.block(d0 + d, 0, rest, n));
     }
   } else {
     // Backward: last block first, updates flow upward.
@@ -396,14 +399,13 @@ void trsm_left_optimized(Triangle tri, Diag diag, ConstMatrixView a,
       const int d = std::min(kTrsmBlock, m - d0);
       trsm_left_reference(tri, diag, a.block(d0, d0, d, d), b.block(d0, 0, d, n));
       if (d0 > 0)
-        gemm_optimized(-1.0, a.block(0, d0, d0, d), b.block(d0, 0, d, n), 1.0,
-                       b.block(0, 0, d0, n));
+        gemm(-1.0, a.block(0, d0, d0, d), b.block(d0, 0, d, n), 1.0,
+             b.block(0, 0, d0, n));
     }
   }
 }
 
-void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
-                          MatrixView b) {
+void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
   const int m = b.rows(), n = b.cols();
   CONFLUX_EXPECTS(a.rows() == n && a.cols() == n);
   if (trsm_is_small(n, m)) {
@@ -419,8 +421,8 @@ void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
                            b.block(0, d0, m, d));
       const int rest = n - d0 - d;
       if (rest > 0)
-        gemm_optimized(-1.0, b.block(0, d0, m, d), a.block(d0, d0 + d, d, rest),
-                       1.0, b.block(0, d0 + d, m, rest));
+        gemm(-1.0, b.block(0, d0, m, d), a.block(d0, d0 + d, d, rest), 1.0,
+             b.block(0, d0 + d, m, rest));
     }
   } else {
     // Backward over column blocks: X_d := B_d L_dd^{-1}, then
@@ -431,8 +433,8 @@ void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
       trsm_right_reference(tri, diag, a.block(d0, d0, d, d),
                            b.block(0, d0, m, d));
       if (d0 > 0)
-        gemm_optimized(-1.0, b.block(0, d0, m, d), a.block(d0, 0, d, d0), 1.0,
-                       b.block(0, 0, m, d0));
+        gemm(-1.0, b.block(0, d0, m, d), a.block(d0, 0, d, d0), 1.0,
+             b.block(0, 0, m, d0));
     }
   }
 }
@@ -500,7 +502,7 @@ double triangular_product_max_diff(TriangularProduct kind, ConstMatrixView l,
       const int nc = std::min(kProductTile, n - j0);
       MatrixView tile(c.data(), mc, nc, nc);
       std::fill_n(c.begin(), static_cast<std::size_t>(mc) * nc, 0.0);
-      // k panels start at multiples of kKC, as in gemm_optimized, so each
+      // k panels start at multiples of kKC, as in gemm, so each
       // entry is summed in the same order as a dense product would be.
       for (int k0 = 0; k0 < kend; k0 += kKC) {
         const int kc = std::min(kKC, kend - k0);
@@ -537,27 +539,6 @@ double triangular_product_max_diff(TriangularProduct kind, ConstMatrixView l,
   double result = 0.0;
   for (double x : worst) result = max_keep_nan(result, x);
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points: the optimized kernels.
-// ---------------------------------------------------------------------------
-
-void gemm(double alpha, ConstMatrixView a, ConstMatrixView b, double beta,
-          MatrixView c) {
-  gemm_optimized(alpha, a, b, beta, c);
-}
-
-void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
-  gemm(-1.0, a, b, 1.0, c);
-}
-
-void trsm_left(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
-  trsm_left_optimized(tri, diag, a, b);
-}
-
-void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
-  trsm_right_optimized(tri, diag, a, b);
 }
 
 }  // namespace conflux::linalg

@@ -1,19 +1,14 @@
 /// \file blas.hpp
 /// BLAS-3-style kernels on views: blocked GEMM, the four TRSM variants
-/// used by blocked/distributed LU, and the fused triangular product the
-/// residual checks run.
+/// the distributed factorizations use, and the fused triangular product
+/// the residual checks run.
 ///
-/// Two implementations of each kernel:
-///  - reference: the original clarity-first single-threaded loops, kept as
-///    the ground truth for testing;
-///  - optimized: cache-blocked, packed, register-tiled kernels that run the
-///    macro loops on the shared thread pool (src/support/thread_pool.hpp).
-///    TRSM is blocked so its bulk flops run through the optimized GEMM.
-///
-/// The public entry points (`gemm`, `trsm_left`, `trsm_right`) run the
-/// optimized kernels; the `*_reference` kernels are the oracle the tests
-/// pin them against. The mapped Schur update and the fused triangular
-/// product have one implementation each, which shares the optimized GEMM's
+/// `gemm`, `trsm_left` and `trsm_right` are cache-blocked, packed,
+/// register-tiled kernels that run the macro loops on the shared thread
+/// pool (src/support/thread_pool.hpp); TRSM is blocked so its bulk flops
+/// run through GEMM. Each has a `*_reference` twin, the original
+/// clarity-first single-threaded loop, which the tests pin it against. The
+/// mapped Schur update and the fused triangular product share GEMM's
 /// packing and macro kernel; their tests pin them against dense products.
 #pragma once
 
@@ -36,12 +31,13 @@ void schur_update(MatrixView c, ConstMatrixView a, ConstMatrixView b);
 /// c[row_off[i] + col_off[j]], m = row_off.size(), n = col_off.size():
 /// the Schur update written straight into a layout that is not one view,
 /// such as the 2.5D tile store (factor::TileStore). The offsets must
-/// address distinct entries. It runs gemm_optimized's packed path; each
-/// entry's sum over a kKC-deep (1024) k panel is formed from zero and
-/// subtracted from C once, so for k <= 1024 the result equals
-/// gemm_optimized(1, A, B, 0, P) followed by C -= P bit for bit. Deeper
-/// products subtract one panel sum at a time. m, n or k = 0 leaves C
-/// untouched.
+/// address distinct entries. It runs gemm's packed path at every size;
+/// each entry's sum over a kKC-deep (1024) k panel is formed from zero and
+/// subtracted from C once. So for k <= 1024, and above gemm's small-problem
+/// cutoff (2 * 48^3 flops, below which gemm runs gemm_reference instead),
+/// the result equals gemm(1, A, B, 0, P) followed by C -= P bit for bit.
+/// Deeper products subtract one panel sum at a time. m, n or k = 0 leaves
+/// C untouched.
 void schur_update_mapped(double* c, std::span<const std::size_t> row_off,
                          std::span<const std::size_t> col_off,
                          ConstMatrixView a, ConstMatrixView b);
@@ -82,7 +78,7 @@ enum class TriangularProduct {
 /// L(i, k) = 0 for k > i and U(k, j) = 0 for k > j: 2/3 n^3 flops for an
 /// n x n LU, n^3 / 3 for L * L^T (a dense GEMM would take 2 n^3). NaN is
 /// kept: a non-finite factor entry gives a non-finite result. Each entry
-/// is summed in the order gemm_optimized's packed path sums it, so above
+/// is summed in the order gemm's packed path sums it, so above
 /// that kernel's small-problem cutoff the result equals a dense product
 /// plus max_abs_diff bit for bit.
 [[nodiscard]] double triangular_product_max_diff(TriangularProduct kind,
@@ -91,21 +87,13 @@ enum class TriangularProduct {
                                                  ConstMatrixView ref,
                                                  std::span<const int> row_of);
 
-/// The reference kernels — the test suite pins the optimized path against
-/// these.
+/// The reference kernels — the test suite pins the entry points above
+/// against these.
 void gemm_reference(double alpha, ConstMatrixView a, ConstMatrixView b,
                     double beta, MatrixView c);
 void trsm_left_reference(Triangle tri, Diag diag, ConstMatrixView a,
                          MatrixView b);
 void trsm_right_reference(Triangle tri, Diag diag, ConstMatrixView a,
-                          MatrixView b);
-
-/// The optimized kernels, likewise directly callable (benchmarks).
-void gemm_optimized(double alpha, ConstMatrixView a, ConstMatrixView b,
-                    double beta, MatrixView c);
-void trsm_left_optimized(Triangle tri, Diag diag, ConstMatrixView a,
-                         MatrixView b);
-void trsm_right_optimized(Triangle tri, Diag diag, ConstMatrixView a,
                           MatrixView b);
 
 }  // namespace conflux::linalg

@@ -57,50 +57,6 @@ FactorStatus getrf_unblocked(MatrixView a, std::span<int> ipiv) {
   return status;
 }
 
-FactorStatus getrf_blocked(MatrixView a, std::span<int> ipiv, int nb) {
-  const int m = a.rows(), n = a.cols();
-  const int kmax = std::min(m, n);
-  CONFLUX_EXPECTS(nb >= 1);
-  CONFLUX_EXPECTS(static_cast<int>(ipiv.size()) >= kmax);
-  FactorStatus status = FactorStatus::Ok;
-
-  for (int k0 = 0; k0 < kmax; k0 += nb) {
-    const int kb = std::min(nb, kmax - k0);
-    // Factor the panel a[k0:m, k0:k0+kb].
-    auto panel = a.block(k0, k0, m - k0, kb);
-    std::vector<int> piv_local(kb);
-    if (getrf_unblocked(panel, piv_local) == FactorStatus::Singular)
-      status = FactorStatus::Singular;
-
-    // Record pivots in global row indices and apply the swaps to the rest of
-    // the matrix (left of the panel and right of it).
-    for (int k = 0; k < kb; ++k) {
-      const int piv = piv_local[k] + k0;
-      ipiv[k0 + k] = piv;
-      if (piv != k0 + k) {
-        if (k0 > 0)
-          swap_rows(a.block(0, 0, m, k0), k0 + k, piv);
-        if (k0 + kb < n)
-          swap_rows(a.block(0, k0 + kb, m, n - (k0 + kb)), k0 + k, piv);
-      }
-    }
-
-    if (k0 + kb < n) {
-      // U block row: solve L00 * U01 = A01.
-      auto l00 = a.block(k0, k0, kb, kb);
-      auto a01 = a.block(k0, k0 + kb, kb, n - (k0 + kb));
-      trsm_left(Triangle::Lower, Diag::Unit, l00, a01);
-      // Trailing update A11 -= L10 * U01.
-      if (k0 + kb < m) {
-        auto l10 = a.block(k0 + kb, k0, m - (k0 + kb), kb);
-        auto a11 = a.block(k0 + kb, k0 + kb, m - (k0 + kb), n - (k0 + kb));
-        schur_update(a11, l10, a01);
-      }
-    }
-  }
-  return status;
-}
-
 void apply_pivots(MatrixView a, std::span<const int> ipiv) {
   for (std::size_t k = 0; k < ipiv.size(); ++k)
     swap_rows(a, static_cast<int>(k), ipiv[k]);

@@ -1,8 +1,8 @@
 /// \file getrf.hpp
-/// Sequential LU factorization with partial pivoting (unblocked and blocked)
-/// plus pivot bookkeeping and residual checks. These serve as the reference
-/// against which the distributed algorithms are verified, and as the local
-/// building block inside panel factorizations.
+/// Sequential unblocked LU factorization with partial pivoting, plus pivot
+/// bookkeeping and residual checks. The unblocked kernel is the local
+/// building block inside the panel factorizations; the residual check is
+/// what the distributed algorithms are verified with.
 #pragma once
 
 #include <span>
@@ -23,10 +23,6 @@ enum class FactorStatus { Ok, Singular, NotSpd };
 /// (in 0-based local indices, >= k) swapped with row k at step k — LAPACK
 /// convention.
 FactorStatus getrf_unblocked(MatrixView a, std::span<int> ipiv);
-
-/// Blocked right-looking LU with partial pivoting, panel width `nb`.
-/// Semantics identical to getrf_unblocked.
-FactorStatus getrf_blocked(MatrixView a, std::span<int> ipiv, int nb);
 
 /// Apply the LAPACK-style pivot sequence to the rows of `a` (forward order):
 /// for k in [0, ipiv.size()): swap rows k and ipiv[k].

@@ -26,13 +26,6 @@ double max_abs(ConstMatrixView a) {
   return m;
 }
 
-double frobenius(ConstMatrixView a) {
-  double s = 0.0;
-  for (int i = 0; i < a.rows(); ++i)
-    for (double x : a.row(i)) s += x * x;
-  return std::sqrt(s);
-}
-
 double max_abs_diff(ConstMatrixView a, ConstMatrixView b) {
   CONFLUX_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
   double m = 0.0;

@@ -162,9 +162,6 @@ void copy(ConstMatrixView src, MatrixView dst);
 /// max_ij |A(i,j)|; NaN when any entry is NaN.
 [[nodiscard]] double max_abs(ConstMatrixView a);
 
-/// Frobenius norm.
-[[nodiscard]] double frobenius(ConstMatrixView a);
-
 /// max_ij |A(i,j) - B(i,j)| (shapes must match); NaN when any difference
 /// is NaN.
 [[nodiscard]] double max_abs_diff(ConstMatrixView a, ConstMatrixView b);

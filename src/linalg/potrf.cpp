@@ -39,39 +39,6 @@ void trsm_right_lower_transposed(ConstMatrixView l00, MatrixView b) {
   trsm_right(Triangle::Upper, Diag::NonUnit, u00t.view(), b);
 }
 
-FactorStatus potrf_blocked(MatrixView a, int nb) {
-  const int n = a.rows();
-  CONFLUX_EXPECTS(a.cols() == n && nb >= 1);
-  FactorStatus status = FactorStatus::Ok;
-
-  for (int k0 = 0; k0 < n; k0 += nb) {
-    const int kb = std::min(nb, n - k0);
-    MatrixView a00 = a.block(k0, k0, kb, kb);
-    if (potrf_unblocked(a00) != FactorStatus::Ok)
-      status = FactorStatus::NotSpd;
-
-    const int m = n - k0 - kb;
-    if (m == 0) continue;
-
-    MatrixView a10 = a.block(k0 + kb, k0, m, kb);
-    trsm_right_lower_transposed(a00, a10);
-
-    // Trailing update A11 -= L10 * L10^T, one block column at a time so
-    // only the lower triangle (block granularity) is touched.
-    Matrix l10t(kb, m);
-    for (int i = 0; i < m; ++i)
-      for (int k = 0; k < kb; ++k) l10t(k, i) = a10(i, k);
-    for (int j0 = k0 + kb; j0 < n; j0 += nb) {
-      const int jb = std::min(nb, n - j0);
-      const int mrows = n - j0;
-      schur_update(a.block(j0, j0, mrows, jb),
-                   a.block(j0, k0, mrows, kb),
-                   l10t.block(0, j0 - k0 - kb, kb, jb));
-    }
-  }
-  return status;
-}
-
 Matrix extract_lower(ConstMatrixView llt) {
   const int n = llt.rows();
   CONFLUX_EXPECTS(llt.cols() == n);

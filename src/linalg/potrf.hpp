@@ -1,7 +1,7 @@
 /// \file potrf.hpp
-/// Sequential Cholesky factorization A = L * L^T of symmetric positive
-/// definite matrices (unblocked and blocked, lower-triangular convention)
-/// plus the residual check used to verify the distributed Cholesky
+/// Sequential unblocked Cholesky factorization A = L * L^T of symmetric
+/// positive definite matrices (lower-triangular convention), the panel
+/// solve, and the residual check used to verify the distributed Cholesky
 /// implementations (COnfCHOX and the ScaLAPACK-style 2D baseline of the
 /// journal extension, arXiv:2108.09337).
 ///
@@ -23,18 +23,10 @@ namespace conflux::linalg {
 /// unspecified.
 FactorStatus potrf_unblocked(MatrixView a);
 
-/// Blocked right-looking Cholesky with panel width `nb`: potrf on the
-/// diagonal block, a triangular solve for the panel below it, and a
-/// symmetric rank-nb Schur update of the trailing lower triangle. The bulk
-/// flops run through the TRSM/GEMM kernels of linalg/blas.hpp (and thus
-/// through the optimized packed kernels when those are active). Semantics
-/// identical to potrf_unblocked.
-FactorStatus potrf_blocked(MatrixView a, int nb);
-
 /// Solve X * L00^T = B in place (X overwrites B) for a lower-triangular
-/// L00 — the panel solve L10 := A10 * L00^{-T} every Cholesky variant
-/// (sequential, 2D, 2.5D) performs. Materializes L00^T once and defers to
-/// trsm_right, so the bulk flops take the optimized path when active.
+/// L00 — the panel solve L10 := A10 * L00^{-T} both distributed Cholesky
+/// variants (2D, 2.5D) perform. Materializes L00^T once and defers to
+/// trsm_right, so the bulk flops run through the packed GEMM.
 void trsm_right_lower_transposed(ConstMatrixView l00, MatrixView b);
 
 /// Extract the lower-triangular factor (diagonal included, zeros above)

@@ -453,12 +453,11 @@ void schur_update_local(const Plan& plan, RankState& st,
 
 }  // namespace
 
-LuResult run_block25d(const linalg::Matrix* a, const LuConfig& cfg,
-                      PanelTournament tournament) {
+LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
   Plan plan{factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank),
-            cfg.seed, tournament};
+            cfg.seed, tournament_};
 
   // Numeric runs that check or keep the factors collect them out of band
   // (not part of the measured volume): every rank writes the entries it

@@ -23,7 +23,6 @@ namespace conflux::lu {
 
 class Candmc25D final : public LuAlgorithm {
  public:
-  [[nodiscard]] std::string name() const override { return "CANDMC"; }
   [[nodiscard]] LuResult run(const linalg::Matrix* a,
                              const LuConfig& cfg) override;
 };

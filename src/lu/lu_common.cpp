@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "linalg/getrf.hpp"
-#include "lu/calu25d.hpp"
+#include "lu/block25d.hpp"
 #include "lu/candmc25d.hpp"
-#include "lu/conflux25d.hpp"
 #include "lu/scalapack2d.hpp"
 #include "support/random.hpp"
 
@@ -29,23 +28,14 @@ void finish_lu(LuResult& result, const linalg::Matrix& a, const LuConfig& cfg,
 }
 
 std::unique_ptr<LuAlgorithm> make_algorithm(const std::string& name) {
-  if (name == "COnfLUX") return std::make_unique<Conflux25D>();
+  if (name == "COnfLUX")
+    return std::make_unique<Block25D>(PanelTournament::Butterfly);
   if (name == "LibSci") return std::make_unique<ScaLapack2D>(false);
   if (name == "SLATE") return std::make_unique<ScaLapack2D>(true);
   if (name == "CANDMC") return std::make_unique<Candmc25D>();
-  if (name == "CALU") return std::make_unique<Calu25D>();
+  if (name == "CALU") return std::make_unique<Block25D>(PanelTournament::Tree);
   CONFLUX_EXPECTS_MSG(false, "unknown LU algorithm '" << name << "'");
   return nullptr;  // unreachable
-}
-
-std::vector<std::unique_ptr<LuAlgorithm>> all_algorithms() {
-  std::vector<std::unique_ptr<LuAlgorithm>> algos;
-  algos.push_back(make_algorithm("LibSci"));
-  algos.push_back(make_algorithm("SLATE"));
-  algos.push_back(make_algorithm("CANDMC"));
-  algos.push_back(make_algorithm("COnfLUX"));
-  algos.push_back(make_algorithm("CALU"));
-  return algos;
 }
 
 std::vector<int> synthetic_pivots(const std::vector<std::uint8_t>& pivoted,

@@ -67,8 +67,10 @@ void finish_lu(LuResult& result, const linalg::Matrix& a, const LuConfig& cfg,
                linalg::Matrix packed, std::vector<int> permutation);
 
 /// Interface implemented by all five LU algorithms.
-class LuAlgorithm : public factor::Factorization {
+class LuAlgorithm {
  public:
+  virtual ~LuAlgorithm() = default;
+
   /// Factor `a` under `cfg`. In DryRun mode `a` may be null. In Numeric
   /// mode with cfg.verify, the result carries the scaled residual
   /// max|LU - PA| / (N max|A|).
@@ -80,10 +82,6 @@ class LuAlgorithm : public factor::Factorization {
 /// "CANDMC", "CALU". Throws ContractViolation for unknown names.
 [[nodiscard]] std::unique_ptr<LuAlgorithm> make_algorithm(
     const std::string& name);
-
-/// All five, Table 2 order first (LibSci, SLATE, CANDMC, COnfLUX), then the
-/// CALU tournament-pivoting backend.
-[[nodiscard]] std::vector<std::unique_ptr<LuAlgorithm>> all_algorithms();
 
 /// Deterministic synthetic pivot choice for dry runs: pick `v` rows from the
 /// not-yet-pivoted set by hashed order, which spreads pivots evenly across

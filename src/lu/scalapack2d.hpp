@@ -62,9 +62,6 @@ class ScaLapack2D : public LuAlgorithm {
  public:
   explicit ScaLapack2D(bool slate_mode = false) : slate_(slate_mode) {}
 
-  [[nodiscard]] std::string name() const override {
-    return slate_ ? "SLATE" : "LibSci";
-  }
   [[nodiscard]] LuResult run(const linalg::Matrix* a,
                              const LuConfig& cfg) override;
 

@@ -71,7 +71,7 @@ std::vector<PhaseVolume> predict_lu_phases(const std::string& algo, int n,
   CONFLUX_EXPECTS(has_phase_model(algo));
   CONFLUX_EXPECTS(n >= 1 && p >= 1);
 
-  // The grid and block size run_block25d picks with a default config.
+  // The grid and block size Block25D::run picks with a default config.
   factor::FactorConfig cfg;
   cfg.n = n;
   cfg.p = p;

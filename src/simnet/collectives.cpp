@@ -154,14 +154,6 @@ void reduce_ghost(const Comm& comm, const Group& group, int root_index,
   }
 }
 
-void allreduce_sum(const Comm& comm, const Group& group,
-                   std::span<double> inout, Tag tag) {
-  reduce_sum(comm, group, 0, inout, tag);
-  std::vector<double> buf(inout.begin(), inout.end());
-  bcast(comm, group, 0, buf, sub_tag(tag, 3, 0));
-  std::copy(buf.begin(), buf.end(), inout.begin());
-}
-
 MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
                         Tag tag) {
   const int n = group.size();
@@ -198,20 +190,6 @@ MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
   const BufferView got = bcast_walk(
       comm, group, 0, me == 0 ? encode(mine) : nullptr, kPairBytes, tag, 5);
   return {got[0], static_cast<int>(got[1])};
-}
-
-void barrier(const Comm& comm, const Group& group, Tag tag) {
-  const int n = group.size();
-  const int me = group.index_of(comm.rank());
-  CONFLUX_EXPECTS(me >= 0);
-  // Dissemination barrier: ceil(log2 n) rounds of zero-byte messages.
-  unsigned round = 0;
-  for (int dist = 1; dist < n; dist <<= 1, ++round) {
-    const int to = (me + dist) % n;
-    const int from = (me - dist % n + n) % n;
-    comm.send_ghost(group.at(to), sub_tag(tag, 7, round), 0);
-    (void)comm.recv_ghost(group.at(from), sub_tag(tag, 7, round));
-  }
 }
 
 }  // namespace conflux::simnet

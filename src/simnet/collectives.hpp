@@ -1,9 +1,9 @@
 /// \file collectives.hpp
 /// Group collectives built from point-to-point messages with the tree shapes
-/// production MPI implementations use (binomial broadcast/reduce,
-/// dissemination barrier). Volumes therefore match what Score-P would count
-/// for the equivalent MPI calls. Broadcast trees forward one immutable
-/// shared payload hop-to-hop (zero-copy fan-out; see message.hpp).
+/// production MPI implementations use (binomial broadcast and reduce).
+/// Volumes therefore match what Score-P would count for the equivalent MPI
+/// calls. Broadcast trees forward one immutable shared payload hop-to-hop
+/// (zero-copy fan-out; see message.hpp).
 ///
 /// Every rank in the group must call the collective with the same tag.
 /// Internal rounds derive sub-tags, so a user tag must not be reused for a
@@ -76,10 +76,6 @@ void reduce_sum(const Comm& comm, const Group& group, int root_index,
 void reduce_ghost(const Comm& comm, const Group& group, int root_index,
                   std::size_t logical_bytes, Tag tag);
 
-/// reduce_sum followed by bcast (tree allreduce).
-void allreduce_sum(const Comm& comm, const Group& group,
-                   std::span<double> inout, Tag tag);
-
 /// Max-magnitude-and-location allreduce, the pivot-search primitive of
 /// partial pivoting: combines (|value|, global_row) pairs, 12 B on the wire
 /// per message (double + int).
@@ -89,8 +85,5 @@ struct MaxLoc {
 };
 MaxLoc allreduce_maxloc(const Comm& comm, const Group& group, MaxLoc mine,
                         Tag tag);
-
-/// Dissemination barrier (zero-byte messages).
-void barrier(const Comm& comm, const Group& group, Tag tag);
 
 }  // namespace conflux::simnet

@@ -46,21 +46,6 @@ void Table::print(std::ostream& os, int indent) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const bool quote = row[c].find(',') != std::string::npos;
-      if (quote) os << '"';
-      os << row[c];
-      if (quote) os << '"';
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string fmt(double value, int prec) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*g", prec, value);

@@ -1,6 +1,6 @@
 /// \file table.hpp
-/// Column-aligned ASCII table and CSV emission used by the benchmark harness
-/// to print the paper's tables and figure series.
+/// Column-aligned ASCII table used by the benchmark harness to print the
+/// paper's tables and figure series.
 #pragma once
 
 #include <iosfwd>
@@ -26,9 +26,6 @@ class Table {
   /// Render with aligned columns, a header underline, and `indent` leading
   /// spaces on every line.
   void print(std::ostream& os, int indent = 0) const;
-
-  /// Render as CSV (RFC-4180-ish; cells containing commas are quoted).
-  void print_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -272,11 +272,4 @@ void ChromeTraceWriter::add_process(int pid, const std::string& name,
   }
 }
 
-void write_chrome_trace(std::ostream& os, const TelemetryBoard& board,
-                        const std::string& name) {
-  ChromeTraceWriter writer(os);
-  writer.add_process(0, name, board);
-  writer.finish();
-}
-
 }  // namespace conflux::telemetry

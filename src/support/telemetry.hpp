@@ -208,8 +208,4 @@ class ChromeTraceWriter {
   Impl* impl_;
 };
 
-/// Single-run convenience: the whole board as one process, pid 0.
-void write_chrome_trace(std::ostream& os, const TelemetryBoard& board,
-                        const std::string& name = "run");
-
 }  // namespace conflux::telemetry

@@ -6,62 +6,20 @@
 
 namespace conflux {
 
-/// Steady-clock stopwatch. Starts running on construction. `seconds()`
-/// reports time since construction/reset; the pause()/resume() pair and
-/// `accumulated_seconds()` support interval accumulation (span timing,
-/// bench warm-up exclusion) without re-deriving it at every call site.
+/// Steady-clock stopwatch. Starts running on construction; `seconds()`
+/// reports the time since then.
 class Stopwatch {
  public:
   Stopwatch() : start_(clock::now()) {}
 
-  /// Restart: running, zero accumulated time.
-  void reset() {
-    start_ = clock::now();
-    accumulated_ = duration::zero();
-    paused_ = false;
-  }
-
-  /// Elapsed seconds since construction or the last reset(), ignoring
-  /// pauses (the original contract — benches that never pause see the
-  /// plain wall interval).
+  /// Elapsed seconds since construction.
   [[nodiscard]] double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds.
-  [[nodiscard]] double millis() const { return seconds() * 1e3; }
-
-  /// Stop accumulating. Idempotent: pausing a paused watch is a no-op.
-  void pause() {
-    if (paused_) return;
-    accumulated_ += clock::now() - start_;
-    paused_ = true;
-  }
-
-  /// Start a new accumulation interval. No-op when already running.
-  void resume() {
-    if (!paused_) return;
-    start_ = clock::now();
-    paused_ = false;
-  }
-
-  [[nodiscard]] bool paused() const { return paused_; }
-
-  /// Total seconds spent running: the sum of all intervals between
-  /// construction/reset/resume and pause, plus the current interval when
-  /// running.
-  [[nodiscard]] double accumulated_seconds() const {
-    duration total = accumulated_;
-    if (!paused_) total += clock::now() - start_;
-    return std::chrono::duration<double>(total).count();
-  }
-
  private:
   using clock = std::chrono::steady_clock;
-  using duration = clock::duration;
   clock::time_point start_;
-  duration accumulated_ = duration::zero();
-  bool paused_ = false;
 };
 
 }  // namespace conflux

@@ -128,7 +128,8 @@ std::string CheckResult::describe() const {
   return os.str();
 }
 
-CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
+CheckResult check_schedule(const Backend& backend,
+                           const factor::FactorConfig& config) {
   CheckResult out;
   out.backend = backend;
   out.config = config;
@@ -136,14 +137,8 @@ CheckResult check_schedule(const Backend& backend, const CheckConfig& config) {
   simnet::TraceRecorder trace;
   MisuseCollector misuse;
 
-  factor::FactorConfig cfg;
-  cfg.n = config.n;
-  cfg.p = config.p;
-  cfg.block = config.block;
+  factor::FactorConfig cfg = config;
   cfg.mode = factor::Mode::DryRun;
-  cfg.seed = config.seed;
-  cfg.grid_optimization = config.grid_optimization;
-  cfg.force_layers = config.force_layers;
   cfg.verify = false;
   cfg.trace = &trace;
   out.run = backend.run(nullptr, cfg);
@@ -189,11 +184,8 @@ std::vector<CheckResult> sweep(const std::vector<Backend>& backends,
       for (int p : p_list)
         for (int c : layer_choices) {
           if (c > p) continue;
-          CheckConfig config;
-          config.n = n;
-          config.p = p;
-          config.force_layers = c;
-          results.push_back(check_schedule(backend, config));
+          results.push_back(check_schedule(
+              backend, {.n = n, .p = p, .force_layers = c}));
         }
   }
   return results;

@@ -15,7 +15,6 @@
 /// configurations before any of its figures count.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,20 +66,10 @@ struct Backend {
 /// gamma): set it as FactorConfig::fabric to get a predicted wall clock.
 [[nodiscard]] simnet::FabricSpec virtual_fabric(const models::Machine& machine);
 
-/// One schedule shape to verify.
-struct CheckConfig {
-  int n = 128;           ///< matrix dimension
-  int p = 8;             ///< ranks
-  int block = 0;         ///< 0 = the backend's auto-tuned block size
-  int force_layers = 0;  ///< 2.5D replication depth (0 = auto)
-  bool grid_optimization = true;
-  std::uint64_t seed = 42;  ///< synthetic pivot seed (LU dry runs)
-};
-
 /// Result of verifying one (backend, config) pair.
 struct CheckResult {
   Backend backend;
-  CheckConfig config;
+  factor::FactorConfig config;  ///< as passed to check_schedule
   factor::FactorResult run;          ///< the dry run's volume/grid report
   std::size_t events = 0;            ///< trace events analyzed
   std::vector<Diagnostic> diags;     ///< all findings, passes + ownership
@@ -93,8 +82,11 @@ struct CheckResult {
 /// Verify one backend under one configuration: dry run with trace attached,
 /// graph build, all passes, volume cross-check against the run's CommVolume
 /// stats and the family's I/O lower bound, ownership lint collection.
+/// `config` gives the schedule's shape (n, p, block, force_layers, seed);
+/// the run itself is always a dry run with verify off and this check's own
+/// trace recorder.
 [[nodiscard]] CheckResult check_schedule(const Backend& backend,
-                                         const CheckConfig& config);
+                                         const factor::FactorConfig& config);
 
 /// The sweep `confscope --check --all` runs: each of `backends` over the given
 /// N and P lists crossed with replication depths {auto, 1, 2} where the

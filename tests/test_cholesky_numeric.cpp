@@ -157,13 +157,6 @@ TEST(Interface, UnknownAlgorithmThrows) {
   EXPECT_THROW(make_cholesky_algorithm("Elemental"), ContractViolation);
 }
 
-TEST(Interface, BothAlgorithmsEnumerated) {
-  const auto algos = all_cholesky_algorithms();
-  ASSERT_EQ(algos.size(), 2u);
-  EXPECT_EQ(algos[0]->name(), "ScaLAPACK");
-  EXPECT_EQ(algos[1]->name(), "COnfCHOX");
-}
-
 TEST(Interface, NumericModeRequiresMatrix) {
   CholConfig cfg;
   cfg.n = 32;

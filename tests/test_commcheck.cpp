@@ -371,10 +371,7 @@ TEST(CommContext, FailureMessageCarriesLocation) {
 TEST(CommCheck, EveryRegisteredBackendVerifiesClean) {
   for (const Backend& backend : registered_backends())
     for (int p : {4, 8}) {
-      CheckConfig config;
-      config.n = 128;
-      config.p = p;
-      const CheckResult result = check_schedule(backend, config);
+      const CheckResult result = check_schedule(backend, {.n = 128, .p = p});
       EXPECT_TRUE(result.ok()) << result.describe();
       for (const Diagnostic& d : result.diags)
         ADD_FAILURE() << to_string(d);
@@ -387,11 +384,8 @@ TEST(CommCheck, ForcedReplicationDepthsVerifyClean) {
   for (const char* name : {"COnfLUX", "CALU", "COnfCHOX"})
     for (int c : {1, 2}) {
       const Backend backend = find_backend(name);
-      CheckConfig config;
-      config.n = 128;
-      config.p = 8;
-      config.force_layers = c;
-      const CheckResult result = check_schedule(backend, config);
+      const CheckResult result =
+          check_schedule(backend, {.n = 128, .p = 8, .force_layers = c});
       EXPECT_TRUE(result.ok()) << result.describe();
     }
 }
@@ -425,10 +419,8 @@ TEST(CommCheck, NumericRunsVerifyCleanToo) {
   // And the schedule matches the dry run's graph event-for-event (the
   // Numeric/DryRun duality the volume tests assert in bytes, here in full
   // schedule shape).
-  CheckConfig config;
-  config.n = 64;
-  config.p = 4;
-  const CheckResult dry = check_schedule(find_backend("COnfCHOX"), config);
+  const CheckResult dry =
+      check_schedule(find_backend("COnfCHOX"), {.n = 64, .p = 4});
   EXPECT_TRUE(dry.ok()) << dry.describe();
   EXPECT_EQ(dry.events, rec.size());
 }
@@ -548,36 +540,37 @@ TEST(Registry, LayeredMatchesWhatTheEngineDoes) {
 }
 
 TEST(Registry, RunMatchesTheFamilyFactory) {
-  // Every backend of both family factories is registered under its family,
-  // and Backend::run reports the factory's CommVolume bit for bit.
+  // The registry and the two family factories name the same backends:
+  // every registered name constructs through its own family's factory (and
+  // is unknown to the other's), and Backend::run reports that object's
+  // dry-run CommVolume bit for bit.
   factor::FactorConfig cfg;
   cfg.n = 128;
   cfg.p = 8;
   cfg.mode = factor::Mode::DryRun;
-  const auto expect_same = [&](const factor::FactorResult& want,
-                               const std::string& family,
-                               const std::string& name) {
-    const Backend b = find_backend(name);
-    EXPECT_EQ(b.family, family) << name;
+  for (const Backend& b : registered_backends()) {
+    const bool lu_family = b.family == "LU";
+    ASSERT_TRUE(lu_family || b.family == "Cholesky") << b.family;
+    factor::FactorResult want;
+    if (lu_family) {
+      want = lu::make_algorithm(b.name)->run(nullptr, cfg);
+      EXPECT_THROW((void)cholesky::make_cholesky_algorithm(b.name),
+                   ContractViolation)
+          << b.name;
+    } else {
+      want = cholesky::make_cholesky_algorithm(b.name)->run(nullptr, cfg);
+      EXPECT_THROW((void)lu::make_algorithm(b.name), ContractViolation)
+          << b.name;
+    }
     const factor::FactorResult got = b.run(nullptr, cfg);
-    EXPECT_EQ(got.total.bytes_sent, want.total.bytes_sent) << name;
-    EXPECT_EQ(got.total.messages_sent, want.total.messages_sent) << name;
-    EXPECT_EQ(got.total.bytes_received, want.total.bytes_received) << name;
+    EXPECT_EQ(got.total.bytes_sent, want.total.bytes_sent) << b.name;
+    EXPECT_EQ(got.total.messages_sent, want.total.messages_sent) << b.name;
+    EXPECT_EQ(got.total.bytes_received, want.total.bytes_received) << b.name;
     EXPECT_EQ(got.total.messages_received, want.total.messages_received)
-        << name;
-    EXPECT_EQ(got.max_rank_bytes, want.max_rank_bytes) << name;
-    EXPECT_EQ(got.grid, want.grid) << name;
-  };
-  std::size_t factories = 0;
-  for (const auto& algo : lu::all_algorithms()) {
-    expect_same(algo->run(nullptr, cfg), "LU", algo->name());
-    ++factories;
+        << b.name;
+    EXPECT_EQ(got.max_rank_bytes, want.max_rank_bytes) << b.name;
+    EXPECT_EQ(got.grid, want.grid) << b.name;
   }
-  for (const auto& algo : cholesky::all_cholesky_algorithms()) {
-    expect_same(algo->run(nullptr, cfg), "Cholesky", algo->name());
-    ++factories;
-  }
-  EXPECT_EQ(factories, registered_backends().size());
 }
 
 TEST(Registry, SelectionRejectsUnknownNamesAndFamilies) {

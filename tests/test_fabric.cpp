@@ -89,7 +89,8 @@ TEST(Multicast, TakeIsolatesRecipientMutations) {
       EXPECT_EQ(view[1], 2.0);
       EXPECT_EQ(view[2], 3.0);
     }
-    barrier(comm, world, 99);
+    // Reduce-then-broadcast: no rank leaves before every rank has arrived.
+    (void)allreduce_maxloc(comm, world, {}, 99);
   });
 }
 

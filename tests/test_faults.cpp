@@ -122,7 +122,7 @@ TEST(Chaos, VirtualTimeChaosRunIsBitReproducible) {
                 std::vector<double>(32, 1.0));
       (void)comm.recv_view((comm.rank() + p - 1) % p,
                            make_tag(1, unsigned(s)));
-      barrier(comm, world, make_tag(2, unsigned(s)));
+      (void)allreduce_maxloc(comm, world, {}, make_tag(2, unsigned(s)));
     }
   };
   double makespans[2];

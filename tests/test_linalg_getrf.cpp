@@ -1,6 +1,6 @@
 // Tests for sequential LU with partial pivoting: residuals across matrix
-// families and shapes, blocked/unblocked agreement, pivot bookkeeping, and
-// the fused residual product across its output tiles.
+// families and shapes, pivot bookkeeping, and the fused residual product
+// across its output tiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,39 +35,12 @@ TEST_P(GetrfFamily, UnblockedResidualSmall) {
   EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
 }
 
-TEST_P(GetrfFamily, BlockedMatchesUnblocked) {
-  const auto [kind, n] = GetParam();
-  const Matrix a = generate(n, kind, 22);
-  Matrix f1 = a, f2 = a;
-  std::vector<int> p1(static_cast<std::size_t>(n)), p2(p1);
-  (void)getrf_unblocked(f1.view(), p1);
-  (void)getrf_blocked(f2.view(), p2, 8);
-  // Partial pivoting is deterministic: identical pivots and factors.
-  EXPECT_EQ(p1, p2);
-  EXPECT_LT(max_abs_diff(f1.view(), f2.view()), 1e-12);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Families, GetrfFamily,
     ::testing::Combine(::testing::Values(MatrixKind::Uniform,
                                          MatrixKind::DiagDominant,
                                          MatrixKind::Interaction),
                        ::testing::Values(1, 2, 5, 16, 33, 64, 100)));
-
-class GetrfBlocking : public ::testing::TestWithParam<int> {};
-
-TEST_P(GetrfBlocking, AnyPanelWidthWorks) {
-  const int nb = GetParam();
-  const int n = 48;
-  const Matrix a = generate(n, MatrixKind::Uniform, 23);
-  Matrix f = a;
-  std::vector<int> ipiv(static_cast<std::size_t>(n));
-  EXPECT_EQ(getrf_blocked(f.view(), ipiv, nb), FactorStatus::Ok);
-  EXPECT_LT(lu_residual(a, f.view(), perm_of(a, ipiv)), 1e-13);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, GetrfBlocking,
-                         ::testing::Values(1, 2, 3, 7, 8, 16, 48, 100));
 
 TEST(Getrf, TallMatrixFactorsLeadingColumns) {
   const Matrix a = generate(20, 6, MatrixKind::Uniform, 24);
@@ -280,11 +253,11 @@ TEST_P(LuResidualTiles, MatchesDenseProduct) {
   const double want = permuted_max_diff(ref, prod, row_of);
   EXPECT_GT(want, 0.0);
   EXPECT_NEAR(got, want, 1e-12);
-  // Above gemm_optimized's small-problem cutoff the sums run in the same
-  // order as its packed path: every entry equal bit for bit.
+  // Above gemm's small-problem cutoff the sums run in the same order as
+  // its packed path: every entry equal bit for bit.
   if (n > 48) {
     Matrix opt(n, n);
-    gemm_optimized(1.0, l.view(), u.view(), 0.0, opt.view());
+    gemm(1.0, l.view(), u.view(), 0.0, opt.view());
     Matrix opt_ref(n, n);
     for (int i = 0; i < n; ++i)
       for (int j = 0; j < n; ++j) opt_ref(row_of[i], j) = opt(i, j);
@@ -299,7 +272,7 @@ TEST_P(LuResidualTiles, DetectsOnePerturbedEntry) {
   const Matrix a = generate(n, MatrixKind::Uniform, 36);
   Matrix f = a;
   std::vector<int> ipiv(static_cast<std::size_t>(n));
-  ASSERT_EQ(getrf_blocked(f.view(), ipiv, 32), FactorStatus::Ok);
+  ASSERT_EQ(getrf_unblocked(f.view(), ipiv), FactorStatus::Ok);
   const std::vector<int> perm = perm_of(a, ipiv);
   EXPECT_LT(lu_residual(a, f.view(), perm), 1e-13);
   // (n-1, n-1) has the longest k range, (255, 256) sits on a tile edge and

@@ -86,12 +86,11 @@ TEST(Copy, CopiesBlockwise) {
   EXPECT_THROW(copy(a.view(), Matrix(2, 3).view()), ContractViolation);
 }
 
-TEST(Norms, MaxAbsAndFrobenius) {
+TEST(Norms, MaxAbs) {
   Matrix a(2, 2);
   a(0, 0) = 3;
   a(1, 1) = -4;
   EXPECT_EQ(max_abs(a.view()), 4.0);
-  EXPECT_NEAR(frobenius(a.view()), 5.0, 1e-15);
 }
 
 TEST(Norms, MaxAbsDiff) {

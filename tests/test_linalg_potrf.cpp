@@ -1,5 +1,5 @@
-// Sequential Cholesky (potrf): unblocked vs blocked agreement, residuals on
-// the SPD matrix families, non-SPD detection, and the lower-triangle-only
+// Sequential Cholesky (potrf): residuals on the SPD matrix families,
+// non-SPD detection, and the lower-triangle-only
 // contract that lets the distributed algorithms carry junk above the
 // diagonal, and the fused L * L^T residual product across its output tiles.
 #include <gtest/gtest.h>
@@ -61,28 +61,6 @@ TEST(PotrfUnblocked, IgnoresUpperTriangleJunk) {
   EXPECT_EQ(potrf_unblocked(junk.view()), FactorStatus::Ok);
   EXPECT_LT(cholesky_residual(a, junk.view()), kTol);
 }
-
-class PotrfBlocked : public ::testing::TestWithParam<int> {};
-
-TEST_P(PotrfBlocked, MatchesUnblocked) {
-  const int nb = GetParam();
-  const Matrix a = generate(96, MatrixKind::Spd, 14);
-  Matrix ref = a;
-  Matrix blk = a;
-  EXPECT_EQ(potrf_unblocked(ref.view()), FactorStatus::Ok);
-  EXPECT_EQ(potrf_blocked(blk.view(), nb), FactorStatus::Ok);
-  // Cholesky is unique (positive diagonal), so the factors agree to
-  // roundoff, not just the residual.
-  double diff = 0.0;
-  for (int i = 0; i < 96; ++i)
-    for (int j = 0; j <= i; ++j)
-      diff = std::max(diff, std::abs(ref(i, j) - blk(i, j)));
-  EXPECT_LT(diff, 1e-10);
-  EXPECT_LT(cholesky_residual(a, blk.view()), kTol);
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, PotrfBlocked,
-                         ::testing::Values(1, 7, 16, 32, 96, 128));
 
 TEST(ExtractLower, ZeroesAboveDiagonal) {
   Matrix f(3, 3);
@@ -151,11 +129,11 @@ TEST_P(CholeskyResidualTiles, MatchesDenseProductOnLowerTriangle) {
       TriangularProduct::LLt, f.view(), f.view(), ref.view(), row_of);
   EXPECT_GT(want, 0.0);
   EXPECT_NEAR(got, want, 1e-12);
-  // Above gemm_optimized's small-problem cutoff the sums run in the same
-  // order as its packed path: every compared entry equal bit for bit.
+  // Above gemm's small-problem cutoff the sums run in the same order as
+  // its packed path: every compared entry equal bit for bit.
   if (n > 48) {
     Matrix opt(n, n);
-    gemm_optimized(1.0, l.view(), lt.view(), 0.0, opt.view());
+    gemm(1.0, l.view(), lt.view(), 0.0, opt.view());
     for (int i = 0; i < n; ++i)
       for (int j = 0; j <= i; ++j) ref(row_of[i], j) = opt(i, j);
     EXPECT_EQ(triangular_product_max_diff(TriangularProduct::LLt, f.view(),
@@ -168,7 +146,7 @@ TEST_P(CholeskyResidualTiles, DetectsOnePerturbedEntry) {
   const int n = GetParam();
   const Matrix a = generate(n, MatrixKind::Spd, 20);
   Matrix f = a;
-  ASSERT_EQ(potrf_blocked(f.view(), 32), FactorStatus::Ok);
+  ASSERT_EQ(potrf_unblocked(f.view()), FactorStatus::Ok);
   EXPECT_LT(cholesky_residual(a, f.view()), kTol);
   // The lower-triangle mirrors of the LU spots: (n-1, n-1) has the longest
   // k range, (256, 255) sits on a tile edge, (n-1, 0) reaches the last row.

@@ -205,14 +205,6 @@ TEST(Interface, UnknownAlgorithmThrows) {
   EXPECT_THROW(make_algorithm("HPL"), ContractViolation);
 }
 
-TEST(Interface, AllAlgorithmsEnumerated) {
-  const auto algos = all_algorithms();
-  ASSERT_EQ(algos.size(), 5u);
-  EXPECT_EQ(algos[0]->name(), "LibSci");
-  EXPECT_EQ(algos[3]->name(), "COnfLUX");
-  EXPECT_EQ(algos[4]->name(), "CALU");
-}
-
 TEST(Interface, NumericModeRequiresMatrix) {
   LuConfig cfg;
   cfg.n = 32;

@@ -229,7 +229,6 @@ TEST(Ablation, GridOptimizationSmoothsAwkwardRankCounts) {
   cfg.n = 1024;
   cfg.p = 61;  // prime
   cfg.mode = Mode::DryRun;
-  cfg.grid_optimization = true;
   const double optimized =
       make_algorithm("COnfLUX")->run(nullptr, cfg).total_bytes();
   const double libsci_prime =

@@ -301,7 +301,7 @@ TEST(Telemetry, ChromeTraceIsValidLoadableJson) {
   telemetry::TelemetryBoard board;
   (void)run_with_board({"LU", "COnfLUX"}, &board, 128, 4);
   std::ostringstream os;
-  telemetry::write_chrome_trace(os, board, "COnfLUX");
+  telemetry::ChromeTraceWriter(os).add_process(0, "COnfLUX", board);
   const std::string trace = os.str();
   EXPECT_TRUE(JsonChecker::valid(trace)) << trace.substr(0, 400);
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);

@@ -194,9 +194,11 @@ TEST(VirtualTime, CollectivesRunAtScale) {
   std::vector<double> sums(static_cast<std::size_t>(p), 0.0);
   run_spmd(net, [&](Comm& comm) {
     const Group all = Group::iota(p);
+    // Tree reduce onto rank 0, then broadcast the total back down.
     std::vector<double> v{static_cast<double>(comm.rank() + 1)};
-    allreduce_sum(comm, all, v, make_tag(4, 0, 0));
-    sums[static_cast<std::size_t>(comm.rank())] = v[0];
+    reduce_sum(comm, all, 0, v, make_tag(4, 0, 0));
+    bcast(comm, all, 0, v, make_tag(4, 1, 0));
+    sums[static_cast<std::size_t>(comm.rank())] = v.at(0);
   });
   const double expect = p * (p + 1) / 2.0;
   for (int r = 0; r < p; ++r)
@@ -311,8 +313,7 @@ TEST(VirtualTime, CommVolumeMatchesHostClockBitForBit) {
     comm.send((r + 5) % p, make_tag(2, 0, r), std::vector<double>(r + 1, 1.0));
     (void)comm.recv((r + p - 5) % p, make_tag(2, 0, (r + p - 5) % p));
     const Group all = Group::iota(p);
-    std::vector<double> v{1.0};
-    allreduce_sum(comm, all, v, make_tag(2, 1, 0));
+    (void)allreduce_maxloc(comm, all, {1.0, r}, make_tag(2, 1, 0));
   };
 
   Network host(p);

@@ -655,12 +655,9 @@ int run_check(const std::vector<Backend>& selected, Options opt) {
     for (const Backend& b : selected)
       for (int n : opt.n_list)
         for (int p : opt.p_list) {
-          conflux::verify::CheckConfig config;
-          config.n = n;
-          config.p = p;
-          config.force_layers = opt.layers;
-          config.block = opt.block;
-          results.push_back(conflux::verify::check_schedule(b, config));
+          results.push_back(conflux::verify::check_schedule(
+              b, {.n = n, .p = p, .block = opt.block,
+                  .force_layers = opt.layers}));
         }
 
   int failed = 0;

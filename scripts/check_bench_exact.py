@@ -20,7 +20,13 @@ op, 2 on a usage error (no result files, missing baseline file).
 import argparse
 import json
 import pathlib
+import re
 import sys
+
+# A result file: <workload>-seed<digits>.json. Traced runs write
+# <workload>-seed<S>.trace.json and <workload>-seed<S>-traced.json next to
+# it; those are not results.
+RESULT_NAME = re.compile(r".+-seed\d+\.json")
 
 
 def main() -> int:
@@ -31,7 +37,7 @@ def main() -> int:
     args = parser.parse_args()
 
     files = sorted(p for p in args.results.glob("*-seed*.json")
-                   if not p.name.endswith("-traced.json"))
+                   if RESULT_NAME.fullmatch(p.name))
     if not files:
         print(f"no result files in {args.results}", file=sys.stderr)
         return 2

@@ -51,8 +51,9 @@ class CholeskyAlgorithm {
  public:
   virtual ~CholeskyAlgorithm() = default;
 
-  /// Factor the SPD matrix `a` (lower triangle read) under `cfg`. In
-  /// DryRun mode `a` may be null. In Numeric mode with cfg.verify, the
+  /// Factor the SPD matrix `a` (its lower triangle decides L) under
+  /// `cfg`. In DryRun mode `a` is ignored (it may be null); in Numeric
+  /// mode it must be N x N. In Numeric mode with cfg.verify, the
   /// result carries the scaled residual max|L L^T - A| / (N max|A|).
   [[nodiscard]] virtual CholResult run(const linalg::Matrix* a,
                                        const CholConfig& cfg) = 0;

@@ -50,6 +50,7 @@ std::vector<int> tile_rows(const std::vector<int>& tiles, int v) {
 /// The owner of tile (t, t) on the reducing layer runs the sequential
 /// potrf; L00 then travels to every active rank (v^2 per step — the same
 /// lower-order term as COnfLUX's A00 broadcast, minus the pivot indices).
+/// Returns L00, or an empty matrix for a ghost.
 Matrix factor_and_bcast_a00(const Plan25D& plan, TileStore& store,
                             const Comm& comm, int t, int l_star, int py_c,
                             const simnet::Group& world,
@@ -58,7 +59,7 @@ Matrix factor_and_bcast_a00(const Plan25D& plan, TileStore& store,
   const std::size_t vv = static_cast<std::size_t>(v) * v;
   const int root = plan.g.rank_of({t % plan.g.px_extent(), py_c, l_star});
   std::vector<double> flat;
-  if (plan.numeric && comm.rank() == root) {
+  if (store.holds_input() && comm.rank() == root) {
     flat.assign(vv, 0.0);
     linalg::MatrixView tile(store.tile_at(t, t), v, v, v);
     if (linalg::potrf_unblocked(tile) != linalg::FactorStatus::Ok)
@@ -67,37 +68,29 @@ Matrix factor_and_bcast_a00(const Plan25D& plan, TileStore& store,
       for (int j = 0; j <= i; ++j)
         flat[static_cast<std::size_t>(i) * v + j] = tile(i, j);
   }
-  const simnet::BufferView got = simnet::bcast(
-      comm, world, root, simnet::payload_or_ghost(std::move(flat)),
-      vv * sizeof(double), make_tag(3, static_cast<std::uint32_t>(t), 0));
-  Matrix a00(v, v);
-  if (plan.numeric) std::copy(got.data(), got.data() + vv, a00.data());
-  return a00;
+  return simnet::matrix_or_empty(
+      simnet::bcast(comm, world, root,
+                    simnet::payload_or_ghost(std::move(flat)),
+                    vv * sizeof(double),
+                    make_tag(3, static_cast<std::uint32_t>(t), 0)),
+      v, v);
 }
 
 /// ---- Step 3: panel solve at the row leaders ------------------------------
 /// The reduced strip below the diagonal already lives, grouped by tile-row
 /// owner px, on the column owners (px, py_c, l_star) — the same px-aligned
 /// 1D layout COnfLUX uses, so L10 := A10 * L00^{-T} runs in place with no
-/// redistribution. Returns the solved `rows` x v panel on numeric leaders,
-/// an empty matrix elsewhere, and writes it into `gathered` (when non-null)
-/// at its rows, columns t*v on.
-Matrix solve_panel(const Plan25D& plan, TileStore& store, int t, int l_star,
-                   int py_c, std::span<const int> rows, const Matrix& a00,
-                   Matrix* gathered) {
-  Matrix panel;
+/// redistribution. Returns the solved `rows` x v panel on the leaders whose
+/// store holds input, an empty matrix elsewhere, and writes it into
+/// `gathered` (when non-null) at its rows, columns t*v on.
+Matrix solve_panel(const Plan25D& plan, const TileStore& store, int t,
+                   int l_star, int py_c, std::span<const int> rows,
+                   const Matrix& a00, Matrix* gathered) {
   const grid::Coord3& me = store.me();
-  if (me.py != py_c || me.l != l_star) return panel;
-  if (rows.empty() || !plan.numeric) return panel;
-
-  const int v = plan.v;
-  const int col0 = t * v;
-  panel = Matrix(static_cast<int>(rows.size()), v);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const double* base = &store.elem_at(rows[i], col0);
-    auto dst = panel.row(static_cast<int>(i));
-    std::copy(base, base + v, dst.begin());
-  }
+  if (me.py != py_c || me.l != l_star) return {};
+  const int col0 = t * plan.v;
+  Matrix panel = store.read(rows, col0);
+  if (panel.empty()) return panel;
   // L10 := A10 * L00^{-T}.
   linalg::trsm_right_lower_transposed(a00.view(), panel.view());
   if (gathered != nullptr)
@@ -118,7 +111,8 @@ Matrix solve_panel(const Plan25D& plan, TileStore& store, int t, int l_star,
 /// It — i.e. leader (It % Px, py_c, l_star) -> every (*, It % Py, l).
 struct ColSlice {
   std::vector<int> tiles;  ///< my trailing column tiles
-  Matrix values;  ///< slice x (tiles * v): values(k, j) = L10(col_j, k)
+  Matrix values;  ///< slice x (tiles * v): values(k, j) = L10(col_j, k);
+                  ///< empty when only ghosts arrived
   grid::Range slice;
 };
 
@@ -152,7 +146,7 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
         const std::size_t count =
             group.size() * static_cast<std::size_t>(v) * slice.size();
         std::vector<double> buf;
-        if (plan.numeric) {
+        if (!panel.empty()) {
           buf.reserve(count);
           for (int i : group)
             for (int q = 0; q < v; ++q) {
@@ -171,9 +165,6 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
   const auto mine = owned_tiles(plan, t + 1, py_count, me.py);
   if (!mine.empty() && out.slice.size() > 0) {
     out.tiles = mine;
-    if (plan.numeric)
-      out.values =
-          Matrix(out.slice.size(), static_cast<int>(mine.size()) * v);
     for (int px1 = 0; px1 < px_count; ++px1) {
       std::vector<int> sub;  // positions of my column tiles owned by px1
       for (std::size_t j = 0; j < mine.size(); ++j)
@@ -181,7 +172,10 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
       if (sub.empty()) continue;
       const simnet::BufferView buf =
           comm.recv_view(plan.g.rank_of({px1, py_c, l_star}), tag);
-      if (!plan.numeric) continue;
+      if (buf.empty()) continue;  // a ghost: nothing to place
+      if (out.values.empty())
+        out.values =
+            Matrix(out.slice.size(), static_cast<int>(mine.size()) * v);
       const double* in = buf.data();
       for (int j : sub)
         for (int q = 0; q < v; ++q)
@@ -198,11 +192,9 @@ ColSlice multicast_cols(const Plan25D& plan, const grid::Coord3& me,
 void schur_update_local(const Plan25D& plan, TileStore& store,
                         const factor::RowSlice& rows, const ColSlice& cols,
                         int t) {
-  if (!plan.numeric) return;
+  if (rows.values.empty() || cols.values.empty()) return;
   const auto row_tiles =
       owned_tiles(plan, t + 1, plan.g.px_extent(), store.me().px);
-  if (row_tiles.empty() || cols.tiles.empty() || rows.slice.size() == 0)
-    return;
   CONFLUX_ASSERT(rows.slice.begin == cols.slice.begin &&
                  rows.slice.end == cols.slice.end);
   const int v = plan.v;
@@ -238,15 +230,14 @@ void schur_update_local(const Plan25D& plan, TileStore& store,
 }  // namespace
 
 CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
-  CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
-
+  const linalg::Matrix* const input = factor::run_input(cfg, a);
   const Plan25D plan =
       factor::resolve_plan25d(cfg, grid::confchox_cost_per_rank);
 
-  // Numeric runs that check or keep L collect it out of band (not part of
-  // the measured volume): every rank writes the entries it finishes into
-  // `gathered`.
-  const bool gather = plan.numeric && (cfg.verify || cfg.keep_factors);
+  // A run on an input that checks or keeps L collects it out of band (not
+  // part of the measured volume): every rank writes the entries it
+  // finishes into `gathered`.
+  const bool gather = input != nullptr && (cfg.verify || cfg.keep_factors);
   Matrix gathered;
   if (gather) gathered = Matrix(plan.n, plan.n);
   std::atomic<bool> not_spd{false};
@@ -257,23 +248,9 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
 
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
-    TileStore store(plan, plan.g.coord_of(comm.rank()));
+    TileStore store(plan, plan.g.coord_of(comm.rank()), input);
     const grid::Coord3& coord = store.me();
     const int px_count = plan.g.px_extent();
-
-    if (plan.numeric && coord.l == 0) {
-      // Layer 0 holds A's lower tiles; the other layers hold zero partial
-      // sums.
-      const int tiles_total = plan.n / plan.v;
-      for (int it = coord.px; it < tiles_total; it += px_count)
-        for (int jt = coord.py; jt <= it; jt += plan.g.py_extent()) {
-          double* tl = store.tile_at(it, jt);
-          for (int i = 0; i < plan.v; ++i)
-            for (int j = 0; j < plan.v; ++j)
-              tl[static_cast<std::size_t>(i) * plan.v + j] =
-                  (*a)(it * plan.v + i, jt * plan.v + j);
-        }
-    }
 
     const int me = comm.rank();
     for (int t = 0; t < plan.steps; ++t) {
@@ -328,7 +305,7 @@ CholResult Confchox25D::run(const linalg::Matrix* a, const CholConfig& cfg) {
   result.grid = plan.g.to_string();
   result.block = plan.v;
   result.spd = !not_spd.load(std::memory_order_relaxed);
-  if (gather) finish_cholesky(result, *a, cfg, std::move(gathered));
+  if (gather) finish_cholesky(result, *input, cfg, std::move(gathered));
   return result;
 }
 

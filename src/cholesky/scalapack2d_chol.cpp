@@ -27,8 +27,7 @@ struct BodyParams {
   int n = 0;
   int nb = 0;
   Grid2D g{1, 1};
-  bool numeric = true;
-  const Matrix* a = nullptr;
+  const Matrix* input = nullptr;  ///< factor::run_input: null in a dry run
   Matrix* gathered = nullptr;  ///< out-of-band factor collection (verify)
   std::atomic<bool>* not_spd = nullptr;
   telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope spans (optional)
@@ -38,20 +37,12 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
   const int n = params.n;
   const int nb = params.nb;
   const Grid2D& g = params.g;
-  const bool numeric = params.numeric;
   CONFLUX_EXPECTS(n % nb == 0);
   const int me_rank = comm.rank();
 
-  factor::Local2D me(n, nb, g, comm.rank());
-  if (numeric) {
-    me.loc = Matrix(static_cast<int>(me.my_rows.size()),
-                    static_cast<int>(me.my_cols.size()));
-    for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-      for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-        if (me.my_rows[i] >= me.my_cols[j])  // lower triangle only
-          me.loc(static_cast<int>(i), static_cast<int>(j)) =
-              (*params.a)(me.my_rows[i], me.my_cols[j]);
-  }
+  // Only the lower triangle is factored: the entries above the diagonal
+  // are loaded and updated but never read back.
+  factor::Local2D me(n, nb, g, comm.rank(), params.input);
 
   // Every collective below runs over my own process row or column (the
   // diagonal broadcast runs only where me.pc == pck), so both groups are
@@ -67,13 +58,13 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     const std::uint32_t ts = static_cast<std::uint32_t>(s);
 
     // ---- Diagonal block: factor and broadcast L00 down the column -------
-    Matrix l00(nb, nb);
+    Matrix l00;  // empty off the panel column and for a ghost
     if (me.pc == pck) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPanelFactor, s);
       const std::size_t count = static_cast<std::size_t>(nb) * nb;
       std::vector<double> buf;
-      if (numeric && me.pr == prk) {
+      if (me.holds_input() && me.pr == prk) {
         buf.assign(count, 0.0);
         linalg::MatrixView a00 =
             me.loc.block(me.lrow(k0), me.lcol(k0), nb, nb);
@@ -83,17 +74,17 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
           for (int j = 0; j <= i; ++j)
             buf[static_cast<std::size_t>(i) * nb + j] = a00(i, j);
       }
-      const simnet::BufferView got = simnet::bcast(
-          comm, my_col, prk,
-          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
-          make_tag(20, ts, 0));
-      if (numeric) std::copy(got.data(), got.data() + count, l00.data());
+      l00 = simnet::matrix_or_empty(
+          simnet::bcast(comm, my_col, prk,
+                        simnet::payload_or_ghost(std::move(buf)),
+                        count * sizeof(double), make_tag(20, ts, 0)),
+          nb, nb);
     }
 
     // ---- Panel solve: L10 := A10 * L00^{-T} on the panel column ---------
     const int mrow0 = me.lrow_lower_bound(k0 + nb);
     const int mtrail = static_cast<int>(me.my_rows.size()) - mrow0;
-    if (numeric && me.pc == pck && mtrail > 0) {
+    if (!l00.empty() && mtrail > 0) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kTrsm, s);
       linalg::trsm_right_lower_transposed(
@@ -107,21 +98,18 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
                                        telemetry::kSchurUpdate, s);
       const std::size_t count = static_cast<std::size_t>(mtrail) * nb;
       std::vector<double> buf;
-      if (numeric && me.pc == pck) {
+      if (me.holds_input() && me.pc == pck) {
         buf.resize(count);
         for (int il = 0; il < mtrail; ++il)
           for (int q = 0; q < nb; ++q)
             buf[static_cast<std::size_t>(il) * nb + q] =
                 me.loc(mrow0 + il, me.lcol(k0) + q);
       }
-      const simnet::BufferView got = simnet::bcast(
-          comm, my_row, pck,
-          simnet::payload_or_ghost(std::move(buf)), count * sizeof(double),
-          make_tag(24, ts, 0));
-      if (numeric) {
-        lpanel = Matrix(mtrail, nb);
-        std::copy(got.data(), got.data() + count, lpanel.data());
-      }
+      lpanel = simnet::matrix_or_empty(
+          simnet::bcast(comm, my_row, pck,
+                        simnet::payload_or_ghost(std::move(buf)),
+                        count * sizeof(double), make_tag(24, ts, 0)),
+          mtrail, nb);
     }
 
     // ---- Transpose: re-broadcast rows into their process columns --------
@@ -132,7 +120,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     const int ncol0 = me.lcol_lower_bound(k0 + nb);
     const int ntrail = static_cast<int>(me.my_cols.size()) - ncol0;
     Matrix colpanel;  // nb x ntrail: colpanel(k, jc) = L10(col_jc, k)
-    if (numeric && ntrail > 0) colpanel = Matrix(nb, ntrail);
+    if (me.holds_input() && ntrail > 0) colpanel = Matrix(nb, ntrail);
     {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
@@ -149,7 +137,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
         const std::size_t count =
             rows_pr.size() * static_cast<std::size_t>(nb);
         std::vector<double> buf;
-        if (numeric && me.pr == pr) {
+        if (!lpanel.empty() && me.pr == pr) {
           buf.reserve(count);
           for (int c2 : rows_pr) {
             auto row = lpanel.row(me.lrow(c2) - mrow0);
@@ -160,7 +148,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
             comm, my_col, pr, simnet::payload_or_ghost(std::move(buf)),
             count * sizeof(double),
             make_tag(25, ts, static_cast<std::uint32_t>(pr)));
-        if (!numeric) continue;
+        if (got.empty()) continue;  // a ghost: nothing to place
         const double* in = got.data();
         for (int c2 : rows_pr) {
           const int jc = me.lcol(c2) - ncol0;
@@ -170,7 +158,7 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
     }
 
     // ---- Local trailing update A11 -= L10 * L10^T -----------------------
-    if (numeric && mtrail > 0 && ntrail > 0) {
+    if (!lpanel.empty() && !colpanel.empty()) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
       linalg::schur_update(me.loc.block(mrow0, ncol0, mtrail, ntrail),
@@ -179,13 +167,8 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
   }
 
   // ---- Out-of-band result collection (not part of measured volume) -----
-  if (numeric && params.gathered != nullptr) {
-    for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-      for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-        if (me.my_rows[i] >= me.my_cols[j])
-          (*params.gathered)(me.my_rows[i], me.my_cols[j]) =
-              me.loc(static_cast<int>(i), static_cast<int>(j));
-  }
+  if (params.gathered != nullptr)
+    me.gather_into(*params.gathered, /*lower_only=*/true);
 }
 
 }  // namespace
@@ -193,8 +176,6 @@ void cholesky2d_body(Comm& comm, const BodyParams& params) {
 CholResult Scalapack2DCholesky::run(const linalg::Matrix* a,
                                     const CholConfig& cfg) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
-  CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
-
   const Grid2D g = grid::choose_grid_2d_all_ranks(cfg.p);
   const int nb =
       grid::choose_block_size(cfg.n, 1, cfg.block > 0 ? cfg.block : 64);
@@ -203,14 +184,14 @@ CholResult Scalapack2DCholesky::run(const linalg::Matrix* a,
   params.n = cfg.n;
   params.nb = nb;
   params.g = g;
-  params.numeric = (cfg.mode == Mode::Numeric);
-  params.a = a;
+  params.input = factor::run_input(cfg, a);
   params.tel = cfg.telemetry;
   std::atomic<bool> not_spd{false};
   params.not_spd = &not_spd;
 
   Matrix gathered;
-  const bool gather = params.numeric && (cfg.verify || cfg.keep_factors);
+  const bool gather =
+      params.input != nullptr && (cfg.verify || cfg.keep_factors);
   if (gather) {
     gathered = Matrix(cfg.n, cfg.n);
     params.gathered = &gathered;
@@ -228,7 +209,7 @@ CholResult Scalapack2DCholesky::run(const linalg::Matrix* a,
   result.grid = g.to_string();
   result.block = nb;
   result.spd = !not_spd.load(std::memory_order_relaxed);
-  if (gather) finish_cholesky(result, *a, cfg, std::move(gathered));
+  if (gather) finish_cholesky(result, *params.input, cfg, std::move(gathered));
   return result;
 }
 

@@ -21,7 +21,6 @@ Plan25D resolve_plan25d(const FactorConfig& cfg, grid::GridCostFn cost) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
   Plan25D plan;
   plan.n = cfg.n;
-  plan.numeric = (cfg.mode == Mode::Numeric);
   plan.tel = cfg.telemetry;
   if (cfg.force_layers > 0) {
     const int c = std::min(cfg.force_layers, cfg.p);
@@ -45,16 +44,35 @@ Plan25D resolve_plan25d(const FactorConfig& cfg, grid::GridCostFn cost) {
   return plan;
 }
 
-TileStore::TileStore(const Plan25D& plan, grid::Coord3 me)
+TileStore::TileStore(const Plan25D& plan, grid::Coord3 me,
+                     const linalg::Matrix* input)
     : me_(me),
       v_(plan.v),
       px_(plan.g.px_extent()),
-      py_(plan.g.py_extent()) {
-  if (!plan.numeric) return;
+      py_(plan.g.py_extent()),
+      holds_input_(input != nullptr) {
+  if (input == nullptr) return;
   const int tiles_total = plan.n / plan.v;
   const int ltr = (tiles_total - me.px + px_ - 1) / px_;
   ltc_ = (tiles_total - me.py + py_ - 1) / py_;
   tiles_.assign(static_cast<std::size_t>(ltr) * ltc_ * v_ * v_, 0.0);
+  if (me.l != 0) return;
+  for (int it = me.px; it < tiles_total; it += px_)
+    for (int jt = me.py; jt < tiles_total; jt += py_) {
+      double* tile = tile_at(it, jt);
+      for (int i = 0; i < v_; ++i)
+        std::copy_n(&(*input)(it * v_ + i, jt * v_), v_,
+                    tile + static_cast<std::size_t>(i) * v_);
+    }
+}
+
+linalg::Matrix TileStore::read(std::span<const int> rows, int col0) const {
+  if (!holds_input_) return {};
+  linalg::Matrix out(static_cast<int>(rows.size()), v_);
+  for (std::size_t i = 0; i < rows.size(); ++i)
+    std::copy_n(tiles_.data() + row_offset(rows[i]) + col_offset(col0), v_,
+                out.row(static_cast<int>(i)).begin());
+  return out;
 }
 
 void reduce_panel_column(const Plan25D& plan, TileStore& store,
@@ -72,7 +90,7 @@ void reduce_panel_column(const Plan25D& plan, TileStore& store,
                              static_cast<std::uint32_t>(me.l));
     const std::size_t count = rows.size() * static_cast<std::size_t>(v);
     std::vector<double> buf;
-    if (plan.numeric) {
+    if (store.holds_input()) {
       buf.reserve(count);
       for (int r : rows) {
         double* base = &store.elem_at(r, col0);
@@ -89,7 +107,7 @@ void reduce_panel_column(const Plan25D& plan, TileStore& store,
                                static_cast<std::uint32_t>(l));
       const simnet::BufferView buf =
           comm.recv_view(plan.g.rank_of({me.px, py_c, l}), tag);
-      if (!plan.numeric) continue;
+      if (buf.empty()) continue;  // a ghost: nothing to fold in
       // Accumulate straight out of the payload; no copy-out.
       const double* in = buf.data();
       for (int r : rows) {
@@ -122,7 +140,7 @@ RowSlice multicast_row_panel(const Plan25D& plan, const grid::Coord3& me,
         dsts[static_cast<std::size_t>(py)] = plan.g.rank_of({me.px, py, l});
       const std::size_t count = rows * static_cast<std::size_t>(slice.size());
       std::vector<double> buf;
-      if (plan.numeric) {
+      if (!panel.empty()) {
         buf.reserve(count);
         for (std::size_t i = 0; i < rows; ++i) {
           const double* base =
@@ -136,12 +154,9 @@ RowSlice multicast_row_panel(const Plan25D& plan, const grid::Coord3& me,
   }
 
   if (out.slice.size() > 0) {
-    const simnet::BufferView buf =
-        comm.recv_view(plan.g.rank_of({me.px, py_c, l_star}), tag);
-    if (plan.numeric) {
-      out.values = linalg::Matrix(static_cast<int>(rows), out.slice.size());
-      std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    }
+    out.values = simnet::matrix_or_empty(
+        comm.recv_view(plan.g.rank_of({me.px, py_c, l_star}), tag),
+        static_cast<int>(rows), out.slice.size());
   }
   return out;
 }

@@ -12,6 +12,11 @@
 /// its unpivoted rows, Cholesky the rows of its owned tiles at or below the
 /// diagonal. Pivoting, the diagonal-block factorization, the second panel
 /// direction and the Schur update shape stay in the engines.
+///
+/// Numeric and dry runs share this code. A step packs, unpacks or computes
+/// exactly when this rank holds the data involved: the tile store holds the
+/// run's input or nothing, a received payload is data or a ghost, and a
+/// kernel whose operand is empty is not called.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +46,6 @@ struct Plan25D {
   int steps = 0;  ///< n / v outer steps
   grid::Grid3D g{1, 1, 1};
   int active = 0;  ///< ranks the grid uses
-  bool numeric = true;
   telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope board (nullable)
 };
 
@@ -54,13 +58,24 @@ struct Plan25D {
 
 /// One rank's tiles of the N x N matrix: tiles It % Px == me.px,
 /// Jt % Py == me.py, packed [(It/Px) * ltc + (Jt/Py)] * v^2, row-major
-/// within a tile, all zero on construction. Dry runs allocate nothing.
+/// within a tile. Built from the run's input (factor::run_input): layer 0
+/// loads its tiles of it, the other layers start at zero and hold partial
+/// sums. Without an input (a dry run) the store allocates nothing.
 class TileStore {
  public:
-  TileStore(const Plan25D& plan, grid::Coord3 me);
+  TileStore(const Plan25D& plan, grid::Coord3 me, const linalg::Matrix* input);
 
   /// Grid coordinate of the owning rank.
   [[nodiscard]] const grid::Coord3& me() const { return me_; }
+
+  /// True when the store was built from an input, also on a rank that
+  /// owns no tile.
+  [[nodiscard]] bool holds_input() const { return holds_input_; }
+
+  /// The owned `rows` at columns col0 .. col0 + v as a rows.size() x v
+  /// Matrix (col0 a multiple of v); an empty Matrix from a store without
+  /// input.
+  [[nodiscard]] linalg::Matrix read(std::span<const int> rows, int col0) const;
 
   /// Pointer to the owned (It, Jt) tile.
   [[nodiscard]] double* tile_at(int tile_row, int tile_col) {
@@ -94,6 +109,7 @@ class TileStore {
  private:
   grid::Coord3 me_;
   int v_ = 0, px_ = 1, py_ = 1, ltc_ = 0;
+  bool holds_input_ = false;
   std::vector<double> tiles_;
 };
 
@@ -107,7 +123,7 @@ void reduce_panel_column(const Plan25D& plan, TileStore& store,
 
 /// The layer's k-slice of a multicast row panel.
 struct RowSlice {
-  linalg::Matrix values;  ///< rows x slice.size() (numeric receivers)
+  linalg::Matrix values;  ///< rows x slice.size(); empty for a ghost
   grid::Range slice;      ///< k-range within the v panel columns
 };
 
@@ -115,8 +131,8 @@ struct RowSlice {
 /// (me.px, py_c, l_star) sends each layer l only its v/c k-slice of the
 /// solved `rows` x v `panel`, one shared buffer per layer to the whole
 /// process row; every rank of process row me.px receives its slice.
-/// `rows` is the panel height of this process row; `panel` is read on the
-/// numeric leader only.
+/// `rows` is the panel height of this process row; the leader packs
+/// `panel` when it holds one and sends ghosts otherwise.
 [[nodiscard]] RowSlice multicast_row_panel(const Plan25D& plan,
                                            const grid::Coord3& me,
                                            const simnet::Comm& comm, int t,

@@ -21,4 +21,12 @@ void attach_instruments(simnet::Network& net, const FactorConfig& cfg) {
   net.set_policy(cfg.policy);
 }
 
+const linalg::Matrix* run_input(const FactorConfig& cfg,
+                                const linalg::Matrix* a) {
+  if (cfg.mode == Mode::DryRun) return nullptr;
+  CONFLUX_EXPECTS_MSG(a != nullptr && a->rows() == cfg.n && a->cols() == cfg.n,
+                      "a numeric run needs an N x N input, N = " << cfg.n);
+  return a;
+}
+
 }  // namespace conflux::factor

@@ -36,12 +36,13 @@ class TelemetryBoard;
 
 namespace conflux::factor {
 
-/// Execution mode.
+/// Execution mode, read once per run by run_input.
 /// - Numeric: factor real data, record the factors, verify the residual.
-/// - DryRun: execute the identical communication schedule with ghost
-///   payloads (and, for pivoted algorithms, synthetic hash-spread pivots).
-///   Message sizes in every algorithm depend only on index sets, never on
-///   matrix values, so the measured volume is exact (tests assert
+/// - DryRun: the same code with no data. The layouts hold no input, so no
+///   rank packs, unpacks or computes, and every payload is a ghost; for
+///   pivoted algorithms, synthetic hash-spread pivots stand in for the
+///   ones values would pick. Message sizes depend only on index sets,
+///   never on matrix values, so the measured volume is exact (tests assert
 ///   DryRun == Numeric volume; for the pivot-free Cholesky family the two
 ///   are bit-identical).
 enum class Mode { Numeric, DryRun };
@@ -160,5 +161,12 @@ void fill_comm_stats(FactorResult& result, const simnet::Network& net,
 /// backend calls this right after constructing its Network, so a new hook
 /// added here reaches all seven algorithms at once.
 void attach_instruments(simnet::Network& net, const FactorConfig& cfg);
+
+/// The run's input, the one read of cfg.mode: null for a dry run, whatever
+/// `a` is; for a numeric run, `a` after checking that it is an N x N
+/// matrix (ContractViolation otherwise). Every driver calls this at its
+/// entry and builds its layouts from the result.
+[[nodiscard]] const linalg::Matrix* run_input(const FactorConfig& cfg,
+                                              const linalg::Matrix* a);
 
 }  // namespace conflux::factor

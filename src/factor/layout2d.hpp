@@ -17,24 +17,49 @@
 namespace conflux::factor {
 
 /// Per-rank view of an N x N matrix distributed block-cyclically (block nb)
-/// over a Pr x Pc grid. `loc` is left empty; numeric runs allocate and fill
-/// it.
+/// over a Pr x Pc grid, built from the run's input (factor::run_input):
+/// `loc` holds this rank's block of it, and stays empty without an input
+/// (a dry run).
 struct Local2D {
   /// The view of the rank at grid position `local_id` (0-based within g).
-  Local2D(int n, int nb, const grid::Grid2D& g, int local_id)
+  Local2D(int n, int nb, const grid::Grid2D& g, int local_id,
+          const linalg::Matrix* input)
       : pr(g.row_of(local_id)),
         pc(g.col_of(local_id)),
         rowmap(n, nb, g.rows()),
         colmap(n, nb, g.cols()),
         my_rows(rowmap.indices_of_owner(pr)),
-        my_cols(colmap.indices_of_owner(pc)) {}
+        my_cols(colmap.indices_of_owner(pc)),
+        holds_input_(input != nullptr) {
+    if (input == nullptr) return;
+    loc = linalg::Matrix(static_cast<int>(my_rows.size()),
+                         static_cast<int>(my_cols.size()));
+    for (std::size_t i = 0; i < my_rows.size(); ++i)
+      for (std::size_t j = 0; j < my_cols.size(); ++j)
+        loc(static_cast<int>(i), static_cast<int>(j)) =
+            (*input)(my_rows[i], my_cols[j]);
+  }
 
   int pr = 0, pc = 0;
   grid::BlockCyclic1D rowmap;
   grid::BlockCyclic1D colmap;
   std::vector<int> my_rows;  ///< owned global rows, ascending
   std::vector<int> my_cols;  ///< owned global cols, ascending
-  linalg::Matrix loc;        ///< numeric local block (my_rows x my_cols)
+  linalg::Matrix loc;        ///< local block (my_rows x my_cols)
+
+  /// True when the view was built from an input, also on a rank that owns
+  /// no row or column.
+  [[nodiscard]] bool holds_input() const { return holds_input_; }
+
+  /// Write `loc` into `out` at its global positions, skipping the entries
+  /// above the diagonal when `lower_only`.
+  void gather_into(linalg::Matrix& out, bool lower_only) const {
+    for (std::size_t i = 0; i < my_rows.size(); ++i)
+      for (std::size_t j = 0; j < my_cols.size(); ++j)
+        if (!lower_only || my_rows[i] >= my_cols[j])
+          out(my_rows[i], my_cols[j]) =
+              loc(static_cast<int>(i), static_cast<int>(j));
+  }
 
   [[nodiscard]] int lrow(int g) const { return rowmap.local_of(g); }
   [[nodiscard]] int lcol(int g) const { return colmap.local_of(g); }
@@ -50,6 +75,9 @@ struct Local2D {
         std::lower_bound(my_cols.begin(), my_cols.end(), g) -
         my_cols.begin());
   }
+
+ private:
+  bool holds_input_ = false;
 };
 
 /// The process column pc (all process rows) as a group of global ranks

@@ -102,6 +102,7 @@ class Matrix {
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] bool empty() const { return data_.empty(); }
 
   [[nodiscard]] double& operator()(int i, int j) {
     return data_[static_cast<std::size_t>(i) * cols_ + j];

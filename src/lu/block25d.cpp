@@ -1,6 +1,7 @@
 #include "lu/block25d.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "factor/core25d.hpp"
 #include "grid/block_cyclic.hpp"
@@ -35,7 +36,7 @@ struct Plan : factor::Plan25D {
 struct RankState {
   Coord3 me;
   factor::TileStore store;
-  // Globally consistent pivot bookkeeping.
+  // Globally consistent pivot bookkeeping (runs with an input).
   std::vector<std::uint8_t> pivoted;
 };
 
@@ -82,8 +83,9 @@ StepView make_step_view(const Plan& plan,
 /// ---- Step 2: tournament pivoting over the Px panel owners ---------------
 /// Butterfly: returns (pivots, a00) on every rank with px < fold-size.
 /// Tree: returns them on the tree root (px == 0) only. Everyone else
-/// learns them from the step-3 broadcast. Dry runs return nothing: their
-/// synthetic winners come from the host-precomputed schedule (DryStep).
+/// learns them from the step-3 broadcast. A store without input returns
+/// nothing: a dry run's synthetic winners come from the host-precomputed
+/// schedule (Step).
 struct TournamentOutcome {
   std::vector<int> pivots;
   Matrix a00;
@@ -100,21 +102,13 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
 
   // Every participant tracks how many candidates it holds — min(v, rows)
   // after the local selection, min(v, a + b) after each merge, with the
-  // partner's count read off the message's wire size — and numeric runs
-  // also hold the candidates themselves.
+  // partner's count read off the message's wire size — and a store with
+  // input also holds the candidates themselves, even an empty set (whose
+  // packed header still travels).
   std::size_t count = std::min(static_cast<std::size_t>(v), mine.size());
-  linalg::PivotCandidates cand;
-  if (plan.numeric) {
-    linalg::PivotCandidates local;
-    local.rows = mine;
-    local.values = Matrix(static_cast<int>(mine.size()), v);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      const double* base = &st.store.elem_at(mine[i], sv.t * v);
-      auto dst = local.values.row(static_cast<int>(i));
-      std::copy(base, base + v, dst.begin());
-    }
-    cand = linalg::select_best(local, v);
-  }
+  std::optional<linalg::PivotCandidates> cand;
+  if (st.store.holds_input())
+    cand = linalg::select_best({mine, st.store.read(mine, sv.t * v)}, v);
   const auto wire_doubles = [v](std::size_t rows) {  // pack_candidates size
     return 2 + rows * (1 + static_cast<std::size_t>(v));
   };
@@ -123,8 +117,7 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
   };
   const auto send_to = [&](int dst_px, Tag tag) {
     comm.send(plan.g.rank_of({dst_px, sv.py_c, sv.l_star}), tag,
-              plan.numeric ? linalg::pack_candidates(cand)
-                           : std::vector<double>(),
+              cand ? linalg::pack_candidates(*cand) : std::vector<double>(),
               wire_doubles(count) * sizeof(double));
   };
   const auto merge_from = [&](int src_px, Tag tag) {
@@ -133,9 +126,9 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
     const std::size_t theirs =
         (other.logical_bytes() / sizeof(double) - 2) / (1 + v);
     count = std::min(static_cast<std::size_t>(v), count + theirs);
-    if (plan.numeric)
+    if (cand)
       cand = linalg::tournament_round(
-          cand, linalg::unpack_candidates(other.span()), v);
+          *cand, linalg::unpack_candidates(other.span()), v);
   };
 
   if (plan.tournament == PanelTournament::Tree) {
@@ -169,17 +162,19 @@ TournamentOutcome run_tournament(const Plan& plan, RankState& st,
     }
   }
 
-  if (plan.numeric) {
-    const linalg::TournamentResult result = linalg::finalize_tournament(cand);
-    out.pivots = result.pivot_rows;
-    out.a00 = result.a00;
+  if (cand) {
+    linalg::TournamentResult result = linalg::finalize_tournament(*cand);
+    out.pivots = std::move(result.pivot_rows);
+    out.a00 = std::move(result.a00);
   }
   return out;
 }
 
 /// ---- Step 3: broadcast pivots + A00 to all active ranks ------------------
 /// One packed payload from the root participant: the v pivot rows
-/// bit-packed as ints (4 B each), then the v x v factored block.
+/// bit-packed as ints (4 B each), then the v x v factored block. A ghost
+/// leaves `outcome` empty: a dry run's pivot bookkeeping is host-side
+/// (Step).
 void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
                            const StepView& sv, TournamentOutcome& outcome,
                            const simnet::Group& world) {
@@ -187,7 +182,7 @@ void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
   const std::size_t vv = static_cast<std::size_t>(v) * v;
   const int root = plan.g.rank_of({0, sv.py_c, sv.l_star});
   std::vector<double> packed;
-  if (plan.numeric && comm.rank() == root) {
+  if (!outcome.pivots.empty() && comm.rank() == root) {
     CONFLUX_ASSERT(outcome.pivots.size() == static_cast<std::size_t>(v));
     packed = simnet::pack_ints(outcome.pivots);
     packed.insert(packed.end(), outcome.a00.data(),
@@ -197,13 +192,9 @@ void broadcast_pivot_block(const Plan& plan, RankState& st, const Comm& comm,
       comm, world, root, simnet::payload_or_ghost(std::move(packed)),
       static_cast<std::size_t>(v) * sizeof(int) + vv * sizeof(double),
       make_tag(3, static_cast<std::uint32_t>(sv.t), 0));
-  // Dry runs keep the pivot bookkeeping host-side (DryStep): the caller
-  // already put the synthetic winners in outcome.pivots.
-  if (!plan.numeric) return;
+  if (got.empty()) return;
   outcome.pivots = simnet::unpack_ints(got, static_cast<std::size_t>(v));
-  outcome.a00 = Matrix(v, v);
-  std::copy(got.data() + got.size() - vv, got.data() + got.size(),
-            outcome.a00.data());
+  outcome.a00 = simnet::matrix_or_empty(got, v, v);
   for (int r : outcome.pivots) st.pivoted[static_cast<std::size_t>(r)] = 1;
 }
 
@@ -234,15 +225,16 @@ Rem2 make_rem2(const Plan& plan, const StepView& sv,
   return rem2;
 }
 
-/// Host-precomputed per-step schedule for dry runs: with synthetic pivots
-/// the index sets of every step are known up front, so ranks share one
-/// read-only copy instead of recomputing O(N) scans per rank per step. The
-/// P threads of a dry run spend their time in the fabric, not in index
+/// One step's index sets: the rows before and after its pivots. A rank
+/// with an input derives its own from the pivots it receives. A dry run has
+/// no pivots to receive; with synthetic ones every step's sets are known up
+/// front, so the host precomputes them once and the ranks share one
+/// read-only schedule instead of repeating O(N) scans per rank per step.
+/// The P fibers of a dry run spend their time in the fabric, not in index
 /// bookkeeping — which is what the simulator is supposed to measure.
-struct DryStep {
+struct Step {
   StepView sv;
-  std::vector<int> pivots;
-  Rem2 rem2;  ///< post-pivot row split, shared by all ranks
+  Rem2 rem2;  ///< post-pivot row split
 };
 
 /// ---- Steps 4 + 7: A10 triangular solve at the row leaders ----------------
@@ -250,25 +242,18 @@ struct DryStep {
 /// the column owners (px, py_c, l_star). We use that grouping as the 1D
 /// block-row layout of Algorithm 1 (a px-aligned assignment costs no
 /// redistribution), so step 7's triangular solve runs in place on the Px
-/// row leaders. Returns the solved rem2.by_px[me.px] x v panel on numeric
-/// leaders (me.py == py_c, me.l == l_star), an empty matrix elsewhere, and
-/// writes it into `gathered` (when non-null) at its rows, columns t*v on.
+/// row leaders. Returns the solved rem2.by_px[me.px] x v panel on the
+/// leaders (me.py == py_c, me.l == l_star) whose store holds input, an
+/// empty matrix elsewhere, and writes it into `gathered` (when non-null) at
+/// its rows, columns t*v on.
 Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
                             const StepView& sv, const Rem2& rem2,
                             const Matrix& a00, Matrix* gathered) {
-  Matrix panel;
-  const int v = plan.v;
-  const int col0 = sv.t * v;
-  if (st.me.py != sv.py_c || st.me.l != sv.l_star) return panel;
+  const int col0 = sv.t * plan.v;
+  if (st.me.py != sv.py_c || st.me.l != sv.l_star) return {};
   const auto& mine = rem2.by_px[static_cast<std::size_t>(st.me.px)];
-  if (mine.empty() || !plan.numeric) return panel;
-
-  panel = Matrix(static_cast<int>(mine.size()), v);
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    const double* base = &st.store.elem_at(mine[i], col0);
-    auto dst = panel.row(static_cast<int>(i));
-    std::copy(base, base + v, dst.begin());
-  }
+  Matrix panel = st.store.read(mine, col0);
+  if (panel.empty()) return panel;
   // Step 7: A10 := A10 * U00^{-1} (right, upper, non-unit).
   linalg::trsm_right(linalg::Triangle::Upper, linalg::Diag::NonUnit,
                      a00.view(), panel.view());
@@ -287,7 +272,7 @@ Matrix solve_a10_at_leaders(const Plan& plan, RankState& st,
 /// the py-aligned 1D block-column layout of Algorithm 1. The solved strip
 /// goes into `gathered` (when non-null) at the pivot rows.
 struct A01Panel {
-  Matrix agg;                 ///< v x my trailing cols (aggregators, numeric)
+  Matrix agg;                 ///< v x my trailing cols (aggregators' data)
   std::vector<int> my_cols;   ///< this rank's trailing columns (all ranks)
   bool aggregator = false;
 };
@@ -318,7 +303,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
     const telemetry::ScopedSpan span(plan.tel, comm.rank(),
                                      telemetry::kLayerReduction, sv.t);
     std::vector<double> buf;
-    if (plan.numeric) {
+    if (st.store.holds_input()) {
       buf.reserve(seg_count * static_cast<std::size_t>(v));
       for (int jt : my_tile_cols)
         for (int q : my_qs) {
@@ -337,7 +322,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
   if (!panel.aggregator || my_tile_cols.empty()) return panel;
 
   const int my_width = static_cast<int>(panel.my_cols.size());
-  if (plan.numeric) panel.agg = Matrix(v, my_width);
+  if (st.store.holds_input()) panel.agg = Matrix(v, my_width);
   {
     // The aggregation receives are the other half of the step-5 lazy
     // reduction (see the send above).
@@ -350,7 +335,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
         const simnet::BufferView buf =
             comm.recv_view(plan.g.rank_of({px, st.me.py, l}),
                            make_tag(5, static_cast<std::uint32_t>(sv.t), 0));
-        if (!plan.numeric) continue;
+        if (buf.empty()) continue;  // a ghost: nothing to sum
         const double* in = buf.data();
         for (std::size_t jc = 0; jc < my_tile_cols.size(); ++jc)
           for (int q : qs) {
@@ -361,7 +346,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
       }
     }
   }
-  if (plan.numeric) {
+  if (!panel.agg.empty()) {
     // Step 9: A01 := L00^{-1} * A01 (left, lower, unit).
     linalg::trsm_left(linalg::Triangle::Lower, linalg::Diag::Unit, a00.view(),
                       panel.agg.view());
@@ -380,8 +365,7 @@ A01Panel solve_a01_at_aggregators(const Plan& plan, RankState& st,
 /// A01: aggregators (px_c, py, l_star) -> every (*, py, *) with the l-th
 /// k-slice. Returns my slice.
 struct A01Slice {
-  std::vector<int> cols;  ///< global columns (this rank's trailing columns)
-  Matrix values;          ///< slice_height x cols
+  Matrix values;  ///< slice_height x my trailing cols; empty for a ghost
   grid::Range slice;
 };
 
@@ -406,7 +390,7 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
       const std::size_t count =
           static_cast<std::size_t>(slice.size()) * panel.my_cols.size();
       std::vector<double> buf;
-      if (plan.numeric) {
+      if (!panel.agg.empty()) {
         buf.reserve(count);
         for (int q = slice.begin; q < slice.end; ++q) {
           auto row = panel.agg.row(q);
@@ -418,34 +402,27 @@ A01Slice multicast_a01(const Plan& plan, RankState& st, const Comm& comm,
     }
   }
 
-  if (!panel.my_cols.empty() && out.slice.size() > 0) {
-    const simnet::BufferView buf =
-        comm.recv_view(plan.g.rank_of({sv.px_c, st.me.py, sv.l_star}), tag);
-    if (plan.numeric) {
-      out.cols = panel.my_cols;
-      out.values =
-          Matrix(out.slice.size(), static_cast<int>(out.cols.size()));
-      std::copy(buf.data(), buf.data() + buf.size(), out.values.data());
-    }
-  }
+  if (!panel.my_cols.empty() && out.slice.size() > 0)
+    out.values = simnet::matrix_or_empty(
+        comm.recv_view(plan.g.rank_of({sv.px_c, st.me.py, sv.l_star}), tag),
+        out.slice.size(), static_cast<int>(panel.my_cols.size()));
   return out;
 }
 
-
 /// ---- Step 11: local Schur update with the layer's k-slice ---------------
-/// `rows` are this rank's A10 rows (rem2.by_px[me.px]), the rows of `a10`.
-void schur_update_local(const Plan& plan, RankState& st,
-                        const std::vector<int>& rows,
+/// `rows` are this rank's A10 rows (rem2.by_px[me.px]), the rows of `a10`;
+/// `cols` its trailing columns, the columns of `a01`.
+void schur_update_local(RankState& st, const std::vector<int>& rows,
+                        const std::vector<int>& cols,
                         const factor::RowSlice& a10, const A01Slice& a01) {
-  if (!plan.numeric) return;
-  if (rows.empty() || a01.cols.empty() || a10.slice.size() == 0) return;
+  if (a10.values.empty() || a01.values.empty()) return;
   CONFLUX_ASSERT(a10.slice.begin == a01.slice.begin &&
                  a10.slice.end == a01.slice.end);
 
-  std::vector<std::size_t> row_off(rows.size()), col_off(a01.cols.size());
+  std::vector<std::size_t> row_off(rows.size()), col_off(cols.size());
   std::transform(rows.begin(), rows.end(), row_off.begin(),
                  [&](int r) { return st.store.row_offset(r); });
-  std::transform(a01.cols.begin(), a01.cols.end(), col_off.begin(),
+  std::transform(cols.begin(), cols.end(), col_off.begin(),
                  [&](int col) { return st.store.col_offset(col); });
   linalg::schur_update_mapped(st.store.data(), row_off, col_off,
                               a10.values.view(), a01.values.view());
@@ -454,16 +431,15 @@ void schur_update_local(const Plan& plan, RankState& st,
 }  // namespace
 
 LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
-  CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
-
+  const linalg::Matrix* const input = factor::run_input(cfg, a);
   Plan plan{factor::resolve_plan25d(cfg, grid::conflux_cost_per_rank),
             cfg.seed, tournament_};
 
-  // Numeric runs that check or keep the factors collect them out of band
-  // (not part of the measured volume): every rank writes the entries it
-  // finishes into `gathered`, indexed by original row, and rank 0 records
-  // the pivot order.
-  const bool gather = plan.numeric && (cfg.verify || cfg.keep_factors);
+  // A run on an input that checks or keeps the factors collects them out
+  // of band (not part of the measured volume): every rank writes the
+  // entries it finishes into `gathered`, indexed by original row, and rank
+  // 0 records the pivot order.
+  const bool gather = input != nullptr && (cfg.verify || cfg.keep_factors);
   Matrix gathered;
   std::vector<int> pivot_order;
   if (gather) {
@@ -471,18 +447,19 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
     pivot_order.reserve(static_cast<std::size_t>(plan.n));
   }
 
-  // Dry runs: precompute the pivot schedule and per-step index sets once.
-  std::vector<DryStep> dry_sched;
-  if (!plan.numeric) {
+  // Numeric pivots depend on values, so only a dry run knows them up front:
+  // its synthetic pivots give every step's index sets, computed once here.
+  std::vector<Step> dry_schedule;
+  if (input == nullptr) {
     std::vector<std::uint8_t> pivoted(static_cast<std::size_t>(plan.n), 0);
-    dry_sched.reserve(static_cast<std::size_t>(plan.steps));
+    dry_schedule.reserve(static_cast<std::size_t>(plan.steps));
     for (int t = 0; t < plan.steps; ++t) {
-      DryStep ds;
-      ds.sv = make_step_view(plan, pivoted, t);
-      ds.pivots = synthetic_pivots(pivoted, plan.n, plan.v, t, plan.seed);
-      for (int r : ds.pivots) pivoted[static_cast<std::size_t>(r)] = 1;
-      ds.rem2 = make_rem2(plan, ds.sv, ds.pivots);
-      dry_sched.push_back(std::move(ds));
+      Step step{make_step_view(plan, pivoted, t), {}};
+      const std::vector<int> pivots =
+          synthetic_pivots(pivoted, plan.n, plan.v, t, plan.seed);
+      for (int r : pivots) pivoted[static_cast<std::size_t>(r)] = 1;
+      step.rem2 = make_rem2(plan, step.sv, pivots);
+      dry_schedule.push_back(std::move(step));
     }
   }
 
@@ -493,29 +470,21 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   Stopwatch timer;
   simnet::run_spmd(net, [&](Comm& comm) {
     const Coord3 coord = plan.g.coord_of(comm.rank());
-    RankState st{
-        coord, factor::TileStore(plan, coord),
-        std::vector<std::uint8_t>(static_cast<std::size_t>(plan.n), 0)};
-
-    if (plan.numeric && st.me.l == 0) {
-      // Layer 0 holds A; the other layers hold zero partial sums.
-      const int tiles_total = plan.n / plan.v;
-      for (int it = st.me.px; it < tiles_total; it += plan.g.px_extent())
-        for (int jt = st.me.py; jt < tiles_total; jt += plan.g.py_extent()) {
-          double* t = st.store.tile_at(it, jt);
-          for (int i = 0; i < plan.v; ++i)
-            for (int j = 0; j < plan.v; ++j)
-              t[static_cast<std::size_t>(i) * plan.v + j] =
-                  (*a)(it * plan.v + i, jt * plan.v + j);
-        }
-    }
+    RankState st{coord, factor::TileStore(plan, coord, input),
+                 std::vector<std::uint8_t>(
+                     input != nullptr ? static_cast<std::size_t>(plan.n) : 0,
+                     0)};
 
     const int me = comm.rank();
     for (int t = 0; t < plan.steps; ++t) {
-      StepView sv_storage;
-      if (plan.numeric) sv_storage = make_step_view(plan, st.pivoted, t);
-      const StepView& sv =
-          plan.numeric ? sv_storage : dry_sched[static_cast<std::size_t>(t)].sv;
+      // The step's index sets: a rank on an input derives its own from its
+      // pivots (rem2 once step 3 has brought this step's), a dry rank reads
+      // the shared schedule.
+      Step own;
+      if (input != nullptr) own.sv = make_step_view(plan, st.pivoted, t);
+      const Step& step =
+          input != nullptr ? own : dry_schedule[static_cast<std::size_t>(t)];
+      const StepView& sv = step.sv;
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kLayerReduction, t);
@@ -530,13 +499,13 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
                                          telemetry::kPanelTournament, t);
         outcome = run_tournament(plan, st, comm, sv);               // step 2
       }
-      if (!plan.numeric)
-        outcome.pivots = dry_sched[static_cast<std::size_t>(t)].pivots;
       {
         const telemetry::ScopedSpan span(plan.tel, me,
                                          telemetry::kPivotApply, t);
         broadcast_pivot_block(plan, st, comm, sv, outcome, world);  // step 3
       }
+      if (!outcome.pivots.empty())
+        own.rem2 = make_rem2(plan, sv, outcome.pivots);
       if (gather && me == 0) {
         for (int q = 0; q < plan.v; ++q) {
           const int r = outcome.pivots[static_cast<std::size_t>(q)];
@@ -545,11 +514,7 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
           pivot_order.push_back(r);
         }
       }
-      Rem2 rem2_storage;
-      if (plan.numeric) rem2_storage = make_rem2(plan, sv, outcome.pivots);
-      const Rem2& rem2 =
-          plan.numeric ? rem2_storage
-                       : dry_sched[static_cast<std::size_t>(t)].rem2;
+      const Rem2& rem2 = step.rem2;
       const std::vector<int>& my_rows =
           rem2.by_px[static_cast<std::size_t>(st.me.px)];
       Matrix a10_panel;
@@ -570,7 +535,7 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
             a10_panel);
         const A01Slice a01 = multicast_a01(plan, st, comm, sv,        // 10
                                            a01_panel);
-        schur_update_local(plan, st, my_rows, a10, a01);              // 11
+        schur_update_local(st, my_rows, a01_panel.my_cols, a10, a01); // 11
       }
     }
   });
@@ -589,7 +554,8 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
       std::copy(src.begin(), src.end(), packed.row(i).begin());
     }
     gathered = Matrix();
-    finish_lu(result, *a, cfg, std::move(packed), std::move(pivot_order));
+    finish_lu(result, *input, cfg, std::move(packed),
+              std::move(pivot_order));
   }
   return result;
 }

@@ -43,7 +43,7 @@ enum class PanelTournament {
 
 /// COnfLUX (Butterfly) and, via the tournament, CALU (Tree). Numeric and
 /// dry modes follow the FactorConfig contract of lu_common.hpp; dry runs
-/// make the numeric run's calls with ghost payloads and synthetic pivots.
+/// make the same calls with ghost payloads and synthetic pivots.
 class Block25D final : public LuAlgorithm {
  public:
   explicit Block25D(PanelTournament tournament) : tournament_(tournament) {}

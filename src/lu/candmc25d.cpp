@@ -10,7 +10,6 @@ namespace conflux::lu {
 
 LuResult Candmc25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
-  CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
 
   const double mem = factor::memory_budget(cfg);
   // Replication depth: memory-limited, capped at the 2.5D optimum P^(1/3)

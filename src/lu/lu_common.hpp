@@ -71,7 +71,8 @@ class LuAlgorithm {
  public:
   virtual ~LuAlgorithm() = default;
 
-  /// Factor `a` under `cfg`. In DryRun mode `a` may be null. In Numeric
+  /// Factor `a` under `cfg`. In DryRun mode `a` is ignored (it may be
+  /// null); in Numeric mode it must be N x N. In Numeric
   /// mode with cfg.verify, the result carries the scaled residual
   /// max|LU - PA| / (N max|A|).
   [[nodiscard]] virtual LuResult run(const linalg::Matrix* a,

@@ -113,7 +113,7 @@ std::uint64_t swap_hash(std::uint64_t seed, int col) {
 }
 
 /// One face's share of a run_2d_faces job. `base_rank` maps the (pr, pc)
-/// grid onto global ranks base_rank + pr + Pr * pc. In numeric mode,
+/// grid onto global ranks base_rank + pr + Pr * pc. On an input,
 /// `gathered`/`ipiv_out` (when non-null) receive the factored matrix and
 /// the pivot sequence via disjoint out-of-band writes (result collection
 /// is not part of the measured volume).
@@ -122,9 +122,8 @@ struct Scalapack2DParams {
   int nb = 0;
   grid::Grid2D g{1, 1};
   int base_rank = 0;
-  bool numeric = true;
   std::uint64_t seed = 42;
-  const linalg::Matrix* a = nullptr;  ///< input (numeric mode)
+  const linalg::Matrix* input = nullptr;  ///< factor::run_input (dry: null)
   linalg::Matrix* gathered = nullptr;
   std::vector<int>* ipiv_out = nullptr;
   telemetry::TelemetryBoard* tel = nullptr;  ///< ConfScope spans (optional)
@@ -134,21 +133,12 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   const int n = params.n;
   const int nb = params.nb;
   const Grid2D& g = params.g;
-  const bool numeric = params.numeric;
   CONFLUX_EXPECTS(n % nb == 0);
   const int me_rank = comm.rank();
 
   const int local_id = comm.rank() - params.base_rank;
   CONFLUX_EXPECTS(local_id >= 0 && local_id < g.active());
-  factor::Local2D me(n, nb, g, local_id);
-  if (numeric) {
-    me.loc = Matrix(static_cast<int>(me.my_rows.size()),
-                    static_cast<int>(me.my_cols.size()));
-    for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-      for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-        me.loc(static_cast<int>(i), static_cast<int>(j)) =
-            (*params.a)(me.my_rows[i], me.my_cols[j]);
-  }
+  factor::Local2D me(n, nb, g, local_id, params.input);
 
   auto rank_of = [&](int pr, int pc) {
     return params.base_rank + g.rank_of(pr, pc);
@@ -162,7 +152,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   std::vector<int> ipiv(static_cast<std::size_t>(n), -1);
   const int steps = n / nb;
   PdlaswpScratch plan;         // pdlaswp buffers, reused every step
-  std::vector<double> staged;  // numeric: my local moves' rows
+  std::vector<double> staged;  // my local moves' rows
 
   for (int s = 0; s < steps; ++s) {
     const int k0 = s * nb;
@@ -172,7 +162,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
     const std::uint32_t ts = static_cast<std::uint32_t>(s);
 
     // ---- Panel factorization (process column pck) ----------------------
-    if (numeric) {
+    if (me.holds_input()) {
       if (me.pc == pck) {
         const telemetry::ScopedSpan span(params.tel, me_rank,
                                          telemetry::kPanelTournament, s);
@@ -251,7 +241,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       }
     } else {
       // Dry run: synthetic pivots spread over the remaining rows. This is
-      // the one place a dry schedule is not the numeric one. The kb
+      // the one place a dry schedule is not the numeric one: numeric
+      // pivots depend on values. The kb
       // per-column max-loc allreduces, swap exchanges and pivot-row
       // broadcasts fold into three ghost collectives per panel (plus the
       // swaps): the same bytes, about kb times fewer messages. Measured at
@@ -303,14 +294,14 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kPivotApply, s);
       std::vector<double> packed;
-      if (numeric && me.pc == pck)
+      if (me.holds_input() && me.pc == pck)
         packed = simnet::pack_ints(
             std::span<const int>(ipiv).subspan(static_cast<std::size_t>(k0),
                                                static_cast<std::size_t>(kb)));
       const simnet::BufferView got = simnet::bcast(
           comm, my_row, pck, simnet::payload_or_ghost(std::move(packed)),
           static_cast<std::size_t>(kb) * sizeof(int), make_tag(26, ts, 0));
-      if (numeric) {
+      if (!got.empty()) {
         const std::vector<int> piv_step =
             simnet::unpack_ints(got, static_cast<std::size_t>(kb));
         std::copy(piv_step.begin(), piv_step.end(), ipiv.begin() + k0);
@@ -368,7 +359,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         const std::size_t count =
             static_cast<std::size_t>(last - first) * out_count;
         std::vector<double> buf;
-        if (numeric) {
+        if (me.holds_input()) {
           buf.reserve(count);
           for (auto mv = first; mv != last; ++mv) {
             const int r = me.lrow(mv->src);
@@ -378,7 +369,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         comm.send(rank_of(first->odst, me.pc), tag, std::move(buf),
                   count * sizeof(double));
       });
-      if (numeric && !local_moves.empty()) {
+      if (me.holds_input() && !local_moves.empty()) {
         staged.clear();
         for (const RowMove& mv : local_moves) {
           const int r = me.lrow(mv.src);
@@ -394,7 +385,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
         if (first->osrc == me.pr || first->odst != me.pr) return;
         const simnet::BufferView buf =
             comm.recv_view(rank_of(first->osrc, me.pc), tag);
-        if (!numeric) return;
+        if (buf.empty()) return;  // a ghost: nothing to place
         const double* in = buf.data();
         for (auto mv = first; mv != last; ++mv) {
           const int r = me.lrow(mv->pos);
@@ -413,19 +404,17 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
                                        telemetry::kSchurUpdate, s);
       const std::size_t count = static_cast<std::size_t>(m_loc) * kb;
       std::vector<double> buf;
-      if (numeric && me.pc == pck) {
+      if (me.holds_input() && me.pc == pck) {
         buf.reserve(count);
         const int jl0 = me.lcol(k0);  // the panel block's local columns
         for (int il = mrow0; il < static_cast<int>(me.my_rows.size()); ++il)
           buf.insert(buf.end(), &me.loc(il, jl0), &me.loc(il, jl0) + kb);
       }
-      const simnet::BufferView got = simnet::bcast(
-          comm, my_row, pck, simnet::payload_or_ghost(std::move(buf)),
-          count * sizeof(double), make_tag(24, ts, 0));
-      if (numeric) {
-        lpanel = Matrix(m_loc, kb);
-        std::copy(got.data(), got.data() + count, lpanel.data());
-      }
+      lpanel = simnet::matrix_or_empty(
+          simnet::bcast(comm, my_row, pck,
+                        simnet::payload_or_ghost(std::move(buf)),
+                        count * sizeof(double), make_tag(24, ts, 0)),
+          m_loc, kb);
     }
 
     // ---- U block row: solve and broadcast down process columns ----------
@@ -437,7 +426,7 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
                                        telemetry::kTrsm, s);
       const std::size_t count = static_cast<std::size_t>(kb) * ntrail;
       std::vector<double> buf;
-      if (numeric && me.pr == prk) {
+      if (!lpanel.empty() && me.pr == prk) {
         // My copy of L00 sits in the first kb rows of lpanel.
         auto l00 = lpanel.block(0, 0, kb, kb);
         u01 = Matrix(kb, ntrail);
@@ -459,14 +448,11 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
       const simnet::BufferView got = simnet::bcast(
           comm, my_col, prk, simnet::payload_or_ghost(std::move(buf)),
           count * sizeof(double), make_tag(25, ts, 0));
-      if (numeric && me.pr != prk) {
-        u01 = Matrix(kb, ntrail);
-        std::copy(got.data(), got.data() + count, u01.data());
-      }
+      if (me.pr != prk) u01 = simnet::matrix_or_empty(got, kb, ntrail);
     }
 
     // ---- Local trailing update -----------------------------------------
-    if (numeric && ntrail > 0) {
+    if (!u01.empty()) {
       const telemetry::ScopedSpan span(params.tel, me_rank,
                                        telemetry::kSchurUpdate, s);
       const int urow0 = me.lrow_lower_bound(k0 + kb);
@@ -480,12 +466,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
   }
 
   // ---- Out-of-band result collection (not part of measured volume) -----
-  if (numeric && params.gathered != nullptr) {
-    for (std::size_t i = 0; i < me.my_rows.size(); ++i)
-      for (std::size_t j = 0; j < me.my_cols.size(); ++j)
-        (*params.gathered)(me.my_rows[i], me.my_cols[j]) =
-            me.loc(static_cast<int>(i), static_cast<int>(j));
-  }
+  if (params.gathered != nullptr)
+    me.gather_into(*params.gathered, /*lower_only=*/false);
   if (params.ipiv_out != nullptr && comm.rank() == params.base_rank)
     *params.ipiv_out = std::move(ipiv);
 }
@@ -495,8 +477,8 @@ void scalapack2d_body(Comm& comm, const Scalapack2DParams& params) {
 LuResult run_2d_faces(const linalg::Matrix* a, const LuConfig& cfg,
                       const Grid2D& face, int nb, int layers,
                       std::string grid_label) {
-  const bool numeric = (cfg.mode == Mode::Numeric);
-  const bool gather = numeric && (cfg.verify || cfg.keep_factors);
+  const linalg::Matrix* const input = factor::run_input(cfg, a);
+  const bool gather = input != nullptr && (cfg.verify || cfg.keep_factors);
   linalg::Matrix gathered;
   std::vector<int> ipiv;
   if (gather) gathered = linalg::Matrix(cfg.n, cfg.n);
@@ -512,9 +494,8 @@ LuResult run_2d_faces(const linalg::Matrix* a, const LuConfig& cfg,
     params.nb = nb;
     params.g = face;
     params.base_rank = layer * face.active();
-    params.numeric = numeric;
     params.seed = cfg.seed;  // identical pivots keep replicas coherent
-    params.a = a;
+    params.input = input;
     params.tel = cfg.telemetry;
     if (gather && layer == 0) {
       params.gathered = &gathered;
@@ -529,15 +510,13 @@ LuResult run_2d_faces(const linalg::Matrix* a, const LuConfig& cfg,
   result.grid = std::move(grid_label);
   result.block = nb;
   if (gather)
-    finish_lu(result, *a, cfg, std::move(gathered),
+    finish_lu(result, *input, cfg, std::move(gathered),
               linalg::pivots_to_permutation(ipiv, cfg.n));
   return result;
 }
 
 LuResult ScaLapack2D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   CONFLUX_EXPECTS(cfg.n >= 1 && cfg.p >= 1);
-  CONFLUX_EXPECTS(cfg.mode == Mode::DryRun || a != nullptr);
-
   const Grid2D g = slate_ ? grid::choose_grid_2d_near_square(cfg.p)
                           : grid::choose_grid_2d_all_ranks(cfg.p);
   const int requested_nb = cfg.block > 0 ? cfg.block : (slate_ ? 16 : 64);

@@ -7,6 +7,7 @@
 /// where mutation is needed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "linalg/matrix.hpp"
 #include "support/assert.hpp"
 
 namespace conflux::simnet {
@@ -128,6 +130,20 @@ class BufferView {
   std::size_t logical_bytes_ = 0;
   bool taken_ = false;
 };
+
+/// The receiving side of payload_or_ghost: the payload's trailing
+/// rows x cols block as a Matrix (a leading header, such as packed pivot
+/// indices, is skipped), or an empty Matrix for a ghost. One receive site
+/// thus serves numeric runs, which unpack, and dry runs, which do not.
+[[nodiscard]] inline linalg::Matrix matrix_or_empty(const BufferView& got,
+                                                    int rows, int cols) {
+  if (got.empty()) return {};
+  linalg::Matrix out(rows, cols);
+  CONFLUX_ASSERT(got.size() >= out.size());
+  std::copy(got.data() + got.size() - out.size(), got.data() + got.size(),
+            out.data());
+  return out;
+}
 
 /// A message in flight. `payload` carries the data, or is null for the
 /// "ghost" messages of dry-run mode, which carry only a logical byte count

@@ -35,8 +35,8 @@ struct Backend {
   bool layered = false;  ///< 2.5D: the schedule depends on the replication
                          ///< depth (FactorConfig::force_layers)
 
-  /// Factor `a` under `cfg` (`a` may be null in DryRun mode). The result
-  /// drops the family-specific fields of LuResult / CholResult.
+  /// Factor `a` under `cfg` (a DryRun ignores `a`, which may be null). The
+  /// result drops the family-specific fields of LuResult / CholResult.
   [[nodiscard]] factor::FactorResult run(const linalg::Matrix* a,
                                          const factor::FactorConfig& cfg) const;
   /// The input a numeric run factors: diagonally dominant for LU, SPD for

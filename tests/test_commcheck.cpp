@@ -15,6 +15,7 @@
 #include "cholesky/cholesky_common.hpp"
 #include "linalg/generate.hpp"
 #include "lu/lu_common.hpp"
+#include "simnet/faults.hpp"
 #include "simnet/network.hpp"
 #include "simnet/trace.hpp"
 #include "support/assert.hpp"
@@ -571,6 +572,63 @@ TEST(Registry, RunMatchesTheFamilyFactory) {
     EXPECT_EQ(got.max_rank_bytes, want.max_rank_bytes) << b.name;
     EXPECT_EQ(got.grid, want.grid) << b.name;
   }
+}
+
+TEST(Registry, NumericRunsRejectAnInputThatIsNotNByN) {
+  // The engines index the input as N x N; anything else is refused before
+  // a rank reads it.
+  factor::FactorConfig cfg;
+  cfg.n = 192;
+  cfg.p = 4;
+  for (const Backend& b : registered_backends()) {
+    const linalg::Matrix short_input(cfg.n - 1, cfg.n - 1);
+    const linalg::Matrix wide_input(cfg.n, cfg.n + 1);
+    EXPECT_THROW((void)b.run(&short_input, cfg), ContractViolation) << b.name;
+    EXPECT_THROW((void)b.run(&wide_input, cfg), ContractViolation) << b.name;
+  }
+}
+
+TEST(Registry, DryRunsSendOnlyGhostsAndIgnoreTheInput) {
+  // Under a plan that flips a bit in every payload, with integrity on, a
+  // dry run must finish with nothing corrupted: every message is a ghost.
+  // Handed the numeric input, it must report the same volume as handed
+  // null. The same plan fails a numeric run, so the check can fail.
+  simnet::FaultSpec spec;
+  spec.corrupt_prob = 1;
+  const int n = 192;
+  for (const Backend& b : registered_backends()) {
+    const linalg::Matrix a = linalg::generate(n, b.input_kind());
+    for (int p : {4, 8, 9, 16})
+      for (int layers : {0, 1, 2}) {
+        if (layers > 0 && !b.layered) continue;
+        simnet::FaultPlan plan(spec);
+        factor::FactorConfig cfg;
+        cfg.n = n;
+        cfg.p = p;
+        cfg.force_layers = layers;
+        cfg.mode = factor::Mode::DryRun;
+        cfg.faults = &plan;
+        cfg.integrity = true;
+        const factor::FactorResult with_input = b.run(&a, cfg);
+        const factor::FactorResult without = b.run(nullptr, cfg);
+        EXPECT_EQ(plan.counters().corrupted, 0u)
+            << b.name << " p=" << p << " c=" << layers;
+        EXPECT_EQ(with_input.total.bytes_sent, without.total.bytes_sent)
+            << b.name << " p=" << p << " c=" << layers;
+        EXPECT_EQ(with_input.total.messages_sent,
+                  without.total.messages_sent)
+            << b.name << " p=" << p << " c=" << layers;
+      }
+  }
+  const Backend conflux = find_backend("COnfLUX");
+  const linalg::Matrix a = linalg::generate(n, conflux.input_kind());
+  simnet::FaultPlan plan(spec);
+  factor::FactorConfig cfg;
+  cfg.n = n;
+  cfg.p = 4;
+  cfg.faults = &plan;
+  cfg.integrity = true;
+  EXPECT_THROW((void)conflux.run(&a, cfg), simnet::PayloadCorrupted);
 }
 
 TEST(Registry, SelectionRejectsUnknownNamesAndFamilies) {

@@ -99,9 +99,10 @@ TEST(TileStore, OffsetsAddressTheDocumentedLayout) {
   plan.n = plan.steps * plan.v;
   plan.g = grid::Grid3D(2, 3, 2);
   plan.active = plan.g.active();
+  const Matrix input(plan.n, plan.n);
   for (int rank = 0; rank < plan.active; ++rank) {
     const grid::Coord3 me = plan.g.coord_of(rank);
-    factor::TileStore store(plan, me);
+    factor::TileStore store(plan, me, &input);
     const int px = plan.g.px_extent(), py = plan.g.py_extent();
     const int ltc = (plan.steps - me.py + py - 1) / py;
     std::set<std::size_t> seen;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "support/thread_pool.hpp"
@@ -440,22 +441,158 @@ void trsm_right(Triangle tri, Diag diag, ConstMatrixView a, MatrixView b) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused triangular product for the residual checks: output tiles in a queue,
-// longest k range first, pulled by one worker per pool thread. Each worker
-// packs its tile's operands with the triangle masks applied, runs the GEMM
-// macro kernel into a tile buffer and compares the buffer with the
-// reference rows; nothing of size m x n is ever built.
+// Fused triangular product for the residual checks. The columns are cut
+// into kProductSlab-wide slabs. A slab's part of U is packed once, on the
+// pool, into NR-wide micro-panels that stop where U's triangle does; then
+// its kMC-row blocks of L run on the pool, largest first. A block packs its
+// L rows once per k panel, runs the micro kernel over the whole slab with
+// each register tile's k range cut where the triangles end, adds the panel
+// sums into a block buffer and compares that buffer with the reference
+// rows; nothing of size m x n is ever built.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr int kProductTile = 256;  ///< output tile edge
-static_assert(kProductTile % kMR == 0 && kProductTile % kNR == 0,
-              "a tile's pack buffers hold whole micro-panels");
+constexpr int kProductSlab = 512;  ///< columns per shared U pack
+static_assert(kProductSlab % kNR == 0, "a slab holds whole micro-panels");
 
-struct ProductTile {
-  int i0, j0, kend;  ///< top-left corner; k range [0, kend)
+/// The two factors of a triangular product, read through their masks:
+/// L(i, k) for k < kmin and U(k, j), both zero outside their triangles.
+struct Triangles {
+  bool llt;
+  ConstMatrixView l, u;
+  int kmin;
+
+  /// Packs rows [r0, r0 + mr) of L, k in [k0, k0 + len), as one MR-tall
+  /// micro-panel (pa[p * MR + ir]), zero past mr. Columns k < r0 lie
+  /// below every row's diagonal and are copied without a test.
+  void pack_l(int r0, int mr, int k0, int len, double* pa) const {
+    const double* row[kMR];
+    for (int ir = 0; ir < mr; ++ir) row[ir] = &l(r0 + ir, 0);
+    int p = 0;
+    for (const int inside = std::clamp(r0 - k0, 0, len); p < inside; ++p) {
+      double* dst = pa + static_cast<std::ptrdiff_t>(p) * kMR;
+      for (int ir = 0; ir < mr; ++ir) dst[ir] = row[ir][k0 + p];
+      for (int ir = mr; ir < kMR; ++ir) dst[ir] = 0.0;
+    }
+    for (; p < len; ++p) {
+      const int k = k0 + p;
+      double* dst = pa + static_cast<std::ptrdiff_t>(p) * kMR;
+      for (int ir = 0; ir < kMR; ++ir) {
+        const int i = r0 + ir;
+        dst[ir] = ir >= mr || k > i ? 0.0
+                  : k < i           ? row[ir][k]
+                  : llt             ? row[ir][i]
+                                    : 1.0;
+      }
+    }
+  }
+
+  /// Packs columns [c0, c0 + nr) of U, k in [0, kend), as one NR-wide
+  /// micro-panel (pb[k * NR + jr]), zero past nr. Rows k < c0 lie above
+  /// every column's diagonal and are copied without a test.
+  void pack_u(int c0, int nr, int kend, double* pb) const {
+    int k = 0;
+    for (const int inside = std::min(c0, kend); k < inside; ++k) {
+      double* dst = pb + static_cast<std::ptrdiff_t>(k) * kNR;
+      if (llt) {
+        for (int jr = 0; jr < nr; ++jr) dst[jr] = u(c0 + jr, k);
+      } else {
+        const double* src = &u(k, c0);
+        for (int jr = 0; jr < nr; ++jr) dst[jr] = src[jr];
+      }
+      for (int jr = nr; jr < kNR; ++jr) dst[jr] = 0.0;
+    }
+    for (; k < kend; ++k) {
+      double* dst = pb + static_cast<std::ptrdiff_t>(k) * kNR;
+      for (int jr = 0; jr < kNR; ++jr) {
+        const int j = c0 + jr;
+        dst[jr] = jr >= nr || k > j ? 0.0 : llt ? u(j, k) : u(k, j);
+      }
+    }
+  }
 };
+
+/// One slab's packed U: micro-panel q (columns j0 + q * NR on) holds its
+/// k rows [0, depth(q)) from data + at[q].
+struct PackedSlab {
+  int j0;
+  const double* data;
+  std::span<const std::size_t> at;
+
+  [[nodiscard]] int depth(int q) const {
+    return static_cast<int>((at[static_cast<std::size_t>(q) + 1] -
+                             at[static_cast<std::size_t>(q)]) /
+                            kNR);
+  }
+};
+
+/// kMC rows from i0 against the slab's first `cols` columns; the entries
+/// need k < kend.
+struct RowBlock {
+  int i0, cols, kend;
+};
+
+/// The largest |ref(row_of[i], j) - (L * U)(i, j)| over the block's
+/// compared entries. Each entry's k-panel sums are added, in panel order,
+/// into `sums` (kMC x ld); a register tile's k range stops at its last
+/// row, its last column or kmin, since every term past that is zero.
+double block_max_diff(const Triangles& tri, const PackedSlab& slab,
+                      const RowBlock& blk, ConstMatrixView ref,
+                      std::span<const int> row_of, double* pack, double* sums,
+                      int ld) {
+  const int mc = std::min(kMC, tri.l.rows() - blk.i0);
+  for (int i = 0; i < mc; ++i)
+    std::fill_n(sums + static_cast<std::ptrdiff_t>(i) * ld, blk.cols, 0.0);
+  for (int k0 = 0; k0 < blk.kend; k0 += kKC) {
+    const int kc = std::min(kKC, blk.kend - k0);
+    for (int ip = 0; ip < mc; ip += kMR) {
+      const int r0 = blk.i0 + ip;
+      const int mr = std::min(kMR, mc - ip);
+      tri.pack_l(r0, mr, k0,
+                 std::clamp(std::min(r0 + mr, blk.kend) - k0, 0, kc),
+                 pack + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR);
+    }
+    for (int jp = 0; jp < blk.cols; jp += kNR) {
+      const int q = jp / kNR;
+      const int nr = std::min(kNR, blk.cols - jp);
+      const int depth = slab.depth(q);
+      for (int ip = 0; ip < mc; ip += kMR) {
+        const int r0 = blk.i0 + ip;
+        const int mr = std::min(kMR, mc - ip);
+        // L * L^T compares j <= i only: skip tiles wholly above that.
+        if (tri.llt && slab.j0 + jp >= r0 + mr) continue;
+        const int kc_tile = std::min({r0 + mr, depth, k0 + kc}) - k0;
+        if (kc_tile <= 0) continue;
+        Acc acc;
+        micro_kernel(
+            kc_tile, pack + static_cast<std::ptrdiff_t>(ip / kMR) * kc * kMR,
+            slab.data + slab.at[static_cast<std::size_t>(q)] +
+                static_cast<std::ptrdiff_t>(k0) * kNR,
+            acc);
+        for (int ir = 0; ir < mr; ++ir) {
+          double* si = sums + static_cast<std::ptrdiff_t>(ip + ir) * ld + jp;
+          for (int jr = 0; jr < nr; ++jr) si[jr] += acc[ir][jr];
+        }
+      }
+    }
+  }
+
+  double worst = 0.0;
+  for (int i = 0; i < mc; ++i) {
+    const int gi = blk.i0 + i;
+    const int jend =
+        tri.llt ? std::min(blk.cols, gi - slab.j0 + 1) : blk.cols;
+    const double* want =
+        ref.row(row_of.empty() ? gi : row_of[static_cast<std::size_t>(gi)])
+            .data() +
+        slab.j0;
+    const double* got = sums + static_cast<std::ptrdiff_t>(i) * ld;
+    for (int j = 0; j < jend; ++j)
+      worst = max_keep_nan(worst, std::abs(want[j] - got[j]));
+  }
+  return worst;
+}
 
 }  // namespace
 
@@ -470,74 +607,75 @@ double triangular_product_max_diff(TriangularProduct kind, ConstMatrixView l,
   CONFLUX_EXPECTS(ref.cols() == n);
   CONFLUX_EXPECTS(row_of.empty() ? ref.rows() == m
                                  : static_cast<int>(row_of.size()) == m);
+  const Triangles tri{llt, l, u, kmin};
 
-  // L(i, k) = 0 for k > i and U(k, j) = 0 for k > j, so a tile's k range
-  // ends at its last row or last column, whichever comes first.
-  std::vector<ProductTile> tiles;
-  for (int i0 = 0; i0 < m; i0 += kProductTile) {
-    const int i1 = std::min(m, i0 + kProductTile);
-    for (int j0 = 0; j0 < (llt ? i1 : n); j0 += kProductTile) {
-      const int j1 = std::min(n, j0 + kProductTile);
-      tiles.push_back({i0, j0, std::min({i1, j1, kmin})});
+  // Buffers are allocated untouched: a slab's pack and each worker's
+  // block buffers are first written on the worker that uses them.
+  const int ld = std::min(n, kProductSlab);
+  const int pool = support::global_pool().size();
+  struct Scratch {
+    std::unique_ptr<double[]> pack, sums;
+    double worst = 0.0;
+  };
+  std::vector<Scratch> scratch(static_cast<std::size_t>(pool));
+  const auto packed_u = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(kmin) * ((ld + kNR - 1) / kNR * kNR));
+  std::vector<std::size_t> at;
+  std::vector<RowBlock> blocks;
+
+  for (int j0 = 0; j0 < n; j0 += kProductSlab) {
+    const int j1 = std::min(n, j0 + kProductSlab);
+    // U(k, j) = 0 for k > j, so micro-panel q needs rows k < its last
+    // column + 1 (and < kmin).
+    const int panels = (j1 - j0 + kNR - 1) / kNR;
+    at.assign(static_cast<std::size_t>(panels) + 1, 0);
+    for (int q = 0; q < panels; ++q)
+      at[static_cast<std::size_t>(q) + 1] =
+          at[static_cast<std::size_t>(q)] +
+          static_cast<std::size_t>(std::min({j0 + (q + 1) * kNR, j1, kmin})) *
+              kNR;
+    const PackedSlab slab{j0, packed_u.get(), at};
+    const int packers = std::min(pool, panels);
+    support::parallel_for(0, packers, [&](int w) {
+      for (int q = w; q < panels; q += packers) {
+        const int c0 = j0 + q * kNR;
+        tri.pack_u(c0, std::min(kNR, j1 - c0), slab.depth(q),
+                   packed_u.get() + at[static_cast<std::size_t>(q)]);
+      }
+    });
+
+    // L * L^T compares j <= i only, so its blocks start at the slab's
+    // first row and stop at their own last row.
+    blocks.clear();
+    for (int i0 = llt ? j0 : 0; i0 < m; i0 += kMC) {
+      const int i1 = std::min(m, i0 + kMC);
+      const int cols = (llt ? std::min(j1, i1) : j1) - j0;
+      blocks.push_back({i0, cols, std::min({i1, j0 + cols, kmin})});
     }
+    std::stable_sort(blocks.begin(), blocks.end(),
+                     [](const RowBlock& x, const RowBlock& y) {
+                       return static_cast<long long>(x.kend) * x.cols >
+                              static_cast<long long>(y.kend) * y.cols;
+                     });
+    std::atomic<std::size_t> next{0};
+    support::parallel_for(
+        0, std::min(pool, static_cast<int>(blocks.size())), [&](int w) {
+          Scratch& s = scratch[static_cast<std::size_t>(w)];
+          if (!s.pack) {
+            s.pack = std::make_unique_for_overwrite<double[]>(
+                static_cast<std::size_t>(kMC) * std::min(kKC, kmin));
+            s.sums = std::make_unique_for_overwrite<double[]>(
+                static_cast<std::size_t>(kMC) * ld);
+          }
+          for (std::size_t b = next++; b < blocks.size(); b = next++)
+            s.worst = max_keep_nan(
+                s.worst, block_max_diff(tri, slab, blocks[b], ref, row_of,
+                                        s.pack.get(), s.sums.get(), ld));
+        });
   }
-  std::stable_sort(tiles.begin(), tiles.end(),
-                   [](const ProductTile& x, const ProductTile& y) {
-                     return x.kend > y.kend;
-                   });
-
-  const int workers = std::min(support::global_pool().size(),
-                               static_cast<int>(tiles.size()));
-  std::vector<double> worst(static_cast<std::size_t>(workers), 0.0);
-  std::atomic<std::size_t> next{0};
-  support::parallel_for(0, workers, [&](int w) {
-    std::vector<double> c(static_cast<std::size_t>(kProductTile) *
-                          kProductTile);
-    std::vector<double> packed_a(static_cast<std::size_t>(kProductTile) * kKC);
-    std::vector<double> packed_b(static_cast<std::size_t>(kProductTile) * kKC);
-    double local = 0.0;
-    for (std::size_t t = next++; t < tiles.size(); t = next++) {
-      const auto [i0, j0, kend] = tiles[t];
-      const int mc = std::min(kProductTile, m - i0);
-      const int nc = std::min(kProductTile, n - j0);
-      MatrixView tile(c.data(), mc, nc, nc);
-      std::fill_n(c.begin(), static_cast<std::size_t>(mc) * nc, 0.0);
-      // k panels start at multiples of kKC, as in gemm, so each
-      // entry is summed in the same order as a dense product would be.
-      for (int k0 = 0; k0 < kend; k0 += kKC) {
-        const int kc = std::min(kKC, kend - k0);
-        pack_a(
-            [&](int i, int p) {
-              const int gi = i0 + i, gk = k0 + p;
-              if (gk < gi) return l(gi, gk);
-              if (gk > gi) return 0.0;
-              return llt ? l(gi, gi) : 1.0;
-            },
-            mc, kc, packed_a.data());
-        pack_b(
-            [&](int p, int j) {
-              const int gk = k0 + p, gj = j0 + j;
-              if (gk > gj) return 0.0;
-              return llt ? u(gj, gk) : u(gk, gj);
-            },
-            kc, nc, packed_b.data());
-        macro_kernel(mc, nc, kc, packed_a.data(), packed_b.data(),
-                     add_into(tile, 1.0));
-      }
-      for (int i = 0; i < mc; ++i) {
-        const int gi = i0 + i;
-        auto want = ref.row(
-            row_of.empty() ? gi : row_of[static_cast<std::size_t>(gi)]);
-        const int jend = llt ? std::min(nc, gi - j0 + 1) : nc;
-        for (int j = 0; j < jend; ++j)
-          local = max_keep_nan(local, std::abs(want[j0 + j] - tile(i, j)));
-      }
-    }
-    worst[static_cast<std::size_t>(w)] = local;
-  });
 
   double result = 0.0;
-  for (double x : worst) result = max_keep_nan(result, x);
+  for (const Scratch& s : scratch) result = max_keep_nan(result, s.worst);
   return result;
 }
 

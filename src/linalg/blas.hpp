@@ -8,8 +8,9 @@
 /// pool (src/support/thread_pool.hpp); TRSM is blocked so its bulk flops
 /// run through GEMM. Each has a `*_reference` twin, the original
 /// clarity-first single-threaded loop, which the tests pin it against. The
-/// mapped Schur update and the fused triangular product share GEMM's
-/// packing and macro kernel; their tests pin them against dense products.
+/// mapped Schur update shares GEMM's packing and macro kernel, the fused
+/// triangular product its micro kernel; their tests pin them against dense
+/// products.
 #pragma once
 
 #include <cstddef>
@@ -71,16 +72,21 @@ enum class TriangularProduct {
 };
 
 /// max over the compared entries (i, j) of |ref(row_of[i], j) - (L*U)(i, j)|
-/// (an empty `row_of` means row_of[i] = i). Fused: the product is formed
-/// one 256 x 256 output tile at a time on the shared pool and compared as
-/// it is formed, so no m x n product, permuted copy or difference is ever
-/// built. A tile's k range stops at min(row end, column end), because
-/// L(i, k) = 0 for k > i and U(k, j) = 0 for k > j: 2/3 n^3 flops for an
-/// n x n LU, n^3 / 3 for L * L^T (a dense GEMM would take 2 n^3). NaN is
-/// kept: a non-finite factor entry gives a non-finite result. Each entry
-/// is summed in the order gemm's packed path sums it, so above
-/// that kernel's small-problem cutoff the result equals a dense product
-/// plus max_abs_diff bit for bit.
+/// (an empty `row_of` means row_of[i] = i). Fused: no m x n product,
+/// permuted copy or difference is ever built. The columns are cut into
+/// 512-wide slabs; a slab's U is packed once, on the shared pool, and its
+/// 128-row blocks of L then run on the pool, largest first, each packing
+/// its L rows once per 1024-deep k panel, reusing them across the whole
+/// slab and comparing its rows as soon as their sums are complete, so each
+/// operand is packed about once per k panel (L once per slab), not once
+/// per output tile. Each register tile's k range stops at its last
+/// row or last column, because L(i, k) = 0 for k > i and U(k, j) = 0 for
+/// k > j: 2/3 n^3 flops for an n x n LU, n^3 / 3 for L * L^T (a dense GEMM
+/// would take 2 n^3). NaN is kept: a non-finite factor entry gives a
+/// non-finite result. Each entry is summed in the order gemm's packed path
+/// sums it (per 1024-deep k panel, from zero in increasing k, the panel
+/// sums added in order), so above that kernel's small-problem cutoff the
+/// result equals a dense product plus max_abs_diff bit for bit.
 [[nodiscard]] double triangular_product_max_diff(TriangularProduct kind,
                                                  ConstMatrixView l,
                                                  ConstMatrixView u,

@@ -114,11 +114,7 @@ double lu_residual(const Matrix& original, ConstMatrixView factored,
 double growth_factor(const Matrix& original, ConstMatrixView factored) {
   const double a = max_abs(original.view());
   // max|U|, read in place from the factored view's upper triangle.
-  const int kmin = std::min(factored.rows(), factored.cols());
-  double umax = 0.0;
-  for (int i = 0; i < kmin; ++i)
-    for (int j = i; j < factored.cols(); ++j)
-      umax = max_keep_nan(umax, std::abs(factored(i, j)));
+  const double umax = max_abs_upper(factored);
   return a == 0.0 ? 0.0 : umax / a;
 }
 

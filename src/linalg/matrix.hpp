@@ -6,7 +6,10 @@
 
 #include <cmath>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -86,17 +89,41 @@ class ConstMatrixView {
   int rows_, cols_, ld_;
 };
 
+/// An allocator that default-initializes: a vector sized with it leaves
+/// its doubles unwritten, so Matrix can first write them on the pool.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <class U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Set every element to zero; large spans are written in chunks on the
+/// shared pool, so their pages are first touched there.
+void zero_fill(std::span<double> data);
+
 /// Owning dense row-major matrix.
 class Matrix {
  public:
   Matrix() = default;
 
-  /// Zero-initialized rows x cols matrix.
+  /// Zero-initialized rows x cols matrix (a large one is zeroed on the
+  /// shared pool).
   Matrix(int rows, int cols)
-      : rows_(rows),
-        cols_(cols),
-        data_(static_cast<std::size_t>(rows) * cols, 0.0) {
-    CONFLUX_EXPECTS(rows >= 0 && cols >= 0);
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols)) {
+    zero_fill(data_);
   }
 
   [[nodiscard]] int rows() const { return rows_; }
@@ -145,12 +172,22 @@ class Matrix {
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
  private:
+  static std::size_t checked_size(int rows, int cols) {
+    CONFLUX_EXPECTS(rows >= 0 && cols >= 0);
+    return static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  }
+
   int rows_ = 0, cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// Copy `src` into `dst` (shapes must match).
 void copy(ConstMatrixView src, MatrixView dst);
+
+/// Reorder the rows of `a` in place so that row i becomes the old row
+/// perm[i]. `perm` must be a permutation of [0, a.rows()). Walks each
+/// cycle of `perm` once, holding one row in scratch.
+void permute_rows(MatrixView a, std::span<const int> perm);
 
 /// max(m, x) that keeps NaN: once either argument is NaN the result is
 /// NaN (std::max drops a NaN `x`), so a max-reduction over non-finite data
@@ -160,8 +197,13 @@ void copy(ConstMatrixView src, MatrixView dst);
   return (x > m || std::isnan(x)) ? x : m;
 }
 
-/// max_ij |A(i,j)|; NaN when any entry is NaN.
+/// max_ij |A(i,j)|; NaN when any entry is NaN. A large view is scanned on
+/// the shared pool.
 [[nodiscard]] double max_abs(ConstMatrixView a);
+
+/// max |A(i,j)| over the upper triangle, i < min(rows, cols) and j >= i;
+/// NaN when any of those entries is NaN. Scanned like max_abs.
+[[nodiscard]] double max_abs_upper(ConstMatrixView a);
 
 /// max_ij |A(i,j) - B(i,j)| (shapes must match); NaN when any difference
 /// is NaN.

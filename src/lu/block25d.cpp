@@ -546,15 +546,10 @@ LuResult Block25D::run(const linalg::Matrix* a, const LuConfig& cfg) {
   result.grid = plan.g.to_string();
   result.block = plan.v;
   if (gather) {
-    // Rows never moved: one row-permuted copy gives the packed factor, and
-    // the gathered matrix is freed before the check runs.
-    Matrix packed(plan.n, plan.n);
-    for (int i = 0; i < plan.n; ++i) {
-      auto src = gathered.row(pivot_order[static_cast<std::size_t>(i)]);
-      std::copy(src.begin(), src.end(), packed.row(i).begin());
-    }
-    gathered = Matrix();
-    finish_lu(result, *input, cfg, std::move(packed),
+    // Rows never moved: putting them in pivot order, in place, gives the
+    // packed factor.
+    linalg::permute_rows(gathered.view(), pivot_order);
+    finish_lu(result, *input, cfg, std::move(gathered),
               std::move(pivot_order));
   }
   return result;

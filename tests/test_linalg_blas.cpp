@@ -177,8 +177,9 @@ TEST(MappedUpdateEdges, ShapeMismatchThrows) {
 // sum is formed from zero in increasing k, one FMA per term where the
 // target has FMA, and only then written back to C. The register tile's
 // shape does not enter, so the pins hold for every ISA's tile; the sizes
-// straddle the 4 x 8 (AVX2) and 8 x 16 (AVX-512) tiles, the 128-row block
-// and the 256-wide residual tile, and the depths straddle the k panel.
+// straddle the 4 x 8 (AVX2) and 8 x 16 (AVX-512) tiles and the 128-row
+// block, and the depths straddle the k panel; the residual cases also
+// straddle its 512-wide column slab.
 // ---------------------------------------------------------------------------
 
 constexpr int kPanelDepth = 1024;
@@ -327,6 +328,20 @@ TEST(KernelContract, TriangularProductMatchesScalarModel) {
       {TriangularProduct::LLt, 129, 129, 129},
       {TriangularProduct::LLt, 300, 300, 300},
       {TriangularProduct::LLt, 1100, 1100, 1100},
+      // Edges of the kernel's blocking: 128-row blocks, 512-wide column
+      // slabs, 1024-deep k panels and the register tile, each just below
+      // and above; LU with m > n, with m < n and with kmin < m.
+      {TriangularProduct::LU, 127, 127, 127},
+      {TriangularProduct::LU, 129, 129, 129},
+      {TriangularProduct::LU, 257, 383, 383},
+      {TriangularProduct::LU, 383, 383, 257},
+      {TriangularProduct::LU, 383, 129, 257},
+      {TriangularProduct::LU, 1025, 129, 383},
+      {TriangularProduct::LU, 1025, 1025, 127},
+      {TriangularProduct::LU, 127, 257, 1025},
+      {TriangularProduct::LU, 257, 1025, 1025},
+      {TriangularProduct::LLt, 257, 257, 257},
+      {TriangularProduct::LLt, 1025, 1025, 1025},
   };
   for (const auto& [kind, m, k, n] : cases) {
     const bool llt = kind == TriangularProduct::LLt;

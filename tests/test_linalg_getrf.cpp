@@ -1,6 +1,6 @@
 // Tests for sequential LU with partial pivoting: residuals across matrix
 // families and shapes, pivot bookkeeping, and the fused residual product
-// across its output tiles.
+// across its row blocks and column slabs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -207,11 +207,6 @@ TEST(Residual, NonFiniteFactorIsNotSmall) {
   EXPECT_FALSE(std::isfinite(cholesky_residual(spd, all_nan.view())));
 }
 
-// The fused residual product against a dense gemm_reference product and a
-// max-abs difference taken here, at sizes below, on and across the 256-wide
-// output tiles.
-class LuResidualTiles : public ::testing::TestWithParam<int> {};
-
 std::vector<int> random_permutation(int n, unsigned seed) {
   std::vector<int> perm(static_cast<std::size_t>(n));
   std::iota(perm.begin(), perm.end(), 0);
@@ -219,6 +214,90 @@ std::vector<int> random_permutation(int n, unsigned seed) {
   std::shuffle(perm.begin(), perm.end(), rng);
   return perm;
 }
+
+// The same checks at n = 1100, where every pooled scan and the residual
+// product split their work over several workers and two k panels: one NaN
+// in a late row, column or panel must still reach each result that reads
+// it. The inputs are built from known factors (A = P^T L U and
+// A = L L^T), so the clean residuals are small.
+TEST(Residual, NonFiniteEntryIsNotSmallAtScale) {
+  constexpr int n = 1100;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Matrix f = generate(n, MatrixKind::Uniform, 37);  // packed L \ U
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < i; ++j) f(i, j) *= 0.1;
+    f(i, i) += 2.0;
+  }
+  const std::vector<int> perm = random_permutation(n, 38);
+  Matrix a(n, n);
+  {
+    Matrix prod(n, n);
+    gemm(1.0, extract_lower_unit(f.view()).view(),
+         extract_upper(f.view()).view(), 0.0, prod.view());
+    for (int i = 0; i < n; ++i)
+      std::copy(prod.row(i).begin(), prod.row(i).end(),
+                a.row(perm[static_cast<std::size_t>(i)]).begin());
+  }
+  Matrix chol(n, n), chol_t(n, n);  // L, lower with a positive diagonal
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j <= i; ++j) chol(i, j) = chol_t(j, i) = f(i, j);
+  Matrix spd(n, n);
+  gemm(1.0, chol.view(), chol_t.view(), 0.0, spd.view());
+
+  lu::LuConfig cfg;
+  cfg.verify = true;
+  lu::LuResult clean;
+  lu::finish_lu(clean, a, cfg, f, perm);
+  ASSERT_LT(clean.residual, 1e-13);
+  ASSERT_TRUE(std::isfinite(clean.growth));
+  ASSERT_LT(cholesky_residual(spd, chol.view()), 1e-13);
+
+  // What each place is read by: A by every check, L by the residuals only,
+  // U also by the growth factor and the diagonal by the pivot summary.
+  enum Place { kInA, kInL, kInU, kOnDiagonal };
+  const struct {
+    const char* what;
+    Place place;
+    int i, j;
+  } cases[] = {
+      {"the last row of A", kInA, n - 1, 517},
+      {"strict-lower L at k >= 1024", kInL, n - 1, 1030},
+      {"U's last column", kInU, 700, n - 1},
+      {"the last diagonal entry", kOnDiagonal, n - 1, n - 1},
+  };
+  for (const auto& [what, place, i, j] : cases) {
+    SCOPED_TRACE(what);
+    Matrix bad_a = a, bad_f = f, bad_spd = spd, bad_chol = chol;
+    if (place == kInA) {
+      bad_a(i, j) = kNaN;
+      bad_spd(i, j) = kNaN;
+      EXPECT_TRUE(std::isnan(max_abs(bad_a.view())));
+    } else {
+      bad_f(i, j) = kNaN;
+      // Cholesky reads L^T's last column from L's last row.
+      bad_chol(std::max(i, j), std::min(i, j)) = kNaN;
+    }
+    EXPECT_TRUE(std::isnan(lu_residual(bad_a, bad_f.view(), perm)));
+    EXPECT_TRUE(std::isnan(cholesky_residual(bad_spd, bad_chol.view())));
+    const bool reads_u = place != kInL;
+    EXPECT_EQ(std::isnan(growth_factor(bad_a, bad_f.view())), reads_u);
+
+    lu::LuResult res;
+    lu::finish_lu(res, bad_a, cfg, bad_f, perm);
+    EXPECT_TRUE(std::isnan(res.residual));
+    EXPECT_TRUE(std::isnan(res.residual_eps));
+    EXPECT_EQ(std::isnan(res.growth), reads_u);
+    EXPECT_EQ(std::isnan(res.pivot_stats.min_abs_u_diag),
+              place == kOnDiagonal);
+    EXPECT_EQ(std::isnan(res.pivot_stats.max_abs_u_diag),
+              place == kOnDiagonal);
+  }
+}
+
+// The fused residual product against a dense gemm_reference product and a
+// max-abs difference taken here, at sizes below, on and across the
+// kernel's 128-row blocks and 512-wide column slabs.
+class LuResidualTiles : public ::testing::TestWithParam<int> {};
 
 // max_ij |ref(row_of[i], j) - prod(i, j)|.
 double permuted_max_diff(const Matrix& ref, const Matrix& prod,
@@ -275,10 +354,12 @@ TEST_P(LuResidualTiles, DetectsOnePerturbedEntry) {
   ASSERT_EQ(getrf_unblocked(f.view(), ipiv), FactorStatus::Ok);
   const std::vector<int> perm = perm_of(a, ipiv);
   EXPECT_LT(lu_residual(a, f.view(), perm), 1e-13);
-  // (n-1, n-1) has the longest k range, (255, 256) sits on a tile edge and
-  // (0, n-1) reaches every row of the last column.
+  // (n-1, n-1) has the longest k range, (255, 256) sits on a row-block
+  // edge, (511, 512) on a slab edge and (0, n-1) reaches every row of the
+  // last column.
   std::vector<std::pair<int, int>> spots = {{n - 1, n - 1}, {0, n - 1}};
   if (n > 256) spots.emplace_back(255, 256);
+  if (n > 512) spots.emplace_back(511, 512);
   for (const auto& [r, c] : spots) {
     Matrix bad = f;
     bad(r, c) += max_abs(a.view());

@@ -1,7 +1,8 @@
 // Sequential Cholesky (potrf): residuals on the SPD matrix families,
 // non-SPD detection, and the lower-triangle-only
 // contract that lets the distributed algorithms carry junk above the
-// diagonal, and the fused L * L^T residual product across its output tiles.
+// diagonal, and the fused L * L^T residual product across its row blocks
+// and column slabs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,7 +96,7 @@ TEST(CholeskyResidual, DetectsWrongFactor) {
 
 // The fused L * L^T product against a dense gemm_reference product and a
 // max-abs difference over j <= i taken here, at sizes below, on and across
-// the 256-wide output tiles.
+// the kernel's 128-row blocks and 512-wide column slabs.
 class CholeskyResidualTiles : public ::testing::TestWithParam<int> {};
 
 TEST_P(CholeskyResidualTiles, MatchesDenseProductOnLowerTriangle) {

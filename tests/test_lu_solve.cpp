@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <string>
 #include <tuple>
 
 #include "cholesky/cholesky_common.hpp"
@@ -25,6 +27,12 @@ namespace {
 using linalg::generate;
 using linalg::Matrix;
 using linalg::MatrixKind;
+
+std::vector<int> identity_permutation(int n) {
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  return perm;
+}
 
 std::vector<double> rhs_for(const Matrix& a, std::uint64_t seed) {
   // Build b = A * x_true so the true solution is known.
@@ -237,6 +245,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<verify::Backend>& info) {
       return info.param.name;
     });
+
+// COnfLUX and CALU gather each factor row at its original index and then
+// put the rows in pivot order in place (linalg::permute_rows). Rebuilt
+// from the kept factors, that gathered matrix must give the same factor
+// through a copy of row perm[i] into row i of a second matrix, and the
+// reported residual must be that copy's.
+TEST(PivotOrder, InPlacePermutationMatchesTheRowCopy) {
+  for (const char* name : {"COnfLUX", "CALU"})
+    for (const int n : {192, 384})
+      for (const int p : {4, 8, 9}) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n) +
+                     " p=" + std::to_string(p));
+        const Matrix a = generate(n, MatrixKind::Uniform, 94);
+        LuConfig cfg;
+        cfg.n = n;
+        cfg.p = p;
+        cfg.verify = true;
+        cfg.keep_factors = true;
+        const LuResult res = make_algorithm(name)->run(&a, cfg);
+        ASSERT_NE(res.factors, nullptr);
+        const std::vector<int>& perm = res.permutation;
+        ASSERT_EQ(perm.size(), static_cast<std::size_t>(n));
+        ASSERT_TRUE(std::is_permutation(perm.begin(), perm.end(),
+                                        identity_permutation(n).begin()));
+        const Matrix& kept = *res.factors;
+        Matrix gathered(n, n);
+        for (int i = 0; i < n; ++i)
+          std::copy(kept.row(i).begin(), kept.row(i).end(),
+                    gathered.row(perm[static_cast<std::size_t>(i)]).begin());
+
+        Matrix copied(n, n);
+        for (int i = 0; i < n; ++i) {
+          auto src = gathered.row(perm[static_cast<std::size_t>(i)]);
+          std::copy(src.begin(), src.end(), copied.row(i).begin());
+        }
+        Matrix in_place = gathered;
+        linalg::permute_rows(in_place.view(), perm);
+        EXPECT_TRUE(in_place == copied);
+        EXPECT_TRUE(kept == copied);
+        EXPECT_EQ(linalg::lu_residual(a, copied.view(), perm), res.residual);
+        // Tournament pivoting moves rows: the permutation is no identity.
+        EXPECT_FALSE(perm == identity_permutation(n));
+      }
+}
 
 TEST(Solve, WithoutKeepFactorsThrows) {
   const Matrix a = generate(32, MatrixKind::Uniform, 92);
